@@ -99,7 +99,7 @@ struct Cell {
 
 Cell
 runCell(unsigned cores, unsigned host_jobs, std::uint64_t measure_jobs,
-        std::uint32_t bc_shards, bool fc_pipeline)
+        std::uint32_t bc_shards)
 {
     SystemConfig cfg;
     cfg.kind = SystemKind::AstriFlash;
@@ -109,13 +109,6 @@ runCell(unsigned cores, unsigned host_jobs, std::uint64_t measure_jobs,
     cfg.warmupJobs = measure_jobs / 16 + 1;
     cfg.measureJobs = measure_jobs;
     cfg.dramCache.bc.shards = bc_shards;
-    if (fc_pipeline) {
-        // Pipelined miss path: each shard's domain lands in its own
-        // exec group, so host-jobs > 1 actually runs concurrently.
-        // Shards must divide the flash device count for the split.
-        cfg.dramCache.fc.pipeline = true;
-        cfg.dramCache.fabric.devices = bc_shards;
-    }
     cfg.hostJobs = host_jobs;
 
     System sys(cfg);
@@ -144,8 +137,6 @@ main(int argc, char **argv)
     std::uint64_t measure_jobs = 2000;
     std::uint32_t bc_shards = 4;
     std::string out_file = "BENCH_parallel.json";
-    std::string partition_file;
-    bool fused = false;
     bool quick = false;
 
     sim::OptionParser opts(
@@ -169,11 +160,6 @@ main(int argc, char **argv)
                    "backside-controller shards (= extra domains)");
     opts.addString("out", &out_file,
                    "write results to FILE (empty: skip)");
-    opts.addString("partition-out", &partition_file,
-                   "write the exec-group partition dump to FILE");
-    opts.addFlag("fused", &fused,
-                 "measure the fused (synchronous, merged-group) miss "
-                 "path instead of the pipelined split");
     opts.addFlag("quick", &quick,
                  "CI smoke: 64 cores only, fewer measured jobs");
     opts.parseOrExit(argc, argv);
@@ -195,8 +181,7 @@ main(int argc, char **argv)
     for (const unsigned cores : core_counts) {
         std::string baseline;
         for (const unsigned hj : jobs_list) {
-            Cell c = runCell(cores, hj, measure_jobs, bc_shards,
-                             !fused);
+            Cell c = runCell(cores, hj, measure_jobs, bc_shards);
             const bool first = baseline.empty();
             const bool match = first || baseline == c.statsJson;
             std::printf("cores=%-4u host-jobs=%-2u  %10llu events  "
@@ -265,7 +250,6 @@ main(int argc, char **argv)
         w.field("measure_jobs", measure_jobs);
         w.field("bc_shards",
                 static_cast<std::uint64_t>(bc_shards));
-        w.field("fc_pipeline", !fused);
         w.field("stats_identical", identical);
         w.key("cells");
         w.beginArray();
@@ -296,57 +280,6 @@ main(int argc, char **argv)
         w.endObject();
         out << "\n";
         std::printf("# wrote %s\n", out_file.c_str());
-    }
-
-    if (!partition_file.empty()) {
-        // Exec-group partition dump (the perf-smoke artifact): the
-        // layout is config-determined — group 0 carries the cores,
-        // the FC, and the arrival process; each further group one BC
-        // shard's domain — and the per-group event totals come from
-        // the deepest measured cell.
-        std::ofstream out(partition_file);
-        if (!out) {
-            std::fprintf(stderr, "cannot open '%s'\n",
-                         partition_file.c_str());
-            return 1;
-        }
-        const Cell *deepest = nullptr;
-        for (const Cell &c : cells)
-            if (deepest == nullptr || c.engine.groups > deepest->engine.groups ||
-                (c.engine.groups == deepest->engine.groups &&
-                 c.events > deepest->events))
-                deepest = &c;
-        sim::JsonWriter w(out);
-        w.beginObject();
-        w.field("fc_pipeline", !fused);
-        w.field("bc_shards", static_cast<std::uint64_t>(bc_shards));
-        if (deepest != nullptr) {
-            w.field("cores",
-                    static_cast<std::uint64_t>(deepest->cores));
-            w.field("host_jobs",
-                    static_cast<std::uint64_t>(deepest->hostJobs));
-            w.field("exec_groups", static_cast<std::uint64_t>(
-                                       deepest->engine.groups));
-            w.key("groups");
-            w.beginArray();
-            for (std::uint32_t g = 0; g < deepest->engine.groups;
-                 ++g) {
-                w.beginObject();
-                w.field("group", static_cast<std::uint64_t>(g));
-                w.field("domains",
-                        g == 0 ? std::string("cores+fc+arrivals")
-                               : "dcache.bc" + std::to_string(g - 1));
-                w.field("events",
-                        g < deepest->engine.groupEvents.size()
-                            ? deepest->engine.groupEvents[g]
-                            : 0);
-                w.endObject();
-            }
-            w.endArray();
-        }
-        w.endObject();
-        out << "\n";
-        std::printf("# wrote %s\n", partition_file.c_str());
     }
 
     if (!identical) {

@@ -38,82 +38,29 @@ BacksideController::BacksideController(
 void
 BacksideController::bindChannels()
 {
-    // The submit path is bc-owned, so the command channel always
-    // drains inside the push that filled it, both modes: startMiss's
-    // issued-assertions depend on it and the seam honestly declares
-    // zero lookahead.
+    // Every inbound channel drains inside the push that filled it:
+    // the whole miss chain runs nested in the producer's call, exactly
+    // like the pre-split facade pump. The submit path is bc-owned, so
+    // startMiss's issued-assertions can rely on the command channel's
+    // drain and that seam honestly declares zero lookahead.
     toFlash.setDrainHook([this] { pumpFlash(); });
-
-    if (!cfg.fc.pipeline) {
-        // Fused mode: service the whole miss chain nested inside the
-        // producer's push, exactly like the pre-split facade pump.
-        inbox.setDrainHook([this] {
-            if (serviceNote)
-                serviceNote(curTick());
-            pumpInbox(sim::kTickNever);
-        });
-        fromFcCtl.setDrainHook([this] { pumpCtl(sim::kTickNever); });
-        return;
-    }
-
-    // Pipeline mode: the producer's push only schedules this
-    // controller's pump at accept + the declared channel lookahead.
-    // The notify hook runs in the producer's context and touches no
-    // bc-owned state; the pump event re-enters this domain.
-    inbox.setNotifyHook([this](sim::Ticks accept) {
-        requestPump(accept + inbox.contract().minLatency, [this] {
-            auditDomain(); // event-queue entry point
-            pumpInbox(curTick());
-        });
+    inbox.setDrainHook([this] {
+        if (serviceNote)
+            serviceNote(curTick());
+        pumpInbox();
     });
-    fromFcCtl.setNotifyHook([this](sim::Ticks accept) {
-        requestPump(accept + fromFcCtl.contract().minLatency, [this] {
-            auditDomain(); // event-queue entry point
-            pumpCtl(curTick());
-        });
-    });
+    fromFcCtl.setDrainHook([this] { pumpCtl(); });
 }
 
 void
-BacksideController::requestPump(sim::Ticks when,
-                                std::function<void()> fn)
+BacksideController::pumpInbox()
 {
-    if (postFn) {
-        postFn(when, std::move(fn));
-        return;
-    }
-    // Single-queue fallback: the producer shares this queue, so a
-    // relative schedule from its current tick lands at `when`.
-    scheduleIn(when > curTick() ? when - curTick() : 0,
-               std::move(fn));
+    while (!inbox.empty())
+        serviceHead();
 }
 
 void
-BacksideController::pumpInbox(sim::Ticks eligible_until)
-{
-    const sim::Ticks lat = inbox.contract().minLatency;
-    while (!inbox.empty()) {
-        // Entries pushed after the round's barrier wait for their own
-        // pump: the frozen window keeps the drain set independent of
-        // worker interleaving.
-        if (inbox.frontHeldByFreeze())
-            break;
-        if (eligible_until != sim::kTickNever &&
-            inbox.front().acceptedAt + lat > eligible_until) {
-            // Not yet past the declared lookahead; the push's own
-            // notify pump revisits it.
-            break;
-        }
-        // Pipeline mode floors the reply stamps at this pump's bound
-        // (the miss channel's core-skewed pushes are not monotone, so
-        // a late-drained request must not ack into the past).
-        serviceHead(eligible_until == sim::kTickNever
-                        ? 0 : eligible_until);
-    }
-}
-
-void
-BacksideController::serviceHead(sim::Ticks at_least)
+BacksideController::serviceHead()
 {
     ASTRI_ASSERT_MSG(!inbox.empty(),
                      "%s: serviceHead() with an empty miss channel",
@@ -125,8 +72,6 @@ BacksideController::serviceHead(sim::Ticks at_least)
     BcNotice ack;
     ack.kind = BcNotice::Kind::MissAck;
     ack.page = req.page;
-    ack.hasWaiter = req.hasWaiter;
-    ack.waiter = req.waiter;
 
     if (!req.subPage && evictBuf.contains(req.page)) {
         // The page is parked in the evict buffer awaiting writeback;
@@ -135,8 +80,7 @@ BacksideController::serviceHead(sim::Ticks at_least)
         ack.reply.kind = BcReply::Kind::EvictBufferHit;
         ack.reply.ready = accept + bcOp();
         inbox.dropFront(ack.reply.ready);
-        toFcRsp.push(ack, ack.reply.ready > at_least
-                              ? ack.reply.ready : at_least);
+        toFcRsp.push(ack, ack.reply.ready);
         return;
     }
 
@@ -154,7 +98,7 @@ BacksideController::serviceHead(sim::Ticks at_least)
     inbox.dropFront(consumed, ack.reply.merged
                                   ? consumed
                                   : pending[req.page].dataReady);
-    toFcRsp.push(ack, consumed > at_least ? consumed : at_least);
+    toFcRsp.push(ack, consumed);
 }
 
 sim::Ticks
@@ -320,38 +264,22 @@ BacksideController::pageArrived(mem::PageNum page)
     n.page = page;
     n.fetchMask = fetch_mask;
     n.dirty = pit->second.anyWrite;
-    pit->second.installing = true;
     toFcRsp.push(n, now);
 }
 
 void
-BacksideController::pumpCtl(sim::Ticks eligible_until)
+BacksideController::pumpCtl()
 {
     const sim::Ticks lat = fromFcCtl.contract().minLatency;
     while (!fromFcCtl.empty()) {
-        if (fromFcCtl.frontHeldByFreeze())
-            break;
         const auto &st = fromFcCtl.front();
-        if (eligible_until != sim::kTickNever &&
-            st.acceptedAt + lat > eligible_until)
-            break;
         const InstallGrant grant = st.msg;
-        // Fused mode finishes the miss at the grant's accept tick —
-        // the whole install chain is one nested call at the arrival
-        // tick, byte-identical to the pre-split controller. Pipeline
-        // mode acts at the entry's eligibility, clamped to this
-        // pump's bound: the ctl channel is not monotone, so a
-        // late-drained entry's stale act tick would otherwise stamp
-        // the install-complete push (and the bc_to_fc cross-post)
-        // into the past. The clamp is deterministic — each entry's
-        // draining pump is fixed by channel content and pump order.
-        sim::Ticks act = st.acceptedAt;
-        if (cfg.fc.pipeline) {
-            act = st.acceptedAt + lat > eligible_until
-                      ? st.acceptedAt + lat : eligible_until;
-        }
-        fromFcCtl.dropFront(st.acceptedAt + lat);
-        finishInstall(grant, act);
+        const sim::Ticks at = st.acceptedAt;
+        fromFcCtl.dropFront(at + lat);
+        // Finish the miss at the grant's accept tick: the whole
+        // install chain is one nested call at the arrival tick,
+        // byte-identical to the pre-split controller.
+        finishInstall(grant, at);
     }
 }
 
@@ -558,13 +486,9 @@ BacksideController::auditShared(sim::InvariantChecker &chk,
     // Cross-domain audit at a quiesce point: a full-page miss cannot
     // coexist with a resident copy. The tag array is fc-owned and
     // passed by const reference — the BC never holds it.
-    // Audit-only, order-insensitive walk (baselined AF015). Entries
-    // whose install grant is in flight are exempt: the frontside has
-    // already filled the tags but the completion that retires the
-    // entry is still crossing the ctl channel.
+    // Audit-only, order-insensitive walk (baselined AF015).
     for (const auto &[page, miss] : pending) {
-        if (miss.installing)
-            continue;
+        (void)miss;
         SIM_INVARIANT_MSG(chk,
                           !tags.contains(pageByteAddr(page)),
                           "page %llx is both resident and pending",

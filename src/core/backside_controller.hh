@@ -9,7 +9,7 @@
  * victims in the evict buffer, and writes dirty victims back to flash
  * off the critical path.
  *
- * Single-owner seam (DESIGN.md §17): the BC owns the MSR, the evict
+ * Single-owner seam (DESIGN.md §16.3): the BC owns the MSR, the evict
  * buffer, the pending-miss table, and the flash submit path — and
  * nothing else. The page tags, the DRAM model, and the footprint
  * state are fc-owned; whenever the BC needs them (seeding a fetch
@@ -20,13 +20,9 @@
  * (aflint AF013/AF014); all its inputs and outputs are channels plus
  * the abstract flash::Backend.
  *
- * The BC drains its own inbound channels: in fused mode (default)
- * through synchronous drain hooks, which keeps the whole miss chain
- * nested inside the producer's push exactly like the pre-split
- * facade pump; in pipeline mode through notify hooks that schedule a
- * pump at accept + the declared channel lookahead via the cross-post
- * function (the parallel engine's mailbox when exec groups are
- * split).
+ * The BC drains its own inbound channels through synchronous drain
+ * hooks, which keeps the whole miss chain nested inside the
+ * producer's push exactly like the pre-split facade pump.
  */
 
 #ifndef ASTRIFLASH_CORE_BACKSIDE_CONTROLLER_HH
@@ -72,9 +68,7 @@ class BacksideController : public sim::SimObject
      *        capacities (the facade slices BcConfig's totals with
      *        shardSlice()).
      * @param flash_dev the shard's submit path. The BC derives its
-     *        conservative read estimate from it; in pipeline mode the
-     *        facade guarantees shards hit disjoint devices
-     *        (deviceCount % shards == 0 with page-residue routing).
+     *        conservative read estimate from it.
      */
     BacksideController(sim::EventQueue &eq, std::string name,
                        const DramCacheConfig &config,
@@ -92,25 +86,14 @@ class BacksideController : public sim::SimObject
     /**
      * Install this controller's channel hooks. Both controllers
      * declare bindChannels(); the facade calls it after channel
-     * construction, once per controller. Fused mode installs
-     * synchronous drain hooks on the inbox and the ctl channel;
-     * pipeline mode installs notify hooks that schedule pumps through
-     * the cross-post function. The BC→flash channel always drains
-     * synchronously — the submit path is bc-owned, so that seam never
-     * leaves the domain.
+     * construction, once per controller: synchronous drain hooks on
+     * the inbox, the ctl channel, and the BC→flash channel (the
+     * submit path is bc-owned, so that seam never leaves the domain).
      */
     void bindChannels();
 
     /**
-     * Cross-domain pump scheduler (pipeline mode): posts @p fn at an
-     * absolute tick into this controller's domain. Unset, the BC
-     * schedules on its own queue (single-queue unit tests); System
-     * installs the parallel engine's mailbox for split runs.
-     */
-    void setPostFn(CrossPostFn fn) { postFn = std::move(fn); }
-
-    /**
-     * Telemetry callback fired when the fused-mode drain services a
+     * Telemetry callback fired when the inbox drain services a
      * request in the producer's call chain (the facade's registered
      * "service" ownership crossing).
      */
@@ -156,11 +139,6 @@ class BacksideController : public sim::SimObject
         sim::Ticks dataReady = 0; ///< Install-complete estimate.
         std::vector<WaiterCookie> waiters;
         bool issued = false;   ///< Flash read issued (vs MSR-stalled).
-        /** Install requested across the seam; the grant is in flight.
-         *  In pipelined mode a sweep can observe the page already
-         *  resident (the grant filled the tags) while finishInstall
-         *  has not yet retired this entry. */
-        bool installing = false;
         bool anyWrite = false; ///< Install dirty (write-allocate).
         std::uint64_t fetchMask = ~0ull; ///< Blocks to transfer.
     };
@@ -184,24 +162,18 @@ class BacksideController : public sim::SimObject
      * evict-buffer short-circuit, MSR dedup/alloc, flash issue. The
      * slot is released at the transaction's completion tick, so the
      * channel depth bounds the BC's outstanding-transaction window.
-     * The reply leaves through the BC→FC response channel; its push
-     * stamp is floored at @p at_least (the draining pump's bound —
-     * 0 in fused mode, where the drain is nested in the push).
+     * The reply leaves through the BC→FC response channel.
      */
-    void serviceHead(sim::Ticks at_least = 0);
+    void serviceHead();
 
-    /** Drain every serviceable inbox entry (stamp-eligible at @p now;
-     *  fused mode passes kTickNever to drain unconditionally). */
-    void pumpInbox(sim::Ticks eligible_until);
+    /** Drain every inbox entry. */
+    void pumpInbox();
 
     /** Submit queued flash commands; reads schedule their arrival. */
     void pumpFlash();
 
-    /** Drain eligible InstallGrants off the FC→BC ctl channel. */
-    void pumpCtl(sim::Ticks eligible_until);
-
-    /** Schedule a pump at @p when in this domain (post or self). */
-    void requestPump(sim::Ticks when, std::function<void()> fn);
+    /** Drain the InstallGrants off the FC→BC ctl channel. */
+    void pumpCtl();
 
     /**
      * Miss handling: MSR dedup/alloc, flash read, arrival event.
@@ -242,7 +214,6 @@ class BacksideController : public sim::SimObject
     EvictBuffer evictBuf;
     std::unordered_map<mem::PageNum, PendingMiss> pending;
     std::deque<mem::PageNum> msrStalled; ///< Waiting for MSR space.
-    CrossPostFn postFn;
     CrossingNoteFn serviceNote;
     sim::Ticks bcOpTicks;
     sim::Ticks flashReadEstimate;

@@ -19,8 +19,8 @@
  *                               the BC owns the evict path)
  *   BC --InstallComplete--> FC (wake the merged waiters)
  *
- * See DESIGN.md §11 for slot-lifetime rules and §17 for the split
- * partition table and per-channel lookahead manifest.
+ * See DESIGN.md §11 for slot-lifetime rules and §14 for the
+ * per-channel lookahead manifest.
  */
 
 #ifndef ASTRIFLASH_CORE_DC_MESSAGES_HH
@@ -116,10 +116,6 @@ struct BcNotice {
     mem::PageNum page{0};
     /** MissAck payload. */
     BcReply reply;
-    /** MissAck: waiter echo, so a pipelined FC can wake an
-     *  evict-buffer hit without a pending-table lookup. */
-    bool hasWaiter = false;
-    WaiterCookie waiter = 0;
     /** InstallReq payload: blocks fetched from flash, and whether the
      *  install marks the frame dirty (write-triggered miss). */
     std::uint64_t fetchMask = 0;

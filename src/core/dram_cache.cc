@@ -14,27 +14,23 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
       pageTags(SimObject::name() + ".tags", config.capacityBytes,
                config.pageBytes, config.ways),
       fcCtl(SimObject::name() + ".fc", cfg, dramModel, pageTags,
-            footprint, fcToBc, bcToFc, bcToFcRsp, fcToBcCtl,
-            // Conservative whole-read estimate for pipelined sync
-            // misses, derived here so the FC never sees the device.
-            flash.readEstimate())
+            footprint, fcToBc, bcToFc, bcToFcRsp, fcToBcCtl)
 {
     // Bad user configuration, not an invariant: SIM_CHECK compiles
-    // out in plain Release, and shards=0 would SIGFPE in the slice
-    // division below before any armed check could fire.
+    // out in plain Release, so both checks are always-on. shards=0
+    // would SIGFPE in the slice division below, and a shard whose
+    // MSR or evict-buffer slice is empty panics mid-run on its first
+    // miss or victim.
     const std::uint32_t shards = cfg.bc.shards;
     if (shards == 0)
         ASTRI_FATAL("%s: at least one BC shard required",
                     SimObject::name().c_str());
-    if (cfg.fc.pipeline && cfg.fabric.devices % shards != 0) {
-        // Split exec groups submit flash commands concurrently; the
-        // page-interleaved shards only hit disjoint devices when the
-        // device count is a shard multiple (lpn % devices then fixes
-        // the device's shard residue).
-        ASTRI_FATAL("%s: pipeline mode needs the flash device count "
-                    "(%u) to be a multiple of the BC shard count (%u)",
-                    SimObject::name().c_str(), cfg.fabric.devices,
-                    shards);
+    if (cfg.bc.msrSets < shards || cfg.bc.evictBufferEntries < shards) {
+        ASTRI_FATAL("%s: %u BC shards leave a shard without capacity "
+                    "(%u MSR sets, %u evict-buffer entries; each "
+                    "shard needs at least one of each)",
+                    SimObject::name().c_str(), shards, cfg.bc.msrSets,
+                    cfg.bc.evictBufferEntries);
     }
 
     // Capacity conservation: the per-shard slices of the cache-wide
@@ -44,17 +40,8 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
     std::uint64_t msr_set_sum = 0;
     std::uint64_t evict_sum = 0;
     for (std::uint32_t i = 0; i < shards; ++i) {
-        const std::uint32_t msr_sets =
-            shardSlice(cfg.bc.msrSets, shards, i);
-        const std::uint32_t evict_entries =
-            shardSlice(cfg.bc.evictBufferEntries, shards, i);
-        SIM_CHECK_MSG(msr_sets >= 1 && evict_entries >= 1,
-                      "%s: shard %u's slice is empty (%u MSR sets, %u "
-                      "evict entries) — fewer shards or more capacity",
-                      SimObject::name().c_str(), i, msr_sets,
-                      evict_entries);
-        msr_set_sum += msr_sets;
-        evict_sum += evict_entries;
+        msr_set_sum += shardSlice(cfg.bc.msrSets, shards, i);
+        evict_sum += shardSlice(cfg.bc.evictBufferEntries, shards, i);
     }
     SIM_CHECK_MSG(msr_set_sum == cfg.bc.msrSets &&
                       evict_sum == cfg.bc.evictBufferEntries,
@@ -130,10 +117,9 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
 
     // Ownership declarations (DESIGN.md §16). The facade's value-owned
     // shared structures execute on the frontside queue; each shard's
-    // channels declare their endpoint domains; and the fused mode's
-    // two deliberate drain-chain crossings per shard are
-    // pre-registered so the runtime audit counts them instead of
-    // flagging them.
+    // channels declare their endpoint domains; and the two deliberate
+    // drain-chain crossings per shard are pre-registered so the
+    // runtime audit counts them instead of flagging them.
     serviceCrossings.assign(shards, kNoCrossing);
     installCrossings.assign(shards, kNoCrossing);
     if ((ownAudit = sim::OwnershipAuditor::current()) != nullptr) {
@@ -157,14 +143,6 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
                 bc_dom == sim::kNoDomain) {
                 continue; // unpartitioned: nothing crosses
             }
-            if (cfg.fc.pipeline) {
-                // Pipelined mode has no synchronous drain chains to
-                // pre-register: every FC<->BC interaction is channel
-                // traffic pumped inside its owning domain. Zero
-                // declared crossings IS the retirement certificate
-                // (the ownership tests assert it).
-                continue;
-            }
             serviceCrossings[i] = ownAudit->registerCrossing(
                 SimObject::name() + ".bc" + tag + ".service", fc_dom,
                 bc_dom);
@@ -175,8 +153,8 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
     }
 
     // Each controller drains its own inbound channels; the crossing
-    // notes report the fused-mode drain chains that still cross
-    // domains (no-ops when unpartitioned or pipelined).
+    // notes report the drain chains that cross domains (no-ops when
+    // unpartitioned).
     for (std::uint32_t i = 0; i < shards; ++i) {
         bcCtls[i]->setCrossingNotes([this, i](sim::Ticks t) {
             noteCrossing(serviceCrossings[i], t);
@@ -192,7 +170,6 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
     }
     fcCtl.setCrossingNotes(std::move(install_notes));
     fcCtl.bindChannels();
-    setCrossPost(nullptr);
 }
 
 std::string
@@ -202,61 +179,6 @@ DramCache::shardTag(std::uint32_t shard) const
     // golden stat namespaces stay byte-identical.
     return cfg.bc.shards == 1 ? std::string{}
                               : std::to_string(shard);
-}
-
-void
-DramCache::setCrossPost(EnginePostFn fn)
-{
-    if (!fn) {
-        // Single-queue fallback: every posted pump schedules on the
-        // facade's own queue (the frontside domain), which fused and
-        // unpartitioned runs share with every shard.
-        fn = [this](std::uint32_t, std::uint32_t, sim::Ticks when,
-                    std::function<void()> cb) {
-            scheduleIn(when > curTick() ? when - curTick() : 0,
-                       std::move(cb));
-        };
-    }
-    // Pre-bind one function per channel direction: the engine keys
-    // deterministic delivery on the posting domain, so the producer
-    // side must be fixed at bind time. Domain 0 is the frontside,
-    // 1+i is backside shard i.
-    std::vector<CrossPostFn> fc_posts;
-    fc_posts.reserve(bcCtls.size());
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(bcCtls.size()); ++i) {
-        fc_posts.push_back(
-            [fn, i](sim::Ticks when, std::function<void()> cb) {
-                fn(1 + i, 0, when, std::move(cb));
-            });
-        bcCtls[i]->setPostFn(
-            [fn, i](sim::Ticks when, std::function<void()> cb) {
-                fn(0, 1 + i, when, std::move(cb));
-            });
-    }
-    fcCtl.setPostFn(std::move(fc_posts));
-}
-
-void
-DramCache::freezeSeamWindows()
-{
-    for (std::size_t i = 0; i < bcCtls.size(); ++i) {
-        fcToBc[i]->freezeDrainWindow();
-        bcToFc[i]->freezeDrainWindow();
-        bcToFcRsp[i]->freezeDrainWindow();
-        fcToBcCtl[i]->freezeDrainWindow();
-    }
-}
-
-void
-DramCache::thawSeamWindows()
-{
-    for (std::size_t i = 0; i < bcCtls.size(); ++i) {
-        fcToBc[i]->thawDrainWindow();
-        bcToFc[i]->thawDrainWindow();
-        bcToFcRsp[i]->thawDrainWindow();
-        fcToBcCtl[i]->thawDrainWindow();
-    }
 }
 
 DcAccess
@@ -328,14 +250,6 @@ DramCache::regStats(sim::StatRegistry &reg) const
         fcToBc[i]->regStats(reg.subRegistry("fc_to_bc" + tag));
         bcToFlash[i]->regStats(reg.subRegistry("bc_to_flash" + tag));
         bcToFc[i]->regStats(reg.subRegistry("bc_to_fc" + tag));
-        if (cfg.fc.pipeline) {
-            // Pipeline-only channels stay out of the default stat
-            // tree so the pre-split goldens remain byte-identical.
-            bcToFcRsp[i]->regStats(
-                reg.subRegistry("bc_to_fc_rsp" + tag));
-            fcToBcCtl[i]->regStats(
-                reg.subRegistry("fc_to_bc_ctl" + tag));
-        }
     }
 }
 

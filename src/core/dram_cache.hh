@@ -46,7 +46,6 @@
 #define ASTRIFLASH_CORE_DRAM_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -77,18 +76,6 @@ class DramCache : public sim::SimObject
   public:
     using PageReadyFn = FrontsideController::PageReadyFn;
 
-    /**
-     * Cross-domain pump scheduler: run @p fn at tick @p when in domain
-     * @p dst, where the post originates in domain @p src. Domain 0 is
-     * the frontside; domain 1+i is backside shard i. The facade
-     * installs a single-queue fallback at construction
-     * (setCrossPost(nullptr)); System swaps in the parallel engine's
-     * mailbox around a partitioned run.
-     */
-    using EnginePostFn = std::function<void(
-        std::uint32_t src, std::uint32_t dst, sim::Ticks when,
-        std::function<void()> fn)>;
-
     /** Cache-wide backside totals summed across shards. */
     struct BcTotals {
         std::uint64_t fills = 0;
@@ -103,13 +90,10 @@ class DramCache : public sim::SimObject
      * @param bc_queues  Optional per-shard event queues (one per BC
      *                   shard) for sim::ParallelEngine domain
      *                   partitioning; empty keeps every controller on
-     *                   @p eq. In fused mode (FcConfig::pipeline off)
-     *                   the queues must share @p eq's EventQueueGroup —
-     *                   the drain chains still cross synchronously, so
-     *                   the domains form one exec group. In pipeline
-     *                   mode each shard's domain may live in its own
-     *                   exec group: every seam is channel traffic with
-     *                   declared lookahead (DESIGN.md §17).
+     *                   @p eq. The queues must share @p eq's
+     *                   EventQueueGroup — the drain chains cross
+     *                   synchronously, so the domains form one exec
+     *                   group.
      */
     DramCache(sim::EventQueue &eq, std::string name,
               const DramCacheConfig &config, flash::Backend &flash,
@@ -122,27 +106,6 @@ class DramCache : public sim::SimObject
     {
         fcCtl.setPageReadyCallback(std::move(fn));
     }
-
-    /**
-     * Install the cross-domain pump scheduler (pipeline mode).
-     * Passing nullptr restores the single-queue fallback, which
-     * schedules every posted pump on the facade's own event queue.
-     */
-    void setCrossPost(EnginePostFn fn);
-
-    /**
-     * Close every FC<->BC seam channel's drain window at its current
-     * push sequence (sim::BoundedChannel::freezeDrainWindow). System
-     * calls it before the split engine run and at every barrier so
-     * each round's pumps drain exactly the barrier-time queues. The
-     * intra-domain bc_to_flash channels are exempt: their pumps run
-     * in the pushing call chain.
-     */
-    void freezeSeamWindows();
-
-    /** Reopen the seam drain windows (after the split engine run, so
-     *  post-run quiesce pumps on the facade's own queue can drain). */
-    void thawSeamWindows();
 
     /**
      * Frontside access from the LLC miss path.
@@ -234,9 +197,9 @@ class DramCache : public sim::SimObject
      * shard ("bc" unsharded, "bc<i>" sharded) with "msr"/"evictbuf"
      * children, the "dram" device and the "tags" array, plus each
      * shard's channels ("fc_to_bc[<i>]", "bc_to_flash[<i>]",
-     * "bc_to_fc[<i>]"; the pipeline-mode rsp/ctl channels register
-     * only when that mode is on, keeping the default tree
-     * byte-identical).
+     * "bc_to_fc[<i>]"). The rsp/ctl channels stay out of the tree,
+     * which keeps it byte-identical to the pre-split goldens; their
+     * invariants are swept (System::registerInvariants).
      */
     void regStats(sim::StatRegistry &reg) const;
 
@@ -352,14 +315,13 @@ class DramCache : public sim::SimObject
     FrontsideController fcCtl;
     std::vector<std::unique_ptr<BacksideController>> bcCtls;
 
-    /** Ownership auditor attached at construction (or null). In fused
-     *  mode the controllers' drain chains still exercise the two
-     *  pre-registered deliberate crossings per shard ("service" and
+    /** Ownership auditor attached at construction (or null). The
+     *  controllers' drain chains exercise the two pre-registered
+     *  deliberate crossings per shard ("service" and
      *  "deliver_installs"); the controllers report them through their
      *  crossing-note callbacks so the static coupling report (aflint
      *  --ownership-report) can be certified against what actually
-     *  runs. Pipeline mode crosses only through posted pumps, so the
-     *  counts go to zero along with the sync facade calls. */
+     *  runs. */
     sim::OwnershipAuditor *ownAudit = nullptr;
     std::vector<std::uint32_t> serviceCrossings; ///< FC -> BC<i>.
     std::vector<std::uint32_t> installCrossings; ///< BC<i> -> FC.

@@ -9,7 +9,7 @@
  * 1-cycle-per-op FSM; everything slower (MSR dedup, flash issue) lives
  * behind the channels in the backside controller.
  *
- * Single-owner seam (DESIGN.md §17): the FC owns the tag array, the
+ * Single-owner seam (DESIGN.md §16.3): the FC owns the tag array, the
  * DRAM device model, and the footprint masks — the three structures
  * the pre-split backside mutated by reference (the retired AF022
  * baseline entries). Backside reads of them became message fields:
@@ -21,32 +21,22 @@
  * are the bc_to_fc_rsp / bc_to_fc channels and its outputs are the
  * fc_to_bc / fc_to_bc_ctl channels.
  *
- * Two completion disciplines, selected by FcConfig::pipeline:
- *
- *  - Fused (default): the miss-channel push synchronously runs the
- *    backside's drain, whose MissAck lands back here — through the
- *    response channel's own drain hook — before the push returns. The
- *    access completes in one call chain, byte-identical to the
- *    pre-split controller.
- *  - Pipelined (--fc-pipeline): the push only schedules the consumer's
- *    pump at accept + the declared channel lookahead; the access
- *    returns a miss response immediately (bounded by
- *    FcConfig::pendingDepth, with backpressure stats) and the MissAck
- *    completes the probe asynchronously when the response pump drains
- *    it. This is the seam that lets System place each backside
- *    shard's domain in its own exec group.
+ * Fused completion: the miss-channel push synchronously runs the
+ * backside's drain, whose MissAck lands back here — through the
+ * response channel's own drain hook — before the push returns. The
+ * access completes in one call chain with the exact miss response
+ * (evict-buffer hit or started/merged miss), byte-identical to the
+ * pre-split controller.
  *
  * With backside sharding (BcConfig::shards > 1) the FC holds one
  * channel quadruple per shard and routes each miss by
- * mem::pageInterleave(page, shards); acks return in per-shard FIFO
- * order, so each shard's in-flight probes form a queue.
+ * mem::pageInterleave(page, shards).
  */
 
 #ifndef ASTRIFLASH_CORE_FRONTSIDE_CONTROLLER_HH
 #define ASTRIFLASH_CORE_FRONTSIDE_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -79,11 +69,6 @@ class FrontsideController
         sim::Counter syncAccesses;  ///< Forward-progress forced-sync.
         sim::Counter subPageMisses; ///< Footprint mispredictions.
         sim::Histogram hitLatency;  ///< FC path, ticks.
-        /** Pipeline mode only: probes delayed because the per-shard
-         *  in-flight ack window exceeded FcConfig::pendingDepth. */
-        sim::Counter reqQueueStalls;
-        sim::Counter reqQueueStallTicks;
-        std::uint64_t reqQueuePeak = 0;
 
         double
         hitRatio() const
@@ -95,29 +80,6 @@ class FrontsideController
         }
     };
 
-    /**
-     * One frontside access in flight across the controller split:
-     * either completed entirely inside the FC (hit), or parked with a
-     * MissRequest accepted into the channel, awaiting the MissAck on
-     * the shard's response channel.
-     */
-    struct Probe {
-        bool complete = false; ///< Hit path finished; @c out is valid.
-        DcAccess out;
-        mem::PageNum page{0};
-        sim::Ticks start = 0;    ///< Requester's tick.
-        sim::Ticks accepted = 0; ///< Miss-channel accept tick.
-        std::uint64_t bit = 0;   ///< Requested block's footprint bit.
-        bool subPage = false;    ///< Footprint refetch of a resident page.
-        std::uint32_t shard = 0; ///< BC shard the miss routed to.
-    };
-
-    /**
-     * @param flash_read_estimate conservative whole-page read latency,
-     *        derived by the facade so pipelined forced-synchronous
-     *        misses can return a completion estimate without waiting
-     *        for the ack.
-     */
     FrontsideController(
         std::string name, const DramCacheConfig &config,
         mem::Dram &dram, mem::SetAssocCache &tags,
@@ -130,8 +92,7 @@ class FrontsideController
         std::vector<std::unique_ptr<sim::BoundedChannel<BcNotice>>>
             &from_bc_rsp,
         std::vector<std::unique_ptr<sim::BoundedChannel<InstallGrant>>>
-            &to_bc_ctl,
-        sim::Ticks flash_read_estimate);
+            &to_bc_ctl);
 
     /** Register the page-arrival notification hook. */
     void setPageReadyCallback(PageReadyFn fn) { onReady = std::move(fn); }
@@ -139,29 +100,14 @@ class FrontsideController
     /**
      * Install this controller's channel hooks. Both controllers
      * declare bindChannels(); the facade calls it after channel
-     * construction, once per controller. Fused mode installs
-     * synchronous drain hooks on the response and install channels;
-     * pipeline mode installs notify hooks that schedule pumps through
-     * the per-shard cross-post functions.
+     * construction, once per controller: synchronous drain hooks on
+     * every shard's response and install channels.
      */
     void bindChannels();
 
     /**
-     * Cross-domain pump schedulers, one per backside shard (pipeline
-     * mode): posts run in this controller's domain, and the engine
-     * keys deterministic delivery on the posting (shard) domain, so
-     * each producer direction needs its own pre-bound function. The
-     * facade installs self-scheduling fallbacks; System replaces them
-     * with the parallel engine's mailbox for split runs.
-     */
-    void setPostFn(std::vector<CrossPostFn> fns)
-    {
-        postFns = std::move(fns);
-    }
-
-    /**
-     * Telemetry callbacks (one per shard) fired when the fused-mode
-     * install drain runs in the backside's call chain (the facade's
+     * Telemetry callbacks (one per shard) fired when the install
+     * drain runs in the backside's call chain (the facade's
      * registered "deliver_installs" ownership crossings).
      */
     void setCrossingNotes(std::vector<CrossingNoteFn> install_notes)
@@ -171,19 +117,15 @@ class FrontsideController
 
     /**
      * Frontside access from the LLC miss path. Hits complete here; a
-     * miss pushes the MissRequest and either completes from the
-     * synchronously latched ack (fused) or returns the miss response
-     * immediately and finishes when the ack pump drains it
-     * (pipelined).
+     * miss pushes the MissRequest and completes from the ack the
+     * backside's drain latched synchronously.
      */
     DcAccess access(mem::Addr pa, bool write, sim::Ticks now,
                     WaiterCookie waiter);
 
     /**
      * Forced-synchronous access (forward-progress / Flash-Sync):
-     * @return the tick the blocked requester's data is readable. In
-     * pipeline mode a miss returns the conservative completion
-     * estimate instead of waiting for the ack.
+     * @return the tick the blocked requester's data is readable.
      */
     sim::Ticks accessSync(mem::Addr pa, bool write, sim::Ticks now);
 
@@ -208,10 +150,15 @@ class FrontsideController
     const std::string &name() const { return fcName; }
 
   private:
-    /** A miss probe whose ack is still in flight (pipeline mode). */
-    struct PendingProbe {
-        Probe probe;
-        bool sync = false; ///< Came from accessSync().
+    /** One missing access's state while its MissRequest crosses to
+     *  the backside and the ack comes back. */
+    struct Probe {
+        mem::PageNum page{0};
+        sim::Ticks start = 0;    ///< Requester's tick.
+        sim::Ticks accepted = 0; ///< Miss-channel accept tick.
+        std::uint64_t bit = 0;   ///< Requested block's footprint bit.
+        bool subPage = false;    ///< Footprint refetch of a resident page.
+        std::uint32_t shard = 0; ///< BC shard the miss routed to.
     };
 
     /** FC tag probe: RAS + tag CAS at the set's row. */
@@ -228,36 +175,18 @@ class FrontsideController
     /** @return the tick the blocked requester's data is readable. */
     sim::Ticks finishSyncMiss(const Probe &probe, const BcReply &rep);
 
-    /** Pipeline mode: queue the probe against its shard's ack. */
-    void recordPending(const Probe &probe, bool sync);
+    /** Drain the notices off shard @p shard's rsp channel. */
+    void pumpRsp(std::uint32_t shard);
 
-    /** Pipeline-mode miss response: accept + one FC op, plus the
-     *  backpressure delay once the shard's window exceeds
-     *  FcConfig::pendingDepth. */
-    DcAccess missResponse(const Probe &probe);
-
-    /** Conservative completion estimate for a pipelined sync miss. */
-    sim::Ticks syncMissEstimate(sim::Ticks accepted) const;
-
-    /** Drain eligible notices off shard @p shard's rsp channel. */
-    void pumpRsp(std::uint32_t shard, sim::Ticks eligible_until);
-
-    /** Drain eligible completions off shard @p shard's channel. */
-    void pumpInstalls(std::uint32_t shard, sim::Ticks eligible_until);
-
-    /** Complete the shard's oldest in-flight probe (pipeline mode). */
-    void finishAck(std::uint32_t shard, const BcNotice &notice);
+    /** Drain the completions off shard @p shard's install channel. */
+    void pumpInstalls(std::uint32_t shard);
 
     /** Run the tag fill + DRAM install for an install request and
      *  send the grant back on the shard's ctl channel. */
     void handleInstallReq(std::uint32_t shard, const BcNotice &notice,
                           sim::Ticks at);
 
-    /** Schedule a pump at @p when in this domain. */
-    void requestPump(std::uint32_t shard, sim::Ticks when,
-                     std::function<void()> fn);
-
-    /** Fused mode: the ack latched by the response-channel drain. */
+    /** The ack latched by the response-channel drain. */
     BcReply takeAck();
 
     sim::Ticks fcOp() const { return fcOpTicks; }
@@ -284,15 +213,10 @@ class FrontsideController
     std::vector<std::unique_ptr<sim::BoundedChannel<InstallGrant>>>
         &toBcCtl;
     PageReadyFn onReady;
-    std::vector<CrossPostFn> postFns;
     std::vector<CrossingNoteFn> installNotes;
-    /** Per-shard probes awaiting acks, in channel FIFO order. */
-    std::vector<std::deque<PendingProbe>> pendingAcks;
-    BcReply ackReply;      ///< Fused mode: last latched MissAck.
+    BcReply ackReply;      ///< Last latched MissAck.
     bool ackValid = false; ///< takeAck() consumes the latch.
     sim::Ticks fcOpTicks;
-    sim::Ticks bcOpTicks; ///< For the sync-miss estimate only.
-    sim::Ticks flashReadEstimate;
     Stats statsData;
 };
 

@@ -10,13 +10,11 @@ namespace astriflash::core {
 System::System(const SystemConfig &config) : cfg(config)
 {
     cfg.applyKindDefaults();
-    if (cfg.hostJobs > 1 && !cfg.dramCache.fc.pipeline) {
+    if (cfg.hostJobs > 1) {
         // Merged partitioned run: every domain queue (main + BC
         // shards, created in buildMemorySystem) shares one clock and
         // one sequence space, the precondition for byte-identical
-        // merged execution (DESIGN.md §15). Pipelined runs keep the
-        // queues in separate exec groups with independent sequence
-        // spaces (DESIGN.md §17) and must NOT share a group.
+        // merged execution (DESIGN.md §15).
         eq.joinGroup(eqGroup);
     }
     eq.setAuditor(&auditor);
@@ -203,22 +201,18 @@ System::registerInvariants()
                 [this, i](sim::InvariantChecker &chk) {
                     dcache->installChannel(i).checkInvariants(chk);
                 });
-            // The rsp/ctl pair carries traffic in both modes, but
-            // registering it only for pipelined runs keeps the
-            // default config's invariant-condition count (part of the
-            // golden fingerprint) identical to the pre-split seed.
-            if (dcache->config().fc.pipeline) {
-                invariants.add(
-                    "dcache.bc_to_fc_rsp" + tag,
-                    [this, i](sim::InvariantChecker &chk) {
-                        dcache->rspChannel(i).checkInvariants(chk);
-                    });
-                invariants.add(
-                    "dcache.fc_to_bc_ctl" + tag,
-                    [this, i](sim::InvariantChecker &chk) {
-                        dcache->ctlChannel(i).checkInvariants(chk);
-                    });
-            }
+            // Every miss ack and install grant crosses the rsp/ctl
+            // pair.
+            invariants.add(
+                "dcache.bc_to_fc_rsp" + tag,
+                [this, i](sim::InvariantChecker &chk) {
+                    dcache->rspChannel(i).checkInvariants(chk);
+                });
+            invariants.add(
+                "dcache.fc_to_bc_ctl" + tag,
+                [this, i](sim::InvariantChecker &chk) {
+                    dcache->ctlChannel(i).checkInvariants(chk);
+                });
         }
     }
     if (flashDev) {
@@ -311,14 +305,12 @@ System::buildMemorySystem()
         dc.ways * dc.pageBytes);
     cfg.dramCache = dc;
     std::vector<sim::EventQueue *> bc_queues;
-    if (cfg.hostJobs > 1 || dc.fc.pipeline) {
+    if (cfg.hostJobs > 1) {
         for (std::uint32_t i = 0; i < dc.bc.shards; ++i) {
             auto q = std::make_unique<sim::EventQueue>();
-            // Merged mode shares one clock + sequence space for the
-            // byte-identity guarantee; pipelined shards run in their
-            // own exec groups and keep private sequence counters.
-            if (!dc.fc.pipeline)
-                q->joinGroup(eqGroup);
+            // One clock + sequence space for the byte-identity
+            // guarantee.
+            q->joinGroup(eqGroup);
             q->setAuditor(&auditor);
             q->setTiePerturbation(cfg.tieBreakSeed);
             ownership.addDomain("bc" + std::to_string(i), q.get());
@@ -494,15 +486,10 @@ System::runParallel(sim::Ticks next_check)
 {
     // Conservative engine over the channel-lookahead seam. The main
     // queue (frontside + cores + arrivals) and each BC shard queue
-    // are distinct domains. In merged mode (pipeline off) all of them
-    // share one exec group: the fused-mode controllers complete each
-    // access in one synchronous call chain, and the merged-order
-    // execution is what keeps stats byte-identical to hostJobs=1
-    // (DESIGN.md §15). In pipelined mode every FC<->BC interaction is
-    // channel traffic drained by scheduled pumps, so each BC shard's
-    // domain gets its own exec group (1 + shards groups total) and
-    // the worker pool runs them concurrently (DESIGN.md §17).
-    const bool split = dcache && dcache->config().fc.pipeline;
+    // are distinct domains sharing one exec group: the controllers
+    // complete each access in one synchronous call chain, and the
+    // merged-order execution is what keeps stats byte-identical to
+    // hostJobs=1 (DESIGN.md §15).
     sim::ParallelEngine::Config ec;
     ec.hostJobs = cfg.hostJobs;
     // Must match the legacy loop's runSteps(20000) burst: the stop
@@ -515,11 +502,6 @@ System::runParallel(sim::Ticks next_check)
     engine.setOwnership(&ownAuditor);
 
     const auto fc_dom = engine.addDomain("fc", eq, 0);
-    // Facade message-domain index (0 = fc, 1+i = bc shard i) to
-    // engine DomainId. post() keys deterministic delivery on the
-    // posting domain, so the facade pre-binds one function per
-    // channel direction against this table.
-    std::vector<sim::ParallelEngine::DomainId> engine_dom{fc_dom};
     if (dcache) {
         const DramCacheConfig &dc = dcache->config();
         const sim::ClockDomain clk(dc.controllerFreqHz);
@@ -527,9 +509,7 @@ System::runParallel(sim::Ticks next_check)
         for (std::size_t i = 0; i < bcQueues.size(); ++i) {
             const auto shard = static_cast<std::uint32_t>(i);
             const auto bc_dom = engine.addDomain(
-                "bc" + std::to_string(i), *bcQueues[i],
-                split ? shard + 1 : 0);
-            engine_dom.push_back(bc_dom);
+                "bc" + std::to_string(i), *bcQueues[i], 0);
             // Lookahead links mirror the channel contract manifest;
             // the stamp watermarks tighten each horizon with the
             // oldest in-flight message. The flash fabric is passive
@@ -561,33 +541,12 @@ System::runParallel(sim::Ticks next_check)
                            });
         }
     }
-    if (split) {
-        // Route the controllers' pump posts through the engine's
-        // cross-group mailboxes (delivered in deterministic order at
-        // the next barrier) instead of the facade's single-queue
-        // fallback.
-        dcache->setCrossPost(
-            [&engine, engine_dom](std::uint32_t src, std::uint32_t dst,
-                                  sim::Ticks when,
-                                  std::function<void()> fn) {
-                engine.post(engine_dom[src], engine_dom[dst], when,
-                            std::move(fn));
-            });
-    }
-
     sim::ParallelEngine::RunHooks hooks;
     hooks.stop = [this] {
         return phase == Phase::Done ||
                eq.curTick() >= cfg.maxSimTicks;
     };
-    hooks.atBarrier = [this, next_check, split](sim::Ticks) mutable {
-        if (split) {
-            // Re-freeze the seam channels' drain windows: the next
-            // round's pumps drain exactly this barrier's queues, so
-            // the drained sets cannot depend on how producer and
-            // consumer workers interleave inside a round.
-            dcache->freezeSeamWindows();
-        }
+    hooks.atBarrier = [this, next_check](sim::Ticks) mutable {
         if (sim::checksEnabled() && cfg.invariantInterval > 0 &&
             eq.curTick() >= next_check) {
             invariants.checkAll(eq.curTick());
@@ -602,20 +561,8 @@ System::runParallel(sim::Ticks next_check)
         sim::Tracer::redirectThread(trace_sink);
     };
 
-    if (split) {
-        // Arm the first round's drain windows (atBarrier covers the
-        // rest).
-        dcache->freezeSeamWindows();
-    }
     engine.run(hooks);
     engineStatsData = engine.stats();
-    if (split) {
-        // The engine dies with this frame; put the self-scheduling
-        // fallback back so post-run draining (tests, quiesce sweeps)
-        // cannot call through a dangling reference.
-        dcache->setCrossPost(nullptr);
-        dcache->thawSeamWindows();
-    }
 }
 
 RunResults
@@ -631,10 +578,7 @@ System::run()
     // events: a recurring event would keep the queue non-empty and
     // defeat quiesce-by-drain termination.
     sim::Ticks next_check = eq.curTick() + cfg.invariantInterval;
-    if (cfg.hostJobs > 1 || !bcQueues.empty()) {
-        // Partitioned (hostJobs > 1) and/or pipelined (--fc-pipeline
-        // builds per-shard queues even at hostJobs=1, run inline by a
-        // single-worker engine) execution.
+    if (cfg.hostJobs > 1) {
         runParallel(next_check);
     } else {
         // The legacy loop runs everything in the frontside domain

@@ -136,8 +136,8 @@ class System
     /**
      * Domain-ownership vocabulary (DESIGN.md §16): the partition
      * table ("fc" = frontside + cores; "bc<i>" = one BC shard — and
-     * its fabric slice — when hostJobs > 1 or FcConfig::pipeline
-     * builds per-shard queues) plus every
+     * its fabric slice — when hostJobs > 1 builds per-shard queues)
+     * plus every
      * component and channel-endpoint declaration made against it.
      */
     sim::OwnershipRegistry &ownershipRegistry() { return ownership; }
@@ -172,8 +172,8 @@ class System
     const SystemConfig &config() const { return cfg; }
     sim::EventQueue &eventQueue() { return eq; }
 
-    /** Per-BC-shard domain queues (empty unless hostJobs > 1 or
-     *  --fc-pipeline built a partitioned system). */
+    /** Per-BC-shard domain queues (empty unless hostJobs > 1 built
+     *  a partitioned system). */
     std::size_t domainQueueCount() const { return bcQueues.size(); }
 
     /** Events executed across every domain queue (== the single
@@ -262,12 +262,11 @@ class System
     sim::OwnershipAuditor ownAuditor{ownership};
     /** Shared clock/sequence state for the merged partitioned run:
      *  the main queue and every BC shard queue join it when
-     *  hostJobs > 1 with the pipeline off, so the merged execution is
-     *  bit-identical to one queue. Pipelined shards stay out of it —
-     *  their exec groups keep independent sequence spaces. */
+     *  hostJobs > 1, so the merged execution is bit-identical to one
+     *  queue. */
     sim::EventQueueGroup eqGroup;
     sim::EventQueue eq;
-    /** Per-BC-shard domain queues (hostJobs > 1 or pipeline mode).
+    /** Per-BC-shard domain queues (hostJobs > 1).
      *  Built before the DramCache so the shards schedule onto them. */
     std::vector<std::unique_ptr<sim::EventQueue>> bcQueues;
     sim::ParallelEngine::Stats engineStatsData;

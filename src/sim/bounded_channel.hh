@@ -71,17 +71,6 @@ class BoundedChannel
     using DrainHook = std::function<void()>;
 
     /**
-     * Invoked after every push with the message's accept tick.
-     * Pipelined consumers use it instead of a DrainHook: rather than
-     * draining in the producer's call chain, the hook schedules the
-     * consumer's pump at accept + the declared lookahead (through the
-     * engine's cross-group post mailbox when the endpoints live in
-     * different exec groups). The hook runs in the producer's
-     * execution context and must not touch consumer-owned state.
-     */
-    using NotifyHook = std::function<void(Ticks accept)>;
-
-    /**
      * @param name      Instance name (stats, audit reports).
      * @param capacity  Slot count; >= 1.
      * @param contract  Declared determinism contract (lookahead +
@@ -149,7 +138,7 @@ class BoundedChannel
     inFlight(Ticks now) const
     {
         std::lock_guard<std::mutex> lk(chMu);
-        std::size_t busy = waiting.size() + pendingRelease.size();
+        std::size_t busy = waiting.size();
         for (const Ticks t : busyUntil) {
             if (t > now)
                 ++busy;
@@ -159,45 +148,6 @@ class BoundedChannel
 
     /** Backpressure signal: would a push at @p now stall? */
     bool wouldStall(Ticks now) const { return inFlight(now) >= cap; }
-
-    /**
-     * Close the drainable window at the current push sequence: pump
-     * loops refuse (frontHeldByFreeze()) entries pushed after this
-     * call until the next freeze. System calls it at every engine
-     * barrier in split mode so a consumer group's pumps drain exactly
-     * the barrier-time queue no matter how the producer's and
-     * consumer's workers interleave inside a round — the same set the
-     * sequential host-jobs=1 round order drains (DESIGN.md §17).
-     * Never called in fused or single-queue mode; the default window
-     * is unbounded.
-     */
-    void
-    freezeDrainWindow()
-    {
-        std::lock_guard<std::mutex> lk(chMu);
-        drainLimitSeq = lastSeq;
-        applyPendingReleases();
-        deferReleases = true;
-    }
-
-    /** Reopen the drain window (post-run quiesce draining). */
-    void
-    thawDrainWindow()
-    {
-        std::lock_guard<std::mutex> lk(chMu);
-        drainLimitSeq = ~std::uint64_t{0};
-        applyPendingReleases();
-        deferReleases = false;
-    }
-
-    /** Front entry exists but was pushed after the last freeze. */
-    bool
-    frontHeldByFreeze() const
-    {
-        std::lock_guard<std::mutex> lk(chMu);
-        return !waiting.empty() &&
-               waiting.front().seq > drainLimitSeq;
-    }
 
     /**
      * Stamp watermark: accept tick of the oldest un-popped message,
@@ -229,11 +179,7 @@ class BoundedChannel
         {
         std::lock_guard<std::mutex> lk(chMu);
         prune(now);
-        // Deferred releases still hold their slots: they free at the
-        // next barrier (deterministically), never mid-round.
-        const std::size_t occ = busyUntil.size() +
-                                pendingRelease.size() +
-                                waiting.size();
+        const std::size_t occ = busyUntil.size() + waiting.size();
         if (occ >= cap) {
             // Need (occ - cap + 1) slots back. Only popped slots have
             // known release ticks; un-popped ones would deadlock the
@@ -254,9 +200,7 @@ class BoundedChannel
             prune(accept);
         }
         statsData.pushes.inc();
-        const std::size_t live = busyUntil.size() +
-                                 pendingRelease.size() +
-                                 waiting.size() + 1;
+        const std::size_t live = busyUntil.size() + waiting.size() + 1;
         statsData.occupancy.sample(static_cast<double>(live));
         if (live > statsData.peakOccupancy)
             statsData.peakOccupancy = live;
@@ -266,13 +210,9 @@ class BoundedChannel
         if (auditor)
             auditor->onPush(auditId, seq, now, accept);
         }
-        // Hooks run unlocked: the fused drain hook re-enters this
-        // channel, and the pipelined notify hook posts through the
-        // engine mailbox (its own lock).
+        // The drain hook runs unlocked: it re-enters this channel.
         if (drainHook)
             drainHook();
-        if (notifyHook)
-            notifyHook(accept);
         return accept;
     }
 
@@ -320,16 +260,7 @@ class BoundedChannel
         waiting.pop_front();
         publishWatermark();
         statsData.pops.inc();
-        if (deferReleases) {
-            // Frozen (split) mode: the slot's release becomes visible
-            // to the producer at the next barrier, not mid-round —
-            // otherwise push-side occupancy samples and stall
-            // calculations would depend on whether the consumer
-            // worker's drop raced ahead of the producer's push.
-            pendingRelease.push_back(release_at);
-        } else {
-            busyUntil.push_back(release_at);
-        }
+        busyUntil.push_back(release_at);
     }
 
     /** dropFront() where consumption and slot release coincide. */
@@ -352,9 +283,6 @@ class BoundedChannel
 
     /** Install the consumer's synchronous drain hook. */
     void setDrainHook(DrainHook hook) { drainHook = std::move(hook); }
-
-    /** Install the consumer's pipelined push notification. */
-    void setNotifyHook(NotifyHook hook) { notifyHook = std::move(hook); }
 
     const Stats &stats() const { return statsData; }
 
@@ -466,15 +394,6 @@ class BoundedChannel
                       [now](Ticks t) { return t <= now; });
     }
 
-    /** Barrier sync: commit deferred slot releases (lock held). */
-    void
-    applyPendingReleases()
-    {
-        busyUntil.insert(busyUntil.end(), pendingRelease.begin(),
-                         pendingRelease.end());
-        pendingRelease.clear();
-    }
-
     /** Mirror the front stamp after every queue mutation. */
     void
     publishWatermark()
@@ -492,23 +411,17 @@ class BoundedChannel
     DomainId producerDomain = kNoDomain;
     DomainId consumerDomain = kNoDomain;
     std::uint64_t lastSeq = 0;
-    /** freezeDrainWindow() bound; unbounded until the first freeze. */
-    std::uint64_t drainLimitSeq = ~std::uint64_t{0};
     std::deque<Stamped> waiting;    ///< Pushed, not yet popped.
     std::vector<Ticks> busyUntil;   ///< Popped slots' release ticks.
-    /** Releases deferred to the next barrier while frozen. */
-    std::vector<Ticks> pendingRelease;
-    /** Set while the drain window is frozen (split mode). */
-    bool deferReleases = false;
     /**
-     * Guards every queue/stat mutation and read: in split mode the
-     * producer's push and the consumer pump's front/dropFront run on
-     * different engine workers. Hooks are invoked outside it.
+     * Guards every queue/stat mutation and read, so a channel stays
+     * safe to touch from whichever engine worker runs its exec group
+     * while another thread reads it. The drain hook is invoked
+     * outside it.
      */
     mutable std::mutex chMu;
     std::atomic<Ticks> watermark{kTickNever};
     DrainHook drainHook;
-    NotifyHook notifyHook;
     Stats statsData;
 };
 

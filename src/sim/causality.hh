@@ -173,10 +173,10 @@ class CausalityAuditor
                    Ticks tick);
 
     /**
-     * Serializes the audit hooks: armed split runs call onPush from
-     * the producer group's worker and onDeliver from the consumer
-     * group's, concurrently. Auditor state is outside the stats tree,
-     * so the lock cannot perturb goldens.
+     * Serializes the audit hooks: an armed multi-group engine run
+     * calls onPush from the producer group's worker and onDeliver
+     * from the consumer group's, concurrently. Auditor state is
+     * outside the stats tree, so the lock cannot perturb goldens.
      */
     mutable std::mutex mu;
     std::vector<ChannelState> channels;

@@ -174,9 +174,10 @@ class OwnershipAuditor
     {
         if (!checksEnabled())
             return;
-        // Armed split runs audit callbacks from every engine worker;
-        // crossings, by contrast, exist only in fused (single-worker)
-        // partitions, so onCrossing stays unsynchronized.
+        // Armed multi-group engine runs audit callbacks from every
+        // worker; crossings, by contrast, exist only inside one merged
+        // exec group (one worker at a time), so onCrossing stays
+        // unsynchronized.
         callbacksAuditedCount.fetch_add(1, std::memory_order_relaxed);
         const DomainId cur = currentDomain();
         if (cur == kNoDomain || owner == kNoDomain || cur == owner)

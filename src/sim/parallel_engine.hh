@@ -86,8 +86,8 @@ class ParallelEngine
         /** Rounds cut short by a horizon (not budget/drain): how often
          *  conservative synchronization actually bit. */
         std::uint64_t horizonStalls = 0;
-        /** Exec groups the run partitioned into (1 merged group when
-         *  the pipeline is off; 1 + BC shards when it is on). */
+        /** Exec groups the run partitioned into (System runs one
+         *  merged group). */
         std::uint32_t groups = 0;
         /** Events executed per exec group, indexed in group-id order —
          *  the partition's load-balance evidence (bench/parallel_bench

@@ -30,20 +30,31 @@ struct Rig {
         ready;
 
     explicit Rig(std::uint32_t msr_sets = 16, std::uint32_t msr_ways = 4)
+        : Rig(smallCfg(msr_sets, msr_ways))
+    {
+    }
+
+    explicit Rig(const DramCacheConfig &cfg)
     {
         fcfg = flash::FlashConfig::forCapacity(512 << 20);
         flash = std::make_unique<flash::FlashDevice>(
             "flash", fcfg, (256 << 20) / kPageSize);
-        DramCacheConfig cfg;
-        cfg.capacityBytes = 2 << 20; // 512 page frames
-        cfg.bc.msrSets = msr_sets;
-        cfg.bc.msrEntriesPerSet = msr_ways;
         dc = std::make_unique<DramCache>(eq, "dc", cfg, *flash, amap);
         dc->setPageReadyCallback(
             [this](mem::PageNum page, Ticks,
                    const std::vector<WaiterCookie> &w) {
                 ready.emplace_back(page, w);
             });
+    }
+
+    static DramCacheConfig
+    smallCfg(std::uint32_t msr_sets = 16, std::uint32_t msr_ways = 4)
+    {
+        DramCacheConfig cfg;
+        cfg.capacityBytes = 2 << 20; // 512 page frames
+        cfg.bc.msrSets = msr_sets;
+        cfg.bc.msrEntriesPerSet = msr_ways;
+        return cfg;
     }
 
     mem::Addr pa(std::uint64_t page) const
@@ -180,6 +191,48 @@ TEST(DramCache, ResetStatsZeroes)
     rig.dc->resetStats();
     EXPECT_EQ(rig.dc->fcStats().hits.value(), 0u);
     EXPECT_EQ(rig.dc->fcStats().misses.value(), 0u);
+}
+
+TEST(DramCache, DepthOneChannelsSerializeWithoutLoss)
+{
+    // The narrowest legal window on all five per-shard channels still
+    // conserves messages: each slot's lifetime ends before the next
+    // push needs it, so nothing deadlocks or drops.
+    DramCacheConfig cfg = Rig::smallCfg();
+    cfg.channels.fcToBcDepth = 1;
+    cfg.channels.bcToFlashDepth = 1;
+    cfg.channels.bcToFcDepth = 1;
+    cfg.channels.bcToFcRspDepth = 1;
+    cfg.channels.fcToBcCtlDepth = 1;
+    Rig rig(cfg);
+
+    constexpr unsigned kProbes = 8;
+    unsigned issued = 0;
+    // One probe at a time, spaced 200 us apart: each full round trip
+    // (miss -> ack -> install-req -> grant -> complete) must recycle
+    // every depth-1 slot before the next begins.
+    for (unsigned i = 0; i < kProbes; ++i) {
+        rig.eq.schedule(microseconds(200) * i, [&rig, &issued]() {
+            rig.dc->access(rig.pa(3 + issued), false,
+                           microseconds(200) * issued, issued + 1);
+            ++issued;
+        });
+    }
+
+    rig.eq.run();
+
+    EXPECT_EQ(issued, kProbes);
+    EXPECT_EQ(rig.dc->fcStats().misses.value(), kProbes);
+    EXPECT_EQ(rig.dc->outstandingMisses(), 0u);
+    EXPECT_EQ(rig.ready.size(), kProbes);
+    EXPECT_TRUE(rig.dc->missChannel().empty());
+    EXPECT_TRUE(rig.dc->rspChannel().empty());
+    EXPECT_TRUE(rig.dc->ctlChannel().empty());
+    EXPECT_TRUE(rig.dc->installChannel().empty());
+    EXPECT_TRUE(rig.dc->flashChannel().empty());
+    EXPECT_EQ(rig.dc->rspChannel().stats().pushes.value(),
+              2 * kProbes); // one ack + one install request per miss
+    EXPECT_EQ(rig.dc->ctlChannel().stats().pushes.value(), kProbes);
 }
 
 // ---------------------------------------------------------------

@@ -327,17 +327,10 @@ TEST_P(OwnershipGolden, ArmedAuditorIsCleanAndByteIdentical)
         // the audit.
         EXPECT_GT(aud.callbacksAudited(), 0u)
             << gc.name << " at host-jobs " << hj;
-        // Fused partitioned runs exercise the facade's
-        // pre-registered synchronous crossings; the legacy
-        // single-domain run has none to register. The pipelined
-        // split cases declare NONE at any host-jobs value — the
-        // retirement certificate for the synchronous FC<->BC seam.
-        if (gc.split) {
-            EXPECT_EQ(aud.crossingCount(), 0u)
-                << gc.name << " at host-jobs " << hj;
-            EXPECT_EQ(aud.crossingsObserved(), 0u)
-                << gc.name << " at host-jobs " << hj;
-        } else if (hj > 1) {
+        // Partitioned runs exercise the facade's pre-registered
+        // synchronous crossings; the legacy single-domain run has
+        // none to register.
+        if (hj > 1) {
             EXPECT_GT(aud.crossingCount(), 0u)
                 << gc.name << " at host-jobs " << hj;
             EXPECT_GT(aud.crossingsObserved(), 0u)

@@ -489,3 +489,27 @@ TEST(ParallelSystem, PartitionedRunReportsDomainQueues)
     EXPECT_EQ(ref.domainQueueCount(), 0u);
     EXPECT_EQ(ref.engineStats().events, 0u);
 }
+
+TEST(ParallelSystem, ShardedRunStaysInOneExecGroup)
+{
+    // The controllers complete every access in one synchronous drain
+    // chain, so the frontside and all four BC shard domains merge into
+    // a single exec group — the byte-identity seam.
+    const GoldenCase *sharded = nullptr;
+    for (const GoldenCase &gc : kGoldenCases) {
+        if (std::string(gc.name) == "shard4_astriflash_tatp")
+            sharded = &gc;
+    }
+    ASSERT_NE(sharded, nullptr);
+    SystemConfig cfg = goldenCaseConfig(*sharded);
+    cfg.hostJobs = 2;
+    System sys(cfg);
+    EXPECT_EQ(sys.domainQueueCount(), 4u);
+    (void)sys.run();
+
+    const sim::ParallelEngine::Stats &es = sys.engineStats();
+    EXPECT_EQ(es.groups, 1u);
+    ASSERT_EQ(es.groupEvents.size(), 1u);
+    EXPECT_EQ(es.groupEvents[0], es.events);
+    EXPECT_EQ(es.postsDelivered, 0u);
+}

@@ -7,6 +7,8 @@
  *  - A multi-shard DramCache conserves the miss stream: every miss
  *    lands on the shard pageInterleave() names, and the per-shard
  *    fill/channel counters sum to the facade totals.
+ *  - A shard count that leaves some shard an empty MSR or evict-buffer
+ *    slice is rejected when the facade is built, not mid-run.
  *  - FlashFabric stripes LPNs across devices by modulo and aggregates
  *    the per-device counters.
  *  - ZnsDevice reports write amplification > 1 under overwrite
@@ -175,6 +177,20 @@ TEST(ShardedDramCache, CapacitySlicesSumToConfiguredTotals)
     }
 }
 
+TEST(ShardedDramCacheDeath, OverShardedConfigFailsAtConstruction)
+{
+    // 32 evict-buffer entries over 64 shards would leave half the
+    // shards with an empty slice, which used to panic mid-run on the
+    // first victim in Release builds. The facade rejects it up front,
+    // naming the shard count and both capacities.
+    EXPECT_EXIT({ ShardRig rig(64); }, ::testing::ExitedWithCode(1),
+                "64 BC shards leave a shard without capacity "
+                "\\(128 MSR sets, 32 evict-buffer entries");
+    // Exactly one evict-buffer entry per shard is still legal.
+    ShardRig rig(32);
+    EXPECT_EQ(rig.dc->shardCount(), 32u);
+}
+
 // --------------------------------------------------------------------
 // FlashFabric: striping + aggregation.
 // --------------------------------------------------------------------
@@ -309,11 +325,11 @@ class ShardFabricGolden
 TEST_P(ShardFabricGolden, ExplicitSingleShardFtlIsByteIdentical)
 {
     const tools::GoldenCase &gc = GetParam();
-    if (gc.split) {
-        // Split cases pin shards=4/devices=4 as part of their golden
-        // identity; forcing the single-shard defaults would test a
-        // different configuration than the committed file.
-        GTEST_SKIP() << "split cases define their own shard/device "
+    if (gc.shards != 1 || gc.devices != 1) {
+        // Sharded cases pin their shard/device counts as part of their
+        // golden identity; forcing the single-shard defaults would
+        // test a different configuration than the committed file.
+        GTEST_SKIP() << "sharded cases define their own shard/device "
                         "partition";
     }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * The six fixed-seed golden torture configurations and their JSON
+ * The fixed-seed golden torture configurations and their JSON
  * serialisation, shared by the golden_stats tool and the
  * test_fcbc_suite regression so the two can never drift apart: both
  * must produce byte-identical output for the files under
@@ -19,44 +19,48 @@
 
 namespace astriflash::tools {
 
+// seed leads so the hex dump gtest appends to each parameterised
+// golden test's name begins with fixed data; the name pointer, whose
+// value ASLR changes from run to run, comes after it.
 struct GoldenCase {
+    std::uint64_t seed;
     const char *name;
     core::SystemKind kind;
     workload::Kind workload;
-    std::uint64_t seed;
     bool footprint;
     bool openLoop;
-    /** Pipelined split mode (--fc-pipeline, 4 BC shards over 4 flash
-     *  devices): its own golden set, byte-identical across --host-jobs
-     *  but NOT comparable to the fused default. */
-    bool split = false;
+    /** BC shards and flash devices (BcConfig::shards,
+     *  FlashFabricConfig::devices). */
+    std::uint16_t shards = 1;
+    std::uint16_t devices = 1;
 };
 
 // Mirrors kTortureCases in tests/test_invariants.cpp: one case per
 // system-kind/workload mix, fixed seeds, tatp both closed and open.
-// The split_* cases rerun a representative subset with the pipelined
-// miss path and sharded exec groups (DESIGN.md §17).
+// The shard4_* cases rerun a representative subset with 4 BC shards
+// over 4 flash devices, the sharded shape the paper-scale benchmarks
+// run.
 constexpr GoldenCase kGoldenCases[] = {
-    {"astriflash_tatp", core::SystemKind::AstriFlash,
-     workload::Kind::Tatp, 1, false, false},
-    {"astriflash_silo_footprint", core::SystemKind::AstriFlash,
-     workload::Kind::Silo, 2, true, false},
-    {"nops_tpcc", core::SystemKind::AstriFlashNoPS,
-     workload::Kind::Tpcc, 3, false, false},
-    {"nodp_hashtable", core::SystemKind::AstriFlashNoDP,
-     workload::Kind::HashTable, 4, false, false},
-    {"flashsync_arrayswap", core::SystemKind::FlashSync,
-     workload::Kind::ArraySwap, 5, false, false},
-    {"astriflash_tatp_openloop", core::SystemKind::AstriFlash,
-     workload::Kind::Tatp, 6, false, true},
-    {"split_astriflash_tatp", core::SystemKind::AstriFlash,
-     workload::Kind::Tatp, 1, false, false, true},
-    {"split_astriflash_silo_footprint", core::SystemKind::AstriFlash,
-     workload::Kind::Silo, 2, true, false, true},
-    {"split_nops_tpcc", core::SystemKind::AstriFlashNoPS,
-     workload::Kind::Tpcc, 3, false, false, true},
-    {"split_astriflash_tatp_openloop", core::SystemKind::AstriFlash,
-     workload::Kind::Tatp, 6, false, true, true},
+    {1, "astriflash_tatp", core::SystemKind::AstriFlash,
+     workload::Kind::Tatp, false, false},
+    {2, "astriflash_silo_footprint", core::SystemKind::AstriFlash,
+     workload::Kind::Silo, true, false},
+    {3, "nops_tpcc", core::SystemKind::AstriFlashNoPS,
+     workload::Kind::Tpcc, false, false},
+    {4, "nodp_hashtable", core::SystemKind::AstriFlashNoDP,
+     workload::Kind::HashTable, false, false},
+    {5, "flashsync_arrayswap", core::SystemKind::FlashSync,
+     workload::Kind::ArraySwap, false, false},
+    {6, "astriflash_tatp_openloop", core::SystemKind::AstriFlash,
+     workload::Kind::Tatp, false, true},
+    {1, "shard4_astriflash_tatp", core::SystemKind::AstriFlash,
+     workload::Kind::Tatp, false, false, 4, 4},
+    {2, "shard4_astriflash_silo_footprint", core::SystemKind::AstriFlash,
+     workload::Kind::Silo, true, false, 4, 4},
+    {3, "shard4_nops_tpcc", core::SystemKind::AstriFlashNoPS,
+     workload::Kind::Tpcc, false, false, 4, 4},
+    {6, "shard4_astriflash_tatp_openloop", core::SystemKind::AstriFlash,
+     workload::Kind::Tatp, false, true, 4, 4},
 };
 
 /** The smallCfg used by the torture suite, verbatim. */
@@ -76,13 +80,8 @@ goldenCaseConfig(const GoldenCase &gc)
         cfg.dramCache.footprintEnabled = true;
     if (gc.openLoop)
         cfg.meanInterarrival = sim::microseconds(5);
-    if (gc.split) {
-        cfg.dramCache.fc.pipeline = true;
-        cfg.dramCache.bc.shards = 4;
-        // Shards must divide devices so each page-interleaved shard's
-        // flash slice is domain-private (the facade enforces it).
-        cfg.dramCache.fabric.devices = 4;
-    }
+    cfg.dramCache.bc.shards = gc.shards;
+    cfg.dramCache.fabric.devices = gc.devices;
     return cfg;
 }
 
