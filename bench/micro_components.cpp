@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark micro suites for the load-bearing primitives:
- * event queue, histogram, Zipfian draws, set-associative lookup, MSR
+ * event queue, histogram, Zipfian draws, set-associative lookup and
+ * miss/fill, the three-level cache hierarchy's miss path, MSR
  * operations, DRAM-cache hit path, ASO rename/store, and real
  * user-level thread switches (the artifact behind the paper's 100 ns
  * switch claim — here measured as host-machine ucontext switches).
@@ -14,6 +15,7 @@
 #include "cpu/aso_engine.hh"
 #include "flash/flash_device.hh"
 #include "mem/address_map.hh"
+#include "mem/cache_hierarchy.hh"
 #include "mem/set_assoc_cache.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -82,6 +84,39 @@ BM_CacheLookupHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheLookupHit);
+
+static void
+BM_CacheMissFill(benchmark::State &state)
+{
+    // 1 MB, 16-way, 64 B LLC geometry under a uniform stream over 8x
+    // its capacity: about 7 in 8 lookups miss and fill, evicting.
+    constexpr std::uint64_t kCap = 1 << 20;
+    mem::SetAssocCache c("llc", kCap, 64, 16);
+    sim::Rng rng(3);
+    for (auto _ : state) {
+        const mem::Addr a = rng.uniformInt(8 * kCap / 64) * 64;
+        if (!c.access(a))
+            benchmark::DoNotOptimize(c.fill(a));
+    }
+}
+BENCHMARK(BM_CacheMissFill);
+
+static void
+BM_HierarchyAccessMiss(benchmark::State &state)
+{
+    // The default L1D/L2/LLC hierarchy over 64 MB, so nearly every
+    // access misses the LLC and the refill cascades through all three
+    // levels; one access in four is a store.
+    mem::CacheHierarchy h("h", mem::defaultHierarchyConfig());
+    sim::Rng rng(4);
+    for (auto _ : state) {
+        const mem::Addr a = rng.uniformInt((64 << 20) / 64) * 64;
+        const bool write = rng.uniformInt(4) == 0;
+        if (h.access(a, write).llcMiss)
+            h.fillFromMemory(a, write);
+    }
+}
+BENCHMARK(BM_HierarchyAccessMiss);
 
 static void
 BM_MsrAllocateFree(benchmark::State &state)

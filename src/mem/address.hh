@@ -6,7 +6,7 @@
  * pages in the DRAM cache and flash; all address math funnels through
  * these helpers so page-size experiments only change one constant.
  *
- * Page numbers, block numbers and cache set/way indices are strong
+ * Page numbers, block numbers and cache set indices are strong
  * types (sim::StrongId): a byte address, a page number and a set index
  * no longer share a representation the compiler will happily confuse.
  * Convert a number back to a byte address with pageAddr()/blockAddr();
@@ -32,8 +32,6 @@ using PageNum = sim::StrongId<struct PageNumTag>;
 using BlockNum = sim::StrongId<struct BlockNumTag>;
 /** Index of a set within a set-associative structure. */
 using SetIdx = sim::StrongId<struct SetIdxTag>;
-/** Index of a way within one set. */
-using WayIdx = sim::StrongId<struct WayIdxTag, std::uint32_t>;
 /** A byte count (transfer sizes, capacities) — a quantity, not an
  *  address, so it adds and scales but never indexes. */
 using Bytes = sim::StrongCount<struct BytesTag, std::uint64_t>;

@@ -1,5 +1,8 @@
 #include "set_assoc_cache.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace astriflash::mem {
@@ -14,6 +17,11 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t capacity,
         ASTRI_FATAL("%s: line size %llu not a power of two",
                     cacheName.c_str(),
                     static_cast<unsigned long long>(line_size));
+    if (line_size < 2)
+        ASTRI_FATAL("%s: line size %llu below 2 leaves no unaligned "
+                    "tag to mark empty ways",
+                    cacheName.c_str(),
+                    static_cast<unsigned long long>(line_size));
     if (ways == 0)
         ASTRI_FATAL("%s: associativity must be >= 1", cacheName.c_str());
     if (capacity % (static_cast<std::uint64_t>(ways) * line_size) != 0)
@@ -24,136 +32,135 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t capacity,
     if (sets == 0)
         ASTRI_FATAL("%s: zero sets (capacity too small)",
                     cacheName.c_str());
-    arr.resize(sets * ways);
+    lineMask = ~(line_size - 1);
+    lineShift = log2i(line_size);
+    setsPow2 = isPowerOfTwo(sets);
+    arr.resize(sets * 2 * ways);
+    flushAll();
 }
 
 SetIdx
 SetAssocCache::setIndex(Addr addr) const
 {
-    return SetIdx((addr / line) % sets);
+    const std::uint64_t lineNum = addr >> lineShift;
+    return SetIdx(setsPow2 ? lineNum & (sets - 1) : lineNum % sets);
 }
 
-SetAssocCache::Way &
-SetAssocCache::wayAt(SetIdx set, WayIdx way)
+const std::uint64_t *
+SetAssocCache::setWords(SetIdx set) const
 {
-    // Row-major [set][way] flattening is the one sanctioned escape to
-    // raw indices for this array.
+    // Row-major [set][tags, meta] flattening is the one sanctioned
+    // escape to raw indices for this array.
     // aflint-allow-next-line(AF011)
-    return arr[set.raw() * waysPerSet + way.raw()];
+    return arr.data() + set.raw() * 2 * waysPerSet;
 }
 
-SetAssocCache::Way *
-SetAssocCache::findWay(Addr aligned)
+SetAssocCache::SetRef
+SetAssocCache::setAt(SetIdx set)
 {
-    Way *base = &wayAt(setIndex(aligned), WayIdx(0));
+    auto *tags = const_cast<std::uint64_t *>(setWords(set));
+    return {tags, tags + waysPerSet};
+}
+
+/** Way holding @p aligned in the set at @p tags, or waysPerSet. */
+std::uint32_t
+SetAssocCache::findWay(const std::uint64_t *tags, Addr aligned) const
+{
     for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (base[w].valid && base[w].tag == aligned)
-            return &base[w];
+        if (tags[w] == aligned)
+            return w;
     }
-    return nullptr;
+    return waysPerSet;
 }
 
-const SetAssocCache::Way *
-SetAssocCache::findWay(Addr aligned) const
+void
+SetAssocCache::touch(std::uint64_t &meta, bool dirty) const
 {
-    return const_cast<SetAssocCache *>(this)->findWay(aligned);
+    if (policy == ReplacementPolicy::Lru)
+        meta = stamp << 1 | (meta & kDirtyBit);
+    if (dirty)
+        meta |= kDirtyBit;
+}
+
+bool
+SetAssocCache::lookup(Addr addr, bool write)
+{
+    const Addr aligned = addr & lineMask;
+    ++stamp;
+    const SetRef set = setAt(setIndex(aligned));
+    const std::uint32_t w = findWay(set.tags, aligned);
+    if (w == waysPerSet) {
+        statsData.misses.inc();
+        return false;
+    }
+    touch(set.meta[w], write);
+    statsData.hits.inc();
+    return true;
 }
 
 bool
 SetAssocCache::access(Addr addr)
 {
-    const Addr aligned = alignDown(addr, line);
-    ++stamp;
-    if (Way *w = findWay(aligned)) {
-        w->lastUse = stamp;
-        statsData.hits.inc();
-        return true;
-    }
-    statsData.misses.inc();
-    return false;
+    return lookup(addr, false);
 }
 
 bool
 SetAssocCache::accessWrite(Addr addr)
 {
-    const Addr aligned = alignDown(addr, line);
-    ++stamp;
-    if (Way *w = findWay(aligned)) {
-        w->lastUse = stamp;
-        w->dirty = true;
-        statsData.hits.inc();
-        return true;
-    }
-    statsData.misses.inc();
-    return false;
+    return lookup(addr, true);
 }
 
 bool
 SetAssocCache::contains(Addr addr) const
 {
-    return findWay(alignDown(addr, line)) != nullptr;
+    const Addr aligned = addr & lineMask;
+    return findWay(setWords(setIndex(aligned)), aligned) != waysPerSet;
 }
 
-WayIdx
-SetAssocCache::victimWay(SetIdx set)
+/** Way to fill in @p set. */
+std::uint32_t
+SetAssocCache::victimWay(SetRef set)
 {
-    Way *base = &wayAt(set, WayIdx(0));
-    // Prefer an invalid way.
+    // Prefer the first empty way. Otherwise LRU and FIFO both evict
+    // the smallest stamp: the stamps of valid ways are distinct, so
+    // the dirty bit below them never decides.
+    std::uint32_t oldest = 0;
     for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (!base[w].valid)
-            return WayIdx(w);
+        if (set.tags[w] == kInvalidTag)
+            return w;
+        if (set.meta[w] < set.meta[oldest])
+            oldest = w;
     }
-    switch (policy) {
-      case ReplacementPolicy::Random:
-        return WayIdx(
-            static_cast<std::uint32_t>(rng.uniformInt(waysPerSet)));
-      case ReplacementPolicy::Fifo: {
-        std::uint32_t oldest = 0;
-        for (std::uint32_t w = 1; w < waysPerSet; ++w) {
-            if (base[w].fillTime < base[oldest].fillTime)
-                oldest = w;
-        }
-        return WayIdx(oldest);
-      }
-      case ReplacementPolicy::Lru:
-      default: {
-        std::uint32_t lru = 0;
-        for (std::uint32_t w = 1; w < waysPerSet; ++w) {
-            if (base[w].lastUse < base[lru].lastUse)
-                lru = w;
-        }
-        return WayIdx(lru);
-      }
-    }
+    if (policy == ReplacementPolicy::Random)
+        return static_cast<std::uint32_t>(rng.uniformInt(waysPerSet));
+    return oldest;
 }
 
 std::optional<CacheLine>
 SetAssocCache::fill(Addr addr, bool dirty)
 {
-    const Addr aligned = alignDown(addr, line);
+    const Addr aligned = addr & lineMask;
     ++stamp;
-    if (Way *w = findWay(aligned)) {
+    const SetRef set = setAt(setIndex(aligned));
+    if (const std::uint32_t w = findWay(set.tags, aligned);
+        w != waysPerSet) {
         // Refill of a resident line refreshes recency and dirtiness.
-        w->lastUse = stamp;
-        w->dirty = w->dirty || dirty;
+        touch(set.meta[w], dirty);
         return std::nullopt;
     }
-    const SetIdx set = setIndex(aligned);
-    Way &w = wayAt(set, victimWay(set));
+    const std::uint32_t w = victimWay(set);
     std::optional<CacheLine> evicted;
-    if (w.valid) {
-        evicted = CacheLine{w.tag, w.dirty};
+    if (set.tags[w] != kInvalidTag) {
+        const bool victimDirty = (set.meta[w] & kDirtyBit) != 0;
+        evicted = CacheLine{set.tags[w], victimDirty};
         statsData.evictions.inc();
-        if (w.dirty)
+        if (victimDirty)
             statsData.dirtyEvictions.inc();
     } else {
         ++validCount;
     }
-    w.valid = true;
-    w.tag = aligned;
-    w.dirty = dirty;
-    w.lastUse = stamp;
-    w.fillTime = stamp;
+    set.tags[w] = aligned;
+    set.meta[w] = stamp << 1 | (dirty ? kDirtyBit : 0);
     statsData.fills.inc();
     return evicted;
 }
@@ -161,34 +168,40 @@ SetAssocCache::fill(Addr addr, bool dirty)
 std::optional<CacheLine>
 SetAssocCache::invalidate(Addr addr)
 {
-    const Addr aligned = alignDown(addr, line);
-    if (Way *w = findWay(aligned)) {
-        CacheLine out{w->tag, w->dirty};
-        w->valid = false;
-        w->dirty = false;
-        --validCount;
-        statsData.invalidations.inc();
-        return out;
-    }
-    return std::nullopt;
+    const Addr aligned = addr & lineMask;
+    const SetRef set = setAt(setIndex(aligned));
+    const std::uint32_t w = findWay(set.tags, aligned);
+    if (w == waysPerSet)
+        return std::nullopt;
+    const CacheLine out{aligned, (set.meta[w] & kDirtyBit) != 0};
+    set.tags[w] = kInvalidTag;
+    set.meta[w] = 0;
+    --validCount;
+    statsData.invalidations.inc();
+    return out;
 }
 
 bool
 SetAssocCache::markDirty(Addr addr)
 {
-    if (Way *w = findWay(alignDown(addr, line))) {
-        w->dirty = true;
-        return true;
-    }
-    return false;
+    const Addr aligned = addr & lineMask;
+    const SetRef set = setAt(setIndex(aligned));
+    const std::uint32_t w = findWay(set.tags, aligned);
+    if (w == waysPerSet)
+        return false;
+    set.meta[w] |= kDirtyBit;
+    return true;
 }
 
 void
 SetAssocCache::flushAll()
 {
-    for (Way &w : arr) {
-        w.valid = false;
-        w.dirty = false;
+    const std::size_t setWordCount = 2 * std::size_t{waysPerSet};
+    std::uint64_t *const end = arr.data() + arr.size();
+    for (std::uint64_t *tags = arr.data(); tags != end;
+         tags += setWordCount) {
+        std::fill_n(tags, waysPerSet, kInvalidTag);
+        std::fill_n(tags + waysPerSet, waysPerSet, std::uint64_t{0});
     }
     validCount = 0;
 }

@@ -71,7 +71,8 @@ class SetAssocCache
     /**
      * @param name        Instance name (diagnostics only).
      * @param capacity    Total bytes; must be sets*ways*line_size.
-     * @param line_size   Block or page size in bytes (power of two).
+     * @param line_size   Block or page size in bytes (power of two,
+     *                    at least 2).
      * @param ways        Associativity (>=1).
      * @param policy      Replacement policy.
      * @param seed        RNG seed for the Random policy.
@@ -150,7 +151,8 @@ class SetAssocCache
 
     /**
      * Audit the array: the valid-line count matches the tag state,
-     * every valid tag is line-aligned and in its proper set, and the
+     * every valid tag is line-aligned and in its proper set, empty
+     * ways hold no state, no stamp is ahead of the clock, and the
      * fill/evict/invalidate traffic accounts for the live lines.
      */
     void
@@ -158,22 +160,36 @@ class SetAssocCache
     {
         std::uint64_t valid = 0;
         for (std::uint64_t s = 0; s < sets; ++s) {
+            const std::uint64_t *tags = &arr[s * 2 * waysPerSet];
+            const std::uint64_t *meta = tags + waysPerSet;
             for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-                const Way &way = arr[s * waysPerSet + w];
-                if (!way.valid)
+                if (tags[w] == kInvalidTag) {
+                    SIM_INVARIANT_MSG(chk, meta[w] == 0,
+                                      "%s: empty way %u of set %llu "
+                                      "holds state %llx",
+                                      cacheName.c_str(), w,
+                                      static_cast<unsigned long long>(s),
+                                      static_cast<unsigned long long>(
+                                          meta[w]));
                     continue;
+                }
                 ++valid;
-                SIM_INVARIANT_MSG(chk, way.tag % line == 0,
+                SIM_INVARIANT_MSG(chk, (tags[w] & (line - 1)) == 0,
                                   "%s: unaligned tag %llx",
                                   cacheName.c_str(),
                                   static_cast<unsigned long long>(
-                                      way.tag));
-                SIM_INVARIANT_MSG(chk, setIndex(way.tag) == SetIdx(s),
+                                      tags[w]));
+                SIM_INVARIANT_MSG(chk, setIndex(tags[w]) == SetIdx(s),
                                   "%s: tag %llx in wrong set %llu",
                                   cacheName.c_str(),
                                   static_cast<unsigned long long>(
-                                      way.tag),
+                                      tags[w]),
                                   static_cast<unsigned long long>(s));
+                SIM_INVARIANT_MSG(chk, (meta[w] >> 1) <= stamp,
+                                  "%s: tag %llx stamped in the future",
+                                  cacheName.c_str(),
+                                  static_cast<unsigned long long>(
+                                      tags[w]));
             }
         }
         SIM_INVARIANT_MSG(chk, valid == validCount,
@@ -192,19 +208,25 @@ class SetAssocCache
     }
 
   private:
-    struct Way {
-        Addr tag = 0;        // line-aligned address
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;  // recency stamp (LRU)
-        std::uint64_t fillTime = 0; // insertion stamp (FIFO)
+    /** Tag word of an empty way: never line-aligned, as line >= 2. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+    /** Low bit of a meta word; the stamp sits above it. */
+    static constexpr std::uint64_t kDirtyBit = 1;
+
+    /** One set's tag words and, parallel to them, its meta words. */
+    struct SetRef {
+        std::uint64_t *tags;
+        std::uint64_t *meta;
     };
 
     SetIdx setIndex(Addr addr) const;
-    Way &wayAt(SetIdx set, WayIdx way);
-    Way *findWay(Addr aligned);
-    const Way *findWay(Addr aligned) const;
-    WayIdx victimWay(SetIdx set);
+    const std::uint64_t *setWords(SetIdx set) const;
+    SetRef setAt(SetIdx set);
+    std::uint32_t findWay(const std::uint64_t *tags, Addr aligned) const;
+    std::uint32_t victimWay(SetRef set);
+    /** Record a hit on the way whose meta word is @p meta. */
+    void touch(std::uint64_t &meta, bool dirty) const;
+    bool lookup(Addr addr, bool write);
 
     std::string cacheName;
     std::uint64_t totalCapacity;
@@ -212,7 +234,16 @@ class SetAssocCache
     std::uint32_t waysPerSet;
     std::uint64_t sets;
     ReplacementPolicy policy;
-    std::vector<Way> arr; // sets * ways, row-major by set
+    Addr lineMask = 0;      // ~(line - 1)
+    unsigned lineShift = 0; // log2(line)
+    bool setsPow2 = false;  // set index by mask, not by modulo
+    /**
+     * Per set, contiguously: waysPerSet tag words (kInvalidTag when
+     * the way is empty), then waysPerSet meta words, each
+     * stamp << 1 | dirty. The stamp is the last use under LRU, the
+     * fill time under FIFO, and unused under Random.
+     */
+    std::vector<std::uint64_t> arr;
     std::uint64_t stamp = 0;
     std::uint64_t validCount = 0;
     sim::Rng rng;

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <ostream>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "mem/set_assoc_cache.hh"
 #include "sim/rng.hh"
@@ -151,6 +155,9 @@ TEST(SetAssocCacheDeath, RejectsBadGeometry)
                 "associativity");
     EXPECT_EXIT(SetAssocCache("x", 100, 64, 2), ::testing::ExitedWithCode(1),
                 "");
+    // An empty way's tag must be an address no line can have.
+    EXPECT_EXIT(SetAssocCache("bytes", 64, 1, 2),
+                ::testing::ExitedWithCode(1), "bytes: line size 1");
 }
 
 /**
@@ -210,3 +217,234 @@ TEST(SetAssocCache, PageGranularity)
     EXPECT_FALSE(c.access(0x4000));
     EXPECT_EQ(c.numSets(), 16u);
 }
+
+namespace {
+
+/**
+ * Reference model for the differential test: the plain array-of-ways
+ * tag store, one struct per way with a tag, valid and dirty bits and
+ * separate last-use and fill stamps, searched pass by pass.
+ * SetAssocCache must agree with it on every result, victim and count.
+ */
+class RefCache
+{
+  public:
+    std::uint64_t hits = 0, misses = 0, evictions = 0, dirtyEvictions = 0,
+                  fills = 0, invalidations = 0, valid = 0;
+
+    RefCache(std::uint64_t sets, std::uint64_t line, std::uint32_t ways,
+             ReplacementPolicy policy, std::uint64_t seed)
+        : sets(sets), line(line), ways(ways), policy(policy), rng(seed),
+          arr(sets * ways)
+    {
+    }
+
+    bool
+    access(Addr addr, bool write)
+    {
+        ++stamp;
+        Way *w = find(addr);
+        if (!w) {
+            ++misses;
+            return false;
+        }
+        w->lastUse = stamp;
+        w->dirty = w->dirty || write;
+        ++hits;
+        return true;
+    }
+
+    bool contains(Addr addr) { return find(addr) != nullptr; }
+
+    std::optional<CacheLine>
+    fill(Addr addr, bool dirty)
+    {
+        ++stamp;
+        if (Way *w = find(addr)) {
+            w->lastUse = stamp;
+            w->dirty = w->dirty || dirty;
+            return std::nullopt;
+        }
+        Way &w = victim(set(addr));
+        std::optional<CacheLine> evicted;
+        if (w.valid) {
+            evicted = CacheLine{w.tag, w.dirty};
+            ++evictions;
+            dirtyEvictions += w.dirty;
+        } else {
+            ++valid;
+        }
+        w = Way{addr / line * line, true, dirty, stamp, stamp};
+        ++fills;
+        return evicted;
+    }
+
+    std::optional<CacheLine>
+    invalidate(Addr addr)
+    {
+        Way *w = find(addr);
+        if (!w)
+            return std::nullopt;
+        const CacheLine out{w->tag, w->dirty};
+        *w = Way{};
+        --valid;
+        ++invalidations;
+        return out;
+    }
+
+    bool
+    markDirty(Addr addr)
+    {
+        Way *w = find(addr);
+        if (w)
+            w->dirty = true;
+        return w != nullptr;
+    }
+
+    void
+    flushAll()
+    {
+        for (Way &w : arr)
+            w.valid = w.dirty = false;
+        valid = 0;
+    }
+
+  private:
+    struct Way {
+        Addr tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;
+        std::uint64_t fillTime = 0;
+    };
+
+    Way *set(Addr addr) { return &arr[addr / line % sets * ways]; }
+
+    Way *
+    find(Addr addr)
+    {
+        Way *base = set(addr);
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if (base[w].valid && base[w].tag == addr / line * line)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    Way &
+    victim(Way *base)
+    {
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if (!base[w].valid)
+                return base[w];
+        }
+        if (policy == ReplacementPolicy::Random)
+            return base[rng.uniformInt(ways)];
+        std::uint32_t old = 0;
+        for (std::uint32_t w = 1; w < ways; ++w) {
+            const bool older = policy == ReplacementPolicy::Fifo
+                ? base[w].fillTime < base[old].fillTime
+                : base[w].lastUse < base[old].lastUse;
+            if (older)
+                old = w;
+        }
+        return base[old];
+    }
+
+    std::uint64_t sets, line;
+    std::uint32_t ways;
+    ReplacementPolicy policy;
+    astriflash::sim::Rng rng;
+    std::vector<Way> arr;
+    std::uint64_t stamp = 0;
+};
+
+/** Sets x ways x line bytes of one array under test. */
+struct Geometry {
+    std::uint64_t sets;
+    std::uint32_t ways;
+    std::uint64_t line;
+};
+
+void
+PrintTo(const Geometry &g, std::ostream *os)
+{
+    *os << g.sets << "x" << g.ways << "x" << g.line << "B";
+}
+
+} // namespace
+
+/**
+ * Differential test: a seeded random mix of every mutating and probing
+ * call, replayed against SetAssocCache and RefCache, must give equal
+ * results, victims (tag and dirtiness), valid-line counts and stats
+ * after every operation.
+ */
+class CacheDifferential
+    : public ::testing::TestWithParam<std::tuple<Geometry, ReplacementPolicy>>
+{
+};
+
+TEST_P(CacheDifferential, MatchesReferenceModel)
+{
+    const auto [g, policy] = GetParam();
+    SetAssocCache c("d", g.sets * g.ways * g.line, g.line, g.ways, policy,
+                    91);
+    RefCache ref(g.sets, g.line, g.ways, policy, 91);
+    astriflash::sim::Rng rng(2024);
+
+    const auto sameLine = [](const std::optional<CacheLine> &a,
+                             const std::optional<CacheLine> &b) {
+        return a.has_value() == b.has_value() &&
+            (!a || (a->tag_addr == b->tag_addr && a->dirty == b->dirty));
+    };
+    // Three lines per frame keep hits, misses and evictions all common;
+    // the high bits and in-line offsets exercise tag alignment.
+    const std::uint64_t lines = g.sets * g.ways * 3;
+    const auto &st = c.stats();
+    for (int i = 0; i < 150000; ++i) {
+        const Addr a = (rng.uniformInt(4) << 40) +
+            rng.uniformInt(lines) * g.line + rng.uniformInt(g.line);
+        const std::uint64_t op = rng.uniformInt(1000);
+        if (op < 350) {
+            ASSERT_EQ(c.access(a), ref.access(a, false)) << "op " << i;
+        } else if (op < 500) {
+            ASSERT_EQ(c.accessWrite(a), ref.access(a, true)) << "op " << i;
+        } else if (op < 800) {
+            const bool dirty = op >= 700;
+            ASSERT_TRUE(sameLine(c.fill(a, dirty), ref.fill(a, dirty)))
+                << "op " << i;
+        } else if (op < 880) {
+            ASSERT_TRUE(sameLine(c.invalidate(a), ref.invalidate(a)))
+                << "op " << i;
+        } else if (op < 940) {
+            ASSERT_EQ(c.markDirty(a), ref.markDirty(a)) << "op " << i;
+        } else if (op < 999) {
+            ASSERT_EQ(c.contains(a), ref.contains(a)) << "op " << i;
+        } else if (rng.uniformInt(20) == 0) {
+            c.flushAll();
+            ref.flushAll();
+        }
+        ASSERT_EQ(c.validLines(), ref.valid) << "op " << i;
+        ASSERT_EQ(st.hits.value(), ref.hits) << "op " << i;
+        ASSERT_EQ(st.misses.value(), ref.misses) << "op " << i;
+        ASSERT_EQ(st.evictions.value(), ref.evictions) << "op " << i;
+        ASSERT_EQ(st.dirtyEvictions.value(), ref.dirtyEvictions)
+            << "op " << i;
+        ASSERT_EQ(st.fills.value(), ref.fills) << "op " << i;
+        ASSERT_EQ(st.invalidations.value(), ref.invalidations)
+            << "op " << i;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Combine(
+        ::testing::Values(Geometry{1, 48, 4096},    // TLB L1
+                          Geometry{256, 5, 4096},   // TLB L2
+                          Geometry{256, 4, 64},     // L1D
+                          Geometry{1024, 8, 64},    // L2
+                          Geometry{1024, 16, 64},   // LLC
+                          Geometry{983, 8, 4096}),  // DRAM-cache pages
+        ::testing::Values(ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
+                          ReplacementPolicy::Random)));
