@@ -2,13 +2,17 @@
  * @file
  * google-benchmark micro suites for the load-bearing primitives:
  * event queue, histogram, Zipfian draws, set-associative lookup and
- * miss/fill, the three-level cache hierarchy's miss path, MSR
+ * miss/fill, the three-level cache hierarchy's miss path (alone and
+ * across 256 hierarchies), MSR
  * operations, DRAM-cache hit path, ASO rename/store, and real
  * user-level thread switches (the artifact behind the paper's 100 ns
  * switch claim — here measured as host-machine ucontext switches).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstddef>
+#include <vector>
 
 #include "core/dram_cache.hh"
 #include "core/miss_status_row.hh"
@@ -117,6 +121,46 @@ BM_HierarchyAccessMiss(benchmark::State &state)
     }
 }
 BENCHMARK(BM_HierarchyAccessMiss);
+
+static void
+BM_HierarchyMissFill256(benchmark::State &state)
+{
+    // BM_HierarchyAccessMiss's stream served round-robin by 256
+    // default hierarchies, one per core of the paper-scale runs. Their
+    // 6.5 M ways do not fit in a host cache, so each access pays for
+    // the set bytes it fetches, as the 256-core systems do.
+    struct Farm {
+        std::vector<mem::CacheHierarchy> hiers;
+        sim::Rng rng{4};
+        std::size_t next = 0;
+
+        void
+        step()
+        {
+            mem::CacheHierarchy &h = hiers[next];
+            next = (next + 1) % hiers.size();
+            const mem::Addr a = rng.uniformInt((64 << 20) / 64) * 64;
+            const bool write = rng.uniformInt(4) == 0;
+            if (h.access(a, write).llcMiss)
+                h.fillFromMemory(a, write);
+        }
+    };
+    // Built and warmed once, as google-benchmark calls this function
+    // several times to size its run: two LLC capacities of accesses
+    // per hierarchy fill nearly every set, so misses evict.
+    static Farm farm = [] {
+        Farm f;
+        f.hiers.reserve(256);
+        for (int i = 0; i < 256; ++i)
+            f.hiers.emplace_back("h", mem::defaultHierarchyConfig());
+        for (int i = 0; i < 256 * 32 * 1024; ++i)
+            f.step();
+        return f;
+    }();
+    for (auto _ : state)
+        farm.step();
+}
+BENCHMARK(BM_HierarchyMissFill256);
 
 static void
 BM_MsrAllocateFree(benchmark::State &state)
