@@ -5,10 +5,13 @@
  * Runs the paper-scale closed-loop AstriFlash TATP configuration at
  * 64/128/256 simulated cores across a --host-jobs ladder and records
  * wall-clock events/s and jobs/s per (cores, host-jobs) cell, plus the
- * engine's barrier telemetry (rounds, barriers, cross-domain posts).
- * Numbers are honest-recorded on whatever host runs the bench — the
- * host CPU count is in the metadata, so a flat curve on a 1-CPU CI
- * runner is self-explaining, exactly like BENCH_sweep.json.
+ * engine's telemetry (rounds, barriers, posts, exec groups). Every
+ * System run is one engine domain (DESIGN.md §15), so every cell
+ * reports one exec group and the same rounds; host-jobs > 1 only
+ * moves each round onto one pool worker, and the ladder measures what
+ * that hand-off costs. Numbers are honest-recorded on whatever host
+ * runs the bench — the host CPU count is in the metadata, exactly
+ * like BENCH_sweep.json.
  *
  * The determinism gate rides along: every cell's full stats-tree JSON
  * must be byte-identical to the host-jobs=1 run of the same core
@@ -48,25 +51,6 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/** Parse a comma-separated unsigned list ("64,128,256"). */
-bool
-parseList(const std::string &value, std::vector<unsigned> *out)
-{
-    out->clear();
-    std::istringstream in(value);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        if (item.empty())
-            return false;
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(item.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || v == 0)
-            return false;
-        out->push_back(static_cast<unsigned>(v));
-    }
-    return !out->empty();
 }
 
 /** One measured (cores, host-jobs) cell. */
@@ -147,17 +131,17 @@ main(int argc, char **argv)
     opts.addCustom("cores", "LIST",
                    "simulated core counts (default 64,128,256)",
                    [&core_counts](const std::string &v) {
-                       return parseList(v, &core_counts);
+                       return sim::parseUintList(v, &core_counts);
                    });
     opts.addCustom("host-jobs", "LIST",
                    "host-jobs ladder per core count (default 1,2,4)",
                    [&jobs_list](const std::string &v) {
-                       return parseList(v, &jobs_list);
+                       return sim::parseUintList(v, &jobs_list);
                    });
     opts.addUint("measure-jobs", &measure_jobs,
                  "measured jobs per cell");
     opts.addUint32("bc-shards", &bc_shards,
-                   "backside-controller shards (= extra domains)");
+                   "backside-controller shards");
     opts.addString("out", &out_file,
                    "write results to FILE (empty: skip)");
     opts.addFlag("quick", &quick,

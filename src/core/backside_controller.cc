@@ -44,11 +44,7 @@ BacksideController::bindChannels()
     // startMiss's issued-assertions can rely on the command channel's
     // drain and that seam honestly declares zero lookahead.
     toFlash.setDrainHook([this] { pumpFlash(); });
-    inbox.setDrainHook([this] {
-        if (serviceNote)
-            serviceNote(curTick());
-        pumpInbox();
-    });
+    inbox.setDrainHook([this] { pumpInbox(); });
     fromFcCtl.setDrainHook([this] { pumpCtl(); });
 }
 

@@ -92,16 +92,6 @@ class BacksideController : public sim::SimObject
      */
     void bindChannels();
 
-    /**
-     * Telemetry callback fired when the inbox drain services a
-     * request in the producer's call chain (the facade's registered
-     * "service" ownership crossing).
-     */
-    void setCrossingNotes(CrossingNoteFn service_note)
-    {
-        serviceNote = std::move(service_note);
-    }
-
     /** Outstanding (in-flight) misses right now. */
     std::uint32_t
     outstandingMisses() const
@@ -214,7 +204,6 @@ class BacksideController : public sim::SimObject
     EvictBuffer evictBuf;
     std::unordered_map<mem::PageNum, PendingMiss> pending;
     std::deque<mem::PageNum> msrStalled; ///< Waiting for MSR space.
-    CrossingNoteFn serviceNote;
     sim::Ticks bcOpTicks;
     sim::Ticks flashReadEstimate;
     Stats statsData;

@@ -7,8 +7,7 @@ namespace astriflash::core {
 DramCache::DramCache(sim::EventQueue &eq, std::string name,
                      const DramCacheConfig &config,
                      flash::Backend &flash,
-                     const mem::AddressMap &amap,
-                     const std::vector<sim::EventQueue *> &bc_queues)
+                     const mem::AddressMap &amap)
     : sim::SimObject(eq, std::move(name)), cfg(config),
       dramModel(SimObject::name() + ".dram", config.dram),
       pageTags(SimObject::name() + ".tags", config.capacityBytes,
@@ -100,14 +99,9 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
                 SimObject::name() + ".fc_to_bc_ctl" + tag,
                 cfg.channels.fcToBcCtlDepth, ctl_contract));
     }
-    if (!bc_queues.empty() && bc_queues.size() != shards) {
-        ASTRI_FATAL("%s: %zu domain queues for %u BC shards",
-                    SimObject::name().c_str(), bc_queues.size(),
-                    shards);
-    }
     for (std::uint32_t i = 0; i < shards; ++i) {
         bcCtls.push_back(std::make_unique<BacksideController>(
-            bc_queues.empty() ? eq : *bc_queues[i],
+            eq,
             SimObject::name() + ".bc" + shardTag(i), cfg, amap, flash,
             *fcToBc[i], *bcToFlash[i], *bcToFc[i], *bcToFcRsp[i],
             *fcToBcCtl[i], shardSlice(cfg.bc.msrSets, shards, i),
@@ -115,60 +109,28 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
             shardSlice(cfg.bc.evictBufferEntries, shards, i)));
     }
 
-    // Ownership declarations (DESIGN.md §16). The facade's value-owned
-    // shared structures execute on the frontside queue; each shard's
-    // channels declare their endpoint domains; and the two deliberate
-    // drain-chain crossings per shard are pre-registered so the
-    // runtime audit counts them instead of flagging them.
-    serviceCrossings.assign(shards, kNoCrossing);
-    installCrossings.assign(shards, kNoCrossing);
-    if ((ownAudit = sim::OwnershipAuditor::current()) != nullptr) {
-        sim::OwnershipRegistry &own = ownAudit->registry();
-        const sim::DomainId fc_dom = own.domainOf(&eq);
-        own.declareComponent(SimObject::name() + ".fc", fc_dom);
-        own.declareComponent(SimObject::name() + ".dram", fc_dom);
-        own.declareComponent(SimObject::name() + ".tags", fc_dom);
-        own.declareComponent(SimObject::name() + ".footprint", fc_dom);
+    // Ownership declarations (DESIGN.md §16). Every structure and
+    // channel endpoint belongs to the domain owning @p eq, the
+    // system's one domain.
+    if (sim::OwnershipAuditor *aud = sim::OwnershipAuditor::current()) {
+        sim::OwnershipRegistry &own = aud->registry();
+        const sim::DomainId dom = own.domainOf(&eq);
+        own.declareComponent(SimObject::name() + ".fc", dom);
+        own.declareComponent(SimObject::name() + ".dram", dom);
+        own.declareComponent(SimObject::name() + ".tags", dom);
+        own.declareComponent(SimObject::name() + ".footprint", dom);
         for (std::uint32_t i = 0; i < shards; ++i) {
-            const std::string tag = shardTag(i);
-            const sim::DomainId bc_dom = own.domainOf(
-                bc_queues.empty() ? static_cast<const void *>(&eq)
-                                  : bc_queues[i]);
-            fcToBc[i]->declareEndpoints(fc_dom, bc_dom);
-            bcToFlash[i]->declareEndpoints(bc_dom, bc_dom);
-            bcToFc[i]->declareEndpoints(bc_dom, fc_dom);
-            bcToFcRsp[i]->declareEndpoints(bc_dom, fc_dom);
-            fcToBcCtl[i]->declareEndpoints(fc_dom, bc_dom);
-            if (fc_dom == bc_dom || fc_dom == sim::kNoDomain ||
-                bc_dom == sim::kNoDomain) {
-                continue; // unpartitioned: nothing crosses
-            }
-            serviceCrossings[i] = ownAudit->registerCrossing(
-                SimObject::name() + ".bc" + tag + ".service", fc_dom,
-                bc_dom);
-            installCrossings[i] = ownAudit->registerCrossing(
-                SimObject::name() + ".bc" + tag + ".deliver_installs",
-                bc_dom, fc_dom);
+            fcToBc[i]->declareEndpoints(dom, dom);
+            bcToFlash[i]->declareEndpoints(dom, dom);
+            bcToFc[i]->declareEndpoints(dom, dom);
+            bcToFcRsp[i]->declareEndpoints(dom, dom);
+            fcToBcCtl[i]->declareEndpoints(dom, dom);
         }
     }
 
-    // Each controller drains its own inbound channels; the crossing
-    // notes report the drain chains that cross domains (no-ops when
-    // unpartitioned).
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        bcCtls[i]->setCrossingNotes([this, i](sim::Ticks t) {
-            noteCrossing(serviceCrossings[i], t);
-        });
-        bcCtls[i]->bindChannels();
-    }
-    std::vector<CrossingNoteFn> install_notes;
-    install_notes.reserve(shards);
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        install_notes.push_back([this, i](sim::Ticks t) {
-            noteCrossing(installCrossings[i], t);
-        });
-    }
-    fcCtl.setCrossingNotes(std::move(install_notes));
+    // Each controller drains its own inbound channels.
+    for (auto &bc : bcCtls)
+        bc->bindChannels();
     fcCtl.bindChannels();
 }
 

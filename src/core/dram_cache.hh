@@ -21,8 +21,9 @@
  * an equal slice of the cache-wide MSR and evict-buffer capacity
  * (shardSlice(), checked at construction to sum exactly to the
  * configured totals). The facade owns the fc-side shared structures
- * (DRAM device, tag array, footprint masks) on the frontside domain,
- * constructs the channels and the controllers, and wires each
+ * (DRAM device, tag array, footprint masks), constructs the channels
+ * and the controllers on the system's one event queue (one ownership
+ * domain; nothing crosses a domain boundary), and wires each
  * controller to drain its OWN inbound channels — the facade itself
  * pumps nothing and makes no synchronous controller-to-controller
  * calls (the ownership report's sync-facade-call count is zero). It
@@ -86,19 +87,11 @@ class DramCache : public sim::SimObject
         std::uint64_t peakOutstanding = 0;
     };
 
-    /**
-     * @param bc_queues  Optional per-shard event queues (one per BC
-     *                   shard) for sim::ParallelEngine domain
-     *                   partitioning; empty keeps every controller on
-     *                   @p eq. The queues must share @p eq's
-     *                   EventQueueGroup — the drain chains cross
-     *                   synchronously, so the domains form one exec
-     *                   group.
-     */
+    /** Build the facade; the FC and every BC shard schedule on
+     *  @p eq, the system's one event queue. */
     DramCache(sim::EventQueue &eq, std::string name,
               const DramCacheConfig &config, flash::Backend &flash,
-              const mem::AddressMap &amap,
-              const std::vector<sim::EventQueue *> &bc_queues = {});
+              const mem::AddressMap &amap);
 
     /** Register the page-arrival notification hook. */
     void
@@ -286,18 +279,6 @@ class DramCache : public sim::SimObject
     /** Shard-scoped suffix: "" unsharded, "<i>" sharded. */
     std::string shardTag(std::uint32_t shard) const;
 
-    /** "Not a registered crossing" sentinel (same-domain facade). */
-    static constexpr std::uint32_t kNoCrossing =
-        static_cast<std::uint32_t>(-1);
-
-    /** Count one exercise of a pre-registered facade crossing. */
-    void
-    noteCrossing(std::uint32_t id, sim::Ticks now)
-    {
-        if (ownAudit && id != kNoCrossing)
-            ownAudit->onCrossing(id, now);
-    }
-
     DramCacheConfig cfg;
     mem::Dram dramModel;
     mem::SetAssocCache pageTags;
@@ -314,17 +295,6 @@ class DramCache : public sim::SimObject
         fcToBcCtl;
     FrontsideController fcCtl;
     std::vector<std::unique_ptr<BacksideController>> bcCtls;
-
-    /** Ownership auditor attached at construction (or null). The
-     *  controllers' drain chains exercise the two pre-registered
-     *  deliberate crossings per shard ("service" and
-     *  "deliver_installs"); the controllers report them through their
-     *  crossing-note callbacks so the static coupling report (aflint
-     *  --ownership-report) can be certified against what actually
-     *  runs. */
-    sim::OwnershipAuditor *ownAudit = nullptr;
-    std::vector<std::uint32_t> serviceCrossings; ///< FC -> BC<i>.
-    std::vector<std::uint32_t> installCrossings; ///< BC<i> -> FC.
 };
 
 } // namespace astriflash::core

@@ -9,7 +9,6 @@
 #define ASTRIFLASH_CORE_DRAM_CACHE_TYPES_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -22,10 +21,6 @@ namespace astriflash::core {
 
 /** Opaque identifier for whoever is waiting on a missing page. */
 using WaiterCookie = std::uint64_t;
-
-/** Telemetry callback counting one exercise of a pre-registered
- *  deliberate domain crossing (sim::OwnershipAuditor::onCrossing). */
-using CrossingNoteFn = std::function<void(sim::Ticks now)>;
 
 /** Frontside-controller parameters (the 1-cycle-per-op FSM, §V-A). */
 struct FcConfig {

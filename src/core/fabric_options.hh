@@ -8,8 +8,8 @@
  *   --bc-shards=N       backside-controller shards
  *   --flash-devices=M   flash devices behind the fabric
  *   --flash-backend=K   concrete device model ("ftl" or "zns")
- *   --host-jobs=N       host worker threads per run (conservative
- *                       parallel engine; stats byte-identical at any N)
+ *   --host-jobs=N       host worker threads per run (engine pool;
+ *                       stats byte-identical at any N)
  *
  * This helper holds the parsed values (defaulted from the config
  * structs so the flags are optional), registers the flags on a
@@ -55,8 +55,8 @@ struct FabricOptions {
                 return flash::parseBackendKind(value, &flashBackend);
             });
         opts.addUint32("host-jobs", &hostJobs,
-                       "host worker threads per run (1 = legacy "
-                       "single-queue loop; stats identical at any N)");
+                       "host worker threads per run (1 = rounds run "
+                       "inline; stats identical at any N)");
     }
 
     /** Copy the parsed values into @p cfg. */

@@ -35,11 +35,7 @@ FrontsideController::bindChannels()
         // chain; install completions wake waiters in the same nested
         // call.
         fromBcRsp[i]->setDrainHook([this, i] { pumpRsp(i); });
-        fromBc[i]->setDrainHook([this, i] {
-            if (installNotes.size() > i && installNotes[i])
-                installNotes[i](fromBc[i]->front().acceptedAt);
-            pumpInstalls(i);
-        });
+        fromBc[i]->setDrainHook([this, i] { pumpInstalls(i); });
     }
 }
 

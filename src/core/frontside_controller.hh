@@ -106,16 +106,6 @@ class FrontsideController
     void bindChannels();
 
     /**
-     * Telemetry callbacks (one per shard) fired when the install
-     * drain runs in the backside's call chain (the facade's
-     * registered "deliver_installs" ownership crossings).
-     */
-    void setCrossingNotes(std::vector<CrossingNoteFn> install_notes)
-    {
-        installNotes = std::move(install_notes);
-    }
-
-    /**
      * Frontside access from the LLC miss path. Hits complete here; a
      * miss pushes the MissRequest and completes from the ack the
      * backside's drain latched synchronously.
@@ -213,7 +203,6 @@ class FrontsideController
     std::vector<std::unique_ptr<sim::BoundedChannel<InstallGrant>>>
         &toBcCtl;
     PageReadyFn onReady;
-    std::vector<CrossingNoteFn> installNotes;
     BcReply ackReply;      ///< Last latched MissAck.
     bool ackValid = false; ///< takeAck() consumes the latch.
     sim::Ticks fcOpTicks;

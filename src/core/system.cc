@@ -10,21 +10,13 @@ namespace astriflash::core {
 System::System(const SystemConfig &config) : cfg(config)
 {
     cfg.applyKindDefaults();
-    if (cfg.hostJobs > 1) {
-        // Merged partitioned run: every domain queue (main + BC
-        // shards, created in buildMemorySystem) shares one clock and
-        // one sequence space, the precondition for byte-identical
-        // merged execution (DESIGN.md §15).
-        eq.joinGroup(eqGroup);
-    }
     eq.setAuditor(&auditor);
     // Perturbed same-tick ordering (tools/detshake); seed 0 is the
     // exact production order, and nonzero seeds are fatal unless the
     // hook is compiled in.
     eq.setTiePerturbation(cfg.tieBreakSeed);
-    // The frontside domain owns the main queue: FC, cores, arrivals
-    // and the (passive) flash fabric all execute on it. BC shard
-    // domains are added as their queues are built (hostJobs > 1).
+    // The one domain owns the one queue: FC, BC shards, cores,
+    // arrivals and the (passive) flash fabric all execute on it.
     ownership.addDomain("fc", &eq);
     // SimObjects constructed anywhere below resolve their owning
     // domain from the queue they schedule on and declare themselves.
@@ -126,12 +118,6 @@ System::registerInvariants()
     invariants.add("eq", [this](sim::InvariantChecker &chk) {
         eq.checkInvariants(chk);
     });
-    for (std::size_t i = 0; i < bcQueues.size(); ++i) {
-        invariants.add("eq.bc" + std::to_string(i),
-                       [this, i](sim::InvariantChecker &chk) {
-                           bcQueues[i]->checkInvariants(chk);
-                       });
-    }
     invariants.add("causality", [this](sim::InvariantChecker &chk) {
         auditor.checkInvariants(chk);
     });
@@ -304,22 +290,8 @@ System::buildMemorySystem()
                                    cfg.dramCacheRatio),
         dc.ways * dc.pageBytes);
     cfg.dramCache = dc;
-    std::vector<sim::EventQueue *> bc_queues;
-    if (cfg.hostJobs > 1) {
-        for (std::uint32_t i = 0; i < dc.bc.shards; ++i) {
-            auto q = std::make_unique<sim::EventQueue>();
-            // One clock + sequence space for the byte-identity
-            // guarantee.
-            q->joinGroup(eqGroup);
-            q->setAuditor(&auditor);
-            q->setTiePerturbation(cfg.tieBreakSeed);
-            ownership.addDomain("bc" + std::to_string(i), q.get());
-            bc_queues.push_back(q.get());
-            bcQueues.push_back(std::move(q));
-        }
-    }
     dcache = std::make_unique<DramCache>(eq, "dramcache", dc, *flashDev,
-                                         *amap, bc_queues);
+                                         *amap);
 }
 
 mem::Addr
@@ -481,90 +453,6 @@ System::prewarm()
     }
 }
 
-void
-System::runParallel(sim::Ticks next_check)
-{
-    // Conservative engine over the channel-lookahead seam. The main
-    // queue (frontside + cores + arrivals) and each BC shard queue
-    // are distinct domains sharing one exec group: the controllers
-    // complete each access in one synchronous call chain, and the
-    // merged-order execution is what keeps stats byte-identical to
-    // hostJobs=1 (DESIGN.md §15).
-    sim::ParallelEngine::Config ec;
-    ec.hostJobs = cfg.hostJobs;
-    // Must match the legacy loop's runSteps(20000) burst: the stop
-    // condition is only evaluated at these boundaries, and stats keep
-    // accumulating until the boundary is reached.
-    ec.roundEvents = 20000;
-    sim::ParallelEngine engine(ec);
-    // Publish the executing domain thread-locally while the engine
-    // runs so instrumented callbacks can certify their ownership.
-    engine.setOwnership(&ownAuditor);
-
-    const auto fc_dom = engine.addDomain("fc", eq, 0);
-    if (dcache) {
-        const DramCacheConfig &dc = dcache->config();
-        const sim::ClockDomain clk(dc.controllerFreqHz);
-        const sim::Ticks op = clk.cycles(dc.bc.cyclesPerOp);
-        for (std::size_t i = 0; i < bcQueues.size(); ++i) {
-            const auto shard = static_cast<std::uint32_t>(i);
-            const auto bc_dom = engine.addDomain(
-                "bc" + std::to_string(i), *bcQueues[i], 0);
-            // Lookahead links mirror the channel contract manifest;
-            // the stamp watermarks tighten each horizon with the
-            // oldest in-flight message. The flash fabric is passive
-            // (submit() completes in the owning BC's chain), so
-            // bc_to_flash adds no domain of its own.
-            engine.addLink(fc_dom, bc_dom,
-                           op * dc.channels.fcToBcMinLatencyOps,
-                           [this, shard] {
-                               return dcache->missChannel(shard)
-                                   .stampWatermark();
-                           });
-            engine.addLink(bc_dom, fc_dom,
-                           op * dc.channels.bcToFcMinLatencyOps,
-                           [this, shard] {
-                               return dcache->installChannel(shard)
-                                   .stampWatermark();
-                           });
-            engine.addLink(bc_dom, fc_dom,
-                           op * dc.channels.bcToFcRspMinLatencyOps,
-                           [this, shard] {
-                               return dcache->rspChannel(shard)
-                                   .stampWatermark();
-                           });
-            engine.addLink(fc_dom, bc_dom,
-                           op * dc.channels.fcToBcCtlMinLatencyOps,
-                           [this, shard] {
-                               return dcache->ctlChannel(shard)
-                                   .stampWatermark();
-                           });
-        }
-    }
-    sim::ParallelEngine::RunHooks hooks;
-    hooks.stop = [this] {
-        return phase == Phase::Done ||
-               eq.curTick() >= cfg.maxSimTicks;
-    };
-    hooks.atBarrier = [this, next_check](sim::Ticks) mutable {
-        if (sim::checksEnabled() && cfg.invariantInterval > 0 &&
-            eq.curTick() >= next_check) {
-            invariants.checkAll(eq.curTick());
-            next_check = eq.curTick() + cfg.invariantInterval;
-        }
-    };
-    // Workers execute this system's events on the run owner's behalf;
-    // route their trace emissions into the owner's ring (--trace
-    // drains it after run()).
-    sim::Tracer *trace_sink = &sim::Tracer::instance();
-    hooks.workerInit = [trace_sink] {
-        sim::Tracer::redirectThread(trace_sink);
-    };
-
-    engine.run(hooks);
-    engineStatsData = engine.stats();
-}
-
 RunResults
 System::run()
 {
@@ -574,27 +462,47 @@ System::run()
     if (arrivals)
         scheduleNextArrival();
 
-    // Invariant sweeps run between event bursts, never from scheduled
+    // The one event loop: the engine drives the system's one queue as
+    // its single domain "fc" (DESIGN.md §15). With one exec group
+    // nothing crosses a domain, so stats are byte-identical at every
+    // hostJobs; above 1 the round runs on one pool worker.
+    sim::ParallelEngine::Config ec;
+    ec.hostJobs = cfg.hostJobs;
+    // The stop condition is read only at barriers, so the round budget
+    // fixes where a run ends; the goldens pin this boundary.
+    ec.roundEvents = 20000;
+    sim::ParallelEngine engine(ec);
+    // Publish the executing domain thread-locally while the engine
+    // runs so instrumented callbacks can certify their ownership.
+    engine.setOwnership(&ownAuditor);
+    engine.addDomain("fc", eq, 0);
+
+    // Invariant sweeps run between rounds, never from scheduled
     // events: a recurring event would keep the queue non-empty and
     // defeat quiesce-by-drain termination.
     sim::Ticks next_check = eq.curTick() + cfg.invariantInterval;
-    if (cfg.hostJobs > 1) {
-        runParallel(next_check);
-    } else {
-        // The legacy loop runs everything in the frontside domain
-        // (the only one that exists when the system is unpartitioned).
-        sim::OwnershipAuditor::ExecScope exec_scope(
-            ownership.domainOf(&eq));
-        while (phase != Phase::Done && !eq.empty() &&
-               eq.curTick() < cfg.maxSimTicks) {
-            eq.runSteps(20000);
-            if (sim::checksEnabled() && cfg.invariantInterval > 0 &&
-                eq.curTick() >= next_check) {
-                invariants.checkAll(eq.curTick());
-                next_check = eq.curTick() + cfg.invariantInterval;
-            }
+    sim::ParallelEngine::RunHooks hooks;
+    hooks.stop = [this] {
+        return phase == Phase::Done ||
+               eq.curTick() >= cfg.maxSimTicks;
+    };
+    hooks.atBarrier = [this, &next_check](sim::Ticks) {
+        if (sim::checksEnabled() && cfg.invariantInterval > 0 &&
+            eq.curTick() >= next_check) {
+            invariants.checkAll(eq.curTick());
+            next_check = eq.curTick() + cfg.invariantInterval;
         }
-    }
+    };
+    // A pool worker executes this system's events on the run owner's
+    // behalf; route its trace emissions into the owner's ring
+    // (--trace drains it after run()).
+    sim::Tracer *trace_sink = &sim::Tracer::instance();
+    hooks.workerInit = [trace_sink] {
+        sim::Tracer::redirectThread(trace_sink);
+    };
+    engine.run(hooks);
+    engineStatsData = engine.stats();
+
     if (sim::checksEnabled())
         invariants.checkAll(eq.curTick()); // quiesce sweep
     if (phase != Phase::Done) {

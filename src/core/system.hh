@@ -134,11 +134,10 @@ class System
     }
 
     /**
-     * Domain-ownership vocabulary (DESIGN.md §16): the partition
-     * table ("fc" = frontside + cores; "bc<i>" = one BC shard — and
-     * its fabric slice — when hostJobs > 1 builds per-shard queues)
-     * plus every
-     * component and channel-endpoint declaration made against it.
+     * Domain-ownership vocabulary (DESIGN.md §16): the one domain
+     * "fc", which owns the single event queue every component runs
+     * on, plus every component and channel-endpoint declaration made
+     * against it.
      */
     sim::OwnershipRegistry &ownershipRegistry() { return ownership; }
     const sim::OwnershipRegistry &ownershipRegistry() const
@@ -148,9 +147,7 @@ class System
 
     /**
      * Ownership auditor certifying that instrumented callbacks run
-     * only in their owning domain, with cross-domain touches
-     * permitted only at barriers, through channels, or via the
-     * facade's pre-registered crossings. Armed with the checks gate;
+     * only in their owning domain. Armed with the checks gate;
      * registered as the "ownership" invariant component. Counters are
      * NOT in the stats tree (same rule as the causality auditor).
      */
@@ -172,26 +169,15 @@ class System
     const SystemConfig &config() const { return cfg; }
     sim::EventQueue &eventQueue() { return eq; }
 
-    /** Per-BC-shard domain queues (empty unless hostJobs > 1 built
-     *  a partitioned system). */
-    std::size_t domainQueueCount() const { return bcQueues.size(); }
-
-    /** Events executed across every domain queue (== the single
-     *  queue's count when unpartitioned). */
-    std::uint64_t
-    eventsExecuted() const
-    {
-        std::uint64_t total = eq.executed();
-        for (const auto &q : bcQueues)
-            total += q->executed();
-        return total;
-    }
+    /** Events executed on the system's event queue. */
+    std::uint64_t eventsExecuted() const { return eq.executed(); }
 
     /**
-     * Engine telemetry from the last run() (zeroes when the legacy
-     * hostJobs=1 loop ran). Deliberately NOT in the stats tree:
-     * host-parallelism bookkeeping must never move golden bytes, the
-     * same rule the causality auditor follows.
+     * Engine telemetry from the last run() (zeroes before the first).
+     * Every run is one domain in one exec group, so groups == 1 and
+     * the round structure is the same at every hostJobs. Deliberately
+     * NOT in the stats tree: host-parallelism bookkeeping must never
+     * move golden bytes, the same rule the causality auditor follows.
      */
     const sim::ParallelEngine::Stats &
     engineStats() const
@@ -243,9 +229,6 @@ class System
     void scheduleNextArrival();
     void beginMeasurement(sim::Ticks now);
 
-    /** Engine-driven event loop for hostJobs > 1 (see run()). */
-    void runParallel(sim::Ticks next_check);
-
     /** Build the component stat tree (end of construction). */
     void registerStats();
 
@@ -260,15 +243,7 @@ class System
      *  queues and components for the same lifetime reason. */
     sim::OwnershipRegistry ownership;
     sim::OwnershipAuditor ownAuditor{ownership};
-    /** Shared clock/sequence state for the merged partitioned run:
-     *  the main queue and every BC shard queue join it when
-     *  hostJobs > 1, so the merged execution is bit-identical to one
-     *  queue. */
-    sim::EventQueueGroup eqGroup;
     sim::EventQueue eq;
-    /** Per-BC-shard domain queues (hostJobs > 1).
-     *  Built before the DramCache so the shards schedule onto them. */
-    std::vector<std::unique_ptr<sim::EventQueue>> bcQueues;
     sim::ParallelEngine::Stats engineStatsData;
 
     std::unique_ptr<mem::AddressMap> amap;

@@ -110,12 +110,12 @@ struct SystemConfig {
     std::uint64_t tieBreakSeed = 0;
 
     /**
-     * Host worker threads for one run (--host-jobs). 1 (the default)
-     * is the legacy single-queue loop; > 1 partitions the system into
-     * per-BC-shard event-queue domains executed by the conservative
-     * sim::ParallelEngine over the channel-lookahead seam. Stats are
-     * byte-identical at every value (DESIGN.md §15) — the knob trades
-     * host threads, never simulated timing.
+     * Host worker threads for one run (--host-jobs). Every run drives
+     * the system's one event queue through sim::ParallelEngine as a
+     * single domain; 1 (the default) executes each round inline, > 1
+     * executes it on one pool worker (the engine clamps workers to
+     * its one exec group). Stats are byte-identical at every value by
+     * construction and gated by the goldens (DESIGN.md §15).
      */
     unsigned hostJobs = 1;
 

@@ -102,6 +102,16 @@ class OptionParser
     std::string errorMsg;
 };
 
+/**
+ * Parse a comma-separated list of positive unsigneds ("1,2,4"), the
+ * value format of list flags such as --host-jobs=LIST and
+ * --cores=LIST. Rejects the empty string, an empty item, 0, a sign or
+ * blank before a number, trailing characters, and values that do not
+ * fit in unsigned. @p out holds the list on success and is
+ * unspecified on failure.
+ */
+bool parseUintList(const std::string &value, std::vector<unsigned> *out);
+
 } // namespace astriflash::sim
 
 #endif // ASTRIFLASH_SIM_OPTION_PARSER_HH

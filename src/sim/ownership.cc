@@ -11,9 +11,8 @@ namespace {
 thread_local OwnershipAuditor *g_current = nullptr;
 
 // Domain the thread is currently executing events for. Published by
-// ParallelEngine::runGroupRound / System's legacy loop via ExecScope;
-// kNoDomain outside event execution (construction, tests driving
-// queues directly).
+// ParallelEngine::runGroupRound via ExecScope; kNoDomain outside event
+// execution (construction, tests driving queues directly).
 thread_local DomainId g_execDomain = kNoDomain;
 } // namespace
 
@@ -92,26 +91,6 @@ OwnershipAuditor::ExecScope::~ExecScope()
     g_execDomain = prev;
 }
 
-std::uint32_t
-OwnershipAuditor::registerCrossing(std::string name, DomainId from,
-                                   DomainId to)
-{
-    CrossingState st;
-    st.name = std::move(name);
-    st.from = from;
-    st.to = to;
-    crossings.push_back(std::move(st));
-    return static_cast<std::uint32_t>(crossings.size() - 1);
-}
-
-const OwnershipAuditor::CrossingState &
-OwnershipAuditor::crossing(std::uint32_t id) const
-{
-    ASTRI_ASSERT_MSG(id < crossings.size(),
-                     "crossing handle %u out of range", id);
-    return crossings[id];
-}
-
 void
 OwnershipAuditor::callbackViolation(const char *component,
                                     DomainId owner, DomainId cur,
@@ -145,21 +124,6 @@ OwnershipAuditor::checkInvariants(InvariantChecker &chk) const
                                 static_cast<unsigned long long>(v.tick),
                                 v.detail.c_str()));
     }
-    std::uint64_t observed = 0;
-    for (const CrossingState &st : crossings) {
-        observed += st.count;
-        // A crossing registered between two resolved domains must
-        // actually cross (same-domain "crossings" would mean the
-        // allowlist no longer matches the partition table).
-        SIM_INVARIANT_MSG(chk,
-                          st.from == kNoDomain || st.to == kNoDomain ||
-                              st.from != st.to || st.count == 0,
-                          "%s: %llu observed crossings between a "
-                          "domain and itself",
-                          st.name.c_str(),
-                          static_cast<unsigned long long>(st.count));
-    }
-    SIM_INVARIANT(chk, observed == crossingsObservedCount);
 }
 
 } // namespace astriflash::sim

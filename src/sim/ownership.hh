@@ -3,27 +3,23 @@
  * Domain-ownership model: makes "which domain owns which state" a
  * declared, runtime-checked property (DESIGN.md §16).
  *
- * The conservative parallel engine (DESIGN.md §15) partitions the
- * System into domains (FC+cores, one per BC shard), but today all of
- * them are fused into a single exec group because the DramCache facade
- * still pumps synchronous state across the FC↔BC boundary. This layer
- * names the ownership structure so that coupling becomes visible and
- * enforceable:
+ * The System registers one domain, "fc", for its one event queue
+ * (DESIGN.md §15); the FC and BC controllers exchange state only
+ * through channels, and the static coupling report (`aflint
+ * --ownership-report`, DESIGN.md §16) finds no synchronous facade
+ * call and no cross-domain shared state. This layer keeps the
+ * ownership structure declared and checked, so a future partition
+ * starts from an audited vocabulary:
  *
  *  - OwnershipRegistry: the vocabulary. Domains are registered by
  *    (name, EventQueue*) — the queue pointer is the domain key, since
  *    every component schedules on exactly one queue. Components and
  *    channel endpoints declare their owners against it.
  *
- *  - OwnershipAuditor: the runtime teeth. ParallelEngine (and the
- *    legacy single-queue loop) publish a thread-local current-domain
- *    id while executing events; instrumented SimObject callbacks
- *    verify they run only in their owning domain. Cross-domain
- *    touches are permitted only at quantum barriers and through
- *    channels; the facade's deliberate synchronous crossings are
- *    pre-registered and counted (never violations) so the measured
- *    coupling graph (`aflint --ownership-report`, DESIGN.md §16) can
- *    be certified against what actually runs.
+ *  - OwnershipAuditor: the runtime teeth. ParallelEngine publishes a
+ *    thread-local current-domain id while executing events;
+ *    instrumented SimObject callbacks verify they run only in their
+ *    owning domain.
  *
  * Arming follows SIM_CHECK: hooks early-return unless checksEnabled().
  * Counters are deliberately NOT part of the stats tree: arming checks
@@ -121,19 +117,6 @@ class OwnershipAuditor
         Ticks tick = 0;
     };
 
-    /**
-     * One pre-registered, deliberately-synchronous cross-domain edge
-     * (the facade allowlist). Observed counts feed certification of
-     * the static coupling report; they are never violations.
-     */
-    struct CrossingState {
-        std::string name;
-        DomainId from = kNoDomain;
-        DomainId to = kNoDomain;
-        std::uint64_t count = 0;
-        Ticks lastTick = 0;
-    };
-
     explicit OwnershipAuditor(OwnershipRegistry &r) : reg(r) {}
     OwnershipAuditor(const OwnershipAuditor &) = delete;
     OwnershipAuditor &operator=(const OwnershipAuditor &) = delete;
@@ -147,22 +130,6 @@ class OwnershipAuditor
      */
     void setFailFast(bool on) { failFast = on; }
 
-    /** Declare an allowlisted crossing. @return its handle. */
-    std::uint32_t registerCrossing(std::string name, DomainId from,
-                                   DomainId to);
-
-    /** The crossing @p id was exercised at @p now. */
-    void
-    onCrossing(std::uint32_t id, Ticks now)
-    {
-        if (!checksEnabled())
-            return;
-        CrossingState &st = crossings[id];
-        ++st.count;
-        ++crossingsObservedCount;
-        st.lastTick = now;
-    }
-
     /**
      * An instrumented component callback is executing. Verifies the
      * thread's current domain matches @p owner; execution outside any
@@ -175,9 +142,7 @@ class OwnershipAuditor
         if (!checksEnabled())
             return;
         // Armed multi-group engine runs audit callbacks from every
-        // worker; crossings, by contrast, exist only inside one merged
-        // exec group (one worker at a time), so onCrossing stays
-        // unsynchronized.
+        // worker, so the counter is atomic.
         callbacksAuditedCount.fetch_add(1, std::memory_order_relaxed);
         const DomainId cur = currentDomain();
         if (cur == kNoDomain || owner == kNoDomain || cur == owner)
@@ -185,16 +150,9 @@ class OwnershipAuditor
         callbackViolation(component, owner, cur, now);
     }
 
-    std::size_t crossingCount() const { return crossings.size(); }
-    const CrossingState &crossing(std::uint32_t id) const;
-
     std::uint64_t callbacksAudited() const
     {
         return callbacksAuditedCount.load(std::memory_order_relaxed);
-    }
-    std::uint64_t crossingsObserved() const
-    {
-        return crossingsObservedCount;
     }
 
     std::uint64_t violationCount() const
@@ -203,10 +161,8 @@ class OwnershipAuditor
     }
     const std::vector<Violation> &violations() const { return out; }
 
-    /**
-     * Invariant-sweep hook: re-reports every stored violation into
-     * @p chk and cross-checks the crossing accounting.
-     */
+    /** Invariant-sweep hook: re-reports every stored violation
+     *  into @p chk. */
     void checkInvariants(InvariantChecker &chk) const;
 
     /** Auditor components attach to during construction (or null). */
@@ -235,7 +191,7 @@ class OwnershipAuditor
      * Publishes @p d as the current thread's executing domain for the
      * enclosed event execution; restores the previous domain on
      * destruction. ParallelEngine wraps each runSteps(1) of a group
-     * member in one; System's legacy loop wraps the whole run.
+     * member in one while the checks gate is armed.
      */
     class ExecScope
     {
@@ -254,13 +210,11 @@ class OwnershipAuditor
                            DomainId cur, Ticks now);
 
     OwnershipRegistry &reg;
-    std::vector<CrossingState> crossings;
     /** Guards the violation log; onCallback's counter is atomic so
      *  the clean path stays lock-free across engine workers. */
     mutable std::mutex vioMu;
     std::vector<Violation> out;
     std::atomic<std::uint64_t> callbacksAuditedCount{0};
-    std::uint64_t crossingsObservedCount = 0;
     bool failFast = true;
 };
 

@@ -14,16 +14,20 @@
  * message that could still arrive can be earlier, so conservative
  * execution never violates causality.
  *
- * Domains that share simulator state outside the channel seam (the
- * frontside controller, the BC shards, and the flash fabric still
- * share page tags, the DRAM model, and synchronous reply paths) are
- * placed in one *exec group*. A group executes as a unit: one worker
- * thread at a time runs a K-way merge over the member queues in exact
- * global (when, prio, tie, seq) order, with all members sharing one
- * clock and one sequence counter (EventQueueGroup). That makes a
- * group's execution bit-identical to the same events in a single
- * queue — the host-jobs byte-identity guarantee (DESIGN.md §15) —
- * while distinct groups run concurrently on the worker pool.
+ * Domains whose events must interleave in exact order are placed in
+ * one *exec group*. A group executes as a unit: one worker thread at a
+ * time runs a K-way merge over the member queues in exact global
+ * (when, prio, tie, seq) order, with all members sharing one clock and
+ * one sequence counter (EventQueueGroup). That makes a group's
+ * execution bit-identical to the same events in a single queue, while
+ * distinct groups run concurrently on the worker pool.
+ *
+ * core::System is the engine's one production caller and registers a
+ * single domain (DESIGN.md §15): its FC and BC controllers answer each
+ * access in one synchronous drain chain over the channels, so there is
+ * nothing to partition, and stats are byte-identical at any host-jobs
+ * by construction. Multi-domain groups, links and posts are exercised
+ * by the engine's own tests.
  *
  * Cross-group communication uses post(): thread-safe mailboxes whose
  * contents are delivered at the next barrier in deterministic
@@ -58,11 +62,10 @@ class ParallelEngine
         /** Worker threads; <= 1 executes every round inline. */
         unsigned hostJobs = 1;
         /**
-         * Per-group event budget between barriers. The legacy
-         * System::run() loop checks its stop condition every 20000
-         * events; a single-group engine run with the same budget
-         * stops at the same executed-event boundary, which the
-         * byte-identity gate requires.
+         * Per-group event budget between barriers. hooks.stop is read
+         * only at barriers, so the budget decides the executed-event
+         * boundary a run ends on; System keeps 20000 because the
+         * committed goldens depend on that boundary.
          */
         std::uint64_t roundEvents = 20000;
     };
@@ -87,7 +90,7 @@ class ParallelEngine
          *  conservative synchronization actually bit. */
         std::uint64_t horizonStalls = 0;
         /** Exec groups the run partitioned into (System runs one
-         *  merged group). */
+         *  single-domain group). */
         std::uint32_t groups = 0;
         /** Events executed per exec group, indexed in group-id order —
          *  the partition's load-balance evidence (bench/parallel_bench

@@ -6,8 +6,8 @@
  * Unit coverage: the registry vocabulary (queue-keyed domains,
  * component/channel declarations), the construction-time attach
  * Scope, the engine-published ExecScope thread-local, the armed
- * onCallback/onCrossing hooks with fail-fast disabled, and the
- * invariant-sweep re-reporting.
+ * onCallback hook with fail-fast disabled, and the invariant-sweep
+ * re-reporting.
  *
  * System coverage: the acceptance gate of the exec-group-split
  * worklist — every golden config runs to completion with the
@@ -238,45 +238,9 @@ TEST(OwnershipAuditor, DisarmedGateSkipsTheAudit)
     // must early-return before touching any counter.
     sim::OwnershipAuditor::ExecScope exec(bc);
     aud.onCallback("sim_core", fc, 99);
-    const std::uint32_t xid = aud.registerCrossing("edge", fc, bc);
-    aud.onCrossing(xid, 99);
 
     EXPECT_EQ(aud.callbacksAudited(), 0u);
-    EXPECT_EQ(aud.crossingsObserved(), 0u);
     EXPECT_EQ(aud.violationCount(), 0u);
-}
-
-TEST(OwnershipAuditor, CrossingsCountButNeverViolate)
-{
-    ScopedChecks armed(true);
-    sim::OwnershipRegistry reg;
-    sim::OwnershipAuditor aud(reg);
-    aud.setFailFast(false);
-
-    int key_fc = 0;
-    int key_bc = 0;
-    const sim::DomainId fc = reg.addDomain("fc", &key_fc);
-    const sim::DomainId bc = reg.addDomain("bc0", &key_bc);
-
-    const std::uint32_t svc = aud.registerCrossing("service", fc, bc);
-    const std::uint32_t inst =
-        aud.registerCrossing("deliver_installs", bc, fc);
-    EXPECT_EQ(aud.crossingCount(), 2u);
-
-    aud.onCrossing(svc, 10);
-    aud.onCrossing(svc, 30);
-    aud.onCrossing(inst, 40);
-
-    EXPECT_EQ(aud.crossing(svc).count, 2u);
-    EXPECT_EQ(aud.crossing(svc).lastTick, 30u);
-    EXPECT_EQ(aud.crossing(inst).count, 1u);
-    EXPECT_EQ(aud.crossingsObserved(), 3u);
-    EXPECT_EQ(aud.violationCount(), 0u);
-
-    // The sweep's crossing accounting cross-check holds.
-    sim::InvariantChecker chk;
-    aud.checkInvariants(chk);
-    EXPECT_EQ(chk.failures(), 0u);
 }
 
 // --------------------------------------------------------------------
@@ -327,18 +291,6 @@ TEST_P(OwnershipGolden, ArmedAuditorIsCleanAndByteIdentical)
         // the audit.
         EXPECT_GT(aud.callbacksAudited(), 0u)
             << gc.name << " at host-jobs " << hj;
-        // Partitioned runs exercise the facade's pre-registered
-        // synchronous crossings; the legacy single-domain run has
-        // none to register.
-        if (hj > 1) {
-            EXPECT_GT(aud.crossingCount(), 0u)
-                << gc.name << " at host-jobs " << hj;
-            EXPECT_GT(aud.crossingsObserved(), 0u)
-                << gc.name << " at host-jobs " << hj;
-        } else {
-            EXPECT_EQ(aud.crossingCount(), 0u) << gc.name;
-        }
-
         // Arming the auditor keeps the golden bytes: its counters
         // live outside the stats tree by design.
         std::ostringstream os;

@@ -156,8 +156,8 @@ statsBatch(unsigned host_jobs)
 /**
  * Smoke test for the shared CLI binding the figure benches (fig9,
  * fig10, table2, ablation) use: --host-jobs must parse and land in
- * SystemConfig::hostJobs, so every bench can drive the partitioned
- * engine without its own flag plumbing.
+ * SystemConfig::hostJobs, so every bench can set the engine's worker
+ * pool without its own flag plumbing.
  */
 TEST(SweepRunner, FabricOptionsPropagateHostJobs)
 {

@@ -21,11 +21,11 @@
  *     (every depth stays far above the peak occupancy any config can
  *     reach, so accept ticks cannot move), and
  *
- *  3. a sweep over --host-jobs values (the conservative parallel
- *     engine, sim::ParallelEngine): partitioned domain execution must
- *     reproduce the single-queue bytes exactly, alone and combined
- *     with the perturbations above (works in any build — the engine
- *     is not gated on checks),
+ *  3. a sweep over --host-jobs values (the worker pool of the
+ *     sim::ParallelEngine every run goes through): inline and
+ *     pool-worker rounds must reproduce the same bytes exactly, alone
+ *     and combined with the perturbations above (works in any build —
+ *     the engine is not gated on checks),
  *
  * and byte-compares the full stats JSON against the committed golden
  * file. Exit 0: every ordering reproduced the goldens. Exit 1: a
@@ -107,25 +107,6 @@ renderRun(const GoldenCase &gc, std::uint64_t tie_seed,
     return os.str();
 }
 
-/** Parse a comma-separated --host-jobs list ("1,2,4"). */
-bool
-parseJobsList(const std::string &value, std::vector<unsigned> *out)
-{
-    out->clear();
-    std::istringstream in(value);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        if (item.empty())
-            return false;
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(item.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || v == 0)
-            return false;
-        out->push_back(static_cast<unsigned>(v));
-    }
-    return !out->empty();
-}
-
 /** Report the first differing byte between @p got and @p want. */
 void
 reportDiff(const std::string &got, const std::string &want)
@@ -176,7 +157,7 @@ main(int argc, char **argv)
                    "comma-separated host-jobs values to sweep "
                    "(default 1; e.g. 1,2,4)",
                    [&jobs_list](const std::string &value) {
-                       return parseJobsList(value, &jobs_list);
+                       return sim::parseUintList(value, &jobs_list);
                    });
     opts.addFlag("list", &list, "print the known case names");
     opts.parseOrExit(argc, argv);
@@ -219,9 +200,9 @@ main(int argc, char **argv)
                 // s == 0 is the unperturbed baseline (also proves the
                 // harness itself reproduces the golden); s >= 1 shakes
                 // the tie-breaking and the channel depths together.
-                // Each host-jobs value reruns the whole ladder: the
-                // partitioned engine must survive every perturbation
-                // the single-queue path does.
+                // Each host-jobs value reruns the whole ladder: a
+                // pool-worker run must survive every perturbation an
+                // inline run does.
                 const std::uint64_t tie = perturb ? s : 0;
                 std::string variant =
                     s == 0 ? std::string("baseline")
