@@ -233,8 +233,6 @@ BacksideController::installEstimate() const
 void
 BacksideController::pageArrived(mem::PageNum page)
 {
-    // Event-queue entry point: must execute in this shard's domain.
-    auditDomain();
     const sim::Ticks now = curTick();
     sim::traceEvent(sim::TracePoint::FlashReadDone, now, kNoCore,
                     pageByteAddr(page));
@@ -307,10 +305,7 @@ BacksideController::finishInstall(const InstallGrant &grant,
         // Lazy drain keeps writes off the read path.
         const sim::Ticks drain_at = now + bcOp() * 4;
         scheduleIn(drain_at > curTick() ? drain_at - curTick() : 0,
-                   [this] {
-                       auditDomain(); // event-queue entry point
-                       drainEvictBuffer(curTick());
-                   });
+                   [this] { drainEvictBuffer(curTick()); });
     }
 
     const sim::Ticks ready = grant.installComplete + bcOp();

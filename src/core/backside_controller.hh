@@ -9,7 +9,7 @@
  * victims in the evict buffer, and writes dirty victims back to flash
  * off the critical path.
  *
- * Single-owner seam (DESIGN.md §16.3): the BC owns the MSR, the evict
+ * Single-owner seam (DESIGN.md §16.1): the BC owns the MSR, the evict
  * buffer, the pending-miss table, and the flash submit path — and
  * nothing else. The page tags, the DRAM model, and the footprint
  * state are fc-owned; whenever the BC needs them (seeding a fetch

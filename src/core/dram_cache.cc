@@ -57,25 +57,24 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
     bcToFcRsp.reserve(shards);
     fcToBcCtl.reserve(shards);
     bcCtls.reserve(shards);
-    // The lookahead manifest, converted from BC-op multiples to
-    // ticks. fc_to_bc and bc_to_flash are fed at skewed core-local
-    // clocks through the FC's synchronous probe, so only bc_to_fc —
-    // pushed exclusively by the arrival event handler — declares
-    // monotone push ticks. The rsp channel mixes probe-clocked acks
-    // with event-clocked install requests and the ctl channel answers
+    // The lookahead manifest (DESIGN.md §14), in BC operations: the
+    // consumer of a fc_to_bc request, bc_to_fc install completion,
+    // bc_to_fc_rsp notice or fc_to_bc_ctl grant spends at least one op
+    // before acting on it; bc_to_flash commands go to the device the
+    // moment the channel accepts them, so that seam declares zero.
+    // fc_to_bc and bc_to_flash are fed at skewed core-local clocks
+    // through the FC's synchronous probe, so only bc_to_fc — pushed
+    // exclusively by the arrival event handler — declares monotone
+    // push ticks. The rsp channel mixes probe-clocked acks with
+    // event-clocked install requests and the ctl channel answers
     // them, so neither declares monotonicity.
     const sim::ClockDomain clk(cfg.controllerFreqHz);
     const sim::Ticks op = clk.cycles(cfg.bc.cyclesPerOp);
-    const sim::ChannelContract miss_contract{
-        op * cfg.channels.fcToBcMinLatencyOps, false};
-    const sim::ChannelContract flash_contract{
-        op * cfg.channels.bcToFlashMinLatencyOps, false};
-    const sim::ChannelContract install_contract{
-        op * cfg.channels.bcToFcMinLatencyOps, true};
-    const sim::ChannelContract rsp_contract{
-        op * cfg.channels.bcToFcRspMinLatencyOps, false};
-    const sim::ChannelContract ctl_contract{
-        op * cfg.channels.fcToBcCtlMinLatencyOps, false};
+    const sim::ChannelContract miss_contract{op, false};
+    const sim::ChannelContract flash_contract{0, false};
+    const sim::ChannelContract install_contract{op, true};
+    const sim::ChannelContract rsp_contract{op, false};
+    const sim::ChannelContract ctl_contract{op, false};
     for (std::uint32_t i = 0; i < shards; ++i) {
         const std::string tag = shardTag(i);
         fcToBc.push_back(
@@ -107,25 +106,6 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
             *fcToBcCtl[i], shardSlice(cfg.bc.msrSets, shards, i),
             cfg.bc.msrEntriesPerSet,
             shardSlice(cfg.bc.evictBufferEntries, shards, i)));
-    }
-
-    // Ownership declarations (DESIGN.md §16). Every structure and
-    // channel endpoint belongs to the domain owning @p eq, the
-    // system's one domain.
-    if (sim::OwnershipAuditor *aud = sim::OwnershipAuditor::current()) {
-        sim::OwnershipRegistry &own = aud->registry();
-        const sim::DomainId dom = own.domainOf(&eq);
-        own.declareComponent(SimObject::name() + ".fc", dom);
-        own.declareComponent(SimObject::name() + ".dram", dom);
-        own.declareComponent(SimObject::name() + ".tags", dom);
-        own.declareComponent(SimObject::name() + ".footprint", dom);
-        for (std::uint32_t i = 0; i < shards; ++i) {
-            fcToBc[i]->declareEndpoints(dom, dom);
-            bcToFlash[i]->declareEndpoints(dom, dom);
-            bcToFc[i]->declareEndpoints(dom, dom);
-            bcToFcRsp[i]->declareEndpoints(dom, dom);
-            fcToBcCtl[i]->declareEndpoints(dom, dom);
-        }
     }
 
     // Each controller drains its own inbound channels.

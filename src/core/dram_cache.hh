@@ -22,8 +22,7 @@
  * (shardSlice(), checked at construction to sum exactly to the
  * configured totals). The facade owns the fc-side shared structures
  * (DRAM device, tag array, footprint masks), constructs the channels
- * and the controllers on the system's one event queue (one ownership
- * domain; nothing crosses a domain boundary), and wires each
+ * and the controllers on the system's one event queue, and wires each
  * controller to drain its OWN inbound channels — the facade itself
  * pumps nothing and makes no synchronous controller-to-controller
  * calls (the ownership report's sync-facade-call count is zero). It
@@ -58,7 +57,6 @@
 #include "mem/set_assoc_cache.hh"
 #include "sim/bounded_channel.hh"
 #include "sim/invariant.hh"
-#include "sim/ownership.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 

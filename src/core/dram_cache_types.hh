@@ -61,30 +61,6 @@ struct ChannelConfig {
     /** FC→BC install-grant channel. */
     std::uint32_t fcToBcCtlDepth = 65536;
 
-    /**
-     * Lookahead manifest (DESIGN.md §14): each channel's declared
-     * minimum push-to-consume latency, in BC operations
-     * (BcConfig::cyclesPerOp at the controller clock), certified at
-     * runtime by sim::CausalityAuditor and inherited as conservative
-     * lookahead by the future parallel engine.
-     *
-     * - fc_to_bc: the BC spends at least one op dequeuing a request
-     *   before acting on it.
-     * - bc_to_flash: commands issue the moment the channel accepts
-     *   them (the facade's pump runs in the same call chain), so the
-     *   seam honestly declares zero lookahead.
-     * - bc_to_fc: an install completion is consumed no earlier than
-     *   the install's trailing BC op after the arrival event that
-     *   pushed it.
-     * - bc_to_fc_rsp / fc_to_bc_ctl: acks, install requests, and
-     *   install grants each cost the consumer at least one op before
-     *   it acts.
-     */
-    std::uint32_t fcToBcMinLatencyOps = 1;
-    std::uint32_t bcToFlashMinLatencyOps = 0;
-    std::uint32_t bcToFcMinLatencyOps = 1;
-    std::uint32_t bcToFcRspMinLatencyOps = 1;
-    std::uint32_t fcToBcCtlMinLatencyOps = 1;
 };
 
 /** DRAM cache parameters. */

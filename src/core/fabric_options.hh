@@ -8,8 +8,6 @@
  *   --bc-shards=N       backside-controller shards
  *   --flash-devices=M   flash devices behind the fabric
  *   --flash-backend=K   concrete device model ("ftl" or "zns")
- *   --host-jobs=N       host worker threads per run (engine pool;
- *                       stats byte-identical at any N)
  *
  * This helper holds the parsed values (defaulted from the config
  * structs so the flags are optional), registers the flags on a
@@ -31,16 +29,14 @@
 
 namespace astriflash::core {
 
-/** Parsed --bc-shards / --flash-devices / --flash-backend /
- *  --host-jobs values. */
+/** Parsed --bc-shards / --flash-devices / --flash-backend values. */
 struct FabricOptions {
     std::uint32_t bcShards = BcConfig{}.shards;
     std::uint32_t flashDevices = flash::FlashFabricConfig{}.devices;
     flash::BackendKind flashBackend =
         flash::FlashFabricConfig{}.backend;
-    std::uint32_t hostJobs = SystemConfig{}.hostJobs;
 
-    /** Register the four flags on @p opts. */
+    /** Register the three flags on @p opts. */
     void
     addTo(sim::OptionParser &opts)
     {
@@ -54,9 +50,6 @@ struct FabricOptions {
             [this](const std::string &value) {
                 return flash::parseBackendKind(value, &flashBackend);
             });
-        opts.addUint32("host-jobs", &hostJobs,
-                       "host worker threads per run (1 = rounds run "
-                       "inline; stats identical at any N)");
     }
 
     /** Copy the parsed values into @p cfg. */
@@ -66,7 +59,6 @@ struct FabricOptions {
         cfg.dramCache.bc.shards = bcShards;
         cfg.dramCache.fabric.devices = flashDevices;
         cfg.dramCache.fabric.backend = flashBackend;
-        cfg.hostJobs = hostJobs == 0 ? 1 : hostJobs;
     }
 };
 

@@ -9,7 +9,7 @@
  * 1-cycle-per-op FSM; everything slower (MSR dedup, flash issue) lives
  * behind the channels in the backside controller.
  *
- * Single-owner seam (DESIGN.md §16.3): the FC owns the tag array, the
+ * Single-owner seam (DESIGN.md §16.1): the FC owns the tag array, the
  * DRAM device model, and the footprint masks — the three structures
  * the pre-split backside mutated by reference (the retired AF022
  * baseline entries). Backside reads of them became message fields:

@@ -46,7 +46,6 @@ SimCore::pageReady(mem::PageNum page, sim::Ticks when)
     scheduleIn(
         delta,
         [this, page] {
-            auditDomain(); // event-queue entry point
             sched.pageReady(page, curTick());
             kick();
         },
@@ -243,8 +242,6 @@ SimCore::completeJob(sim::Ticks t)
 void
 SimCore::run()
 {
-    // Event-queue entry point: cores execute in the frontside domain.
-    auditDomain();
     idle = false;
     const SystemConfig &cfg = sys.config();
     // Never restart behind the local cursor: the core was busy

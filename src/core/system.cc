@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/trace_events.hh"
 
 namespace astriflash::core {
 
@@ -15,12 +14,6 @@ System::System(const SystemConfig &config) : cfg(config)
     // exact production order, and nonzero seeds are fatal unless the
     // hook is compiled in.
     eq.setTiePerturbation(cfg.tieBreakSeed);
-    // The one domain owns the one queue: FC, BC shards, cores,
-    // arrivals and the (passive) flash fabric all execute on it.
-    ownership.addDomain("fc", &eq);
-    // SimObjects constructed anywhere below resolve their owning
-    // domain from the queue they schedule on and declare themselves.
-    sim::OwnershipAuditor::Scope own_scope(ownAuditor);
     {
         // Channels built anywhere below self-register with this
         // system's auditor.
@@ -120,9 +113,6 @@ System::registerInvariants()
     });
     invariants.add("causality", [this](sim::InvariantChecker &chk) {
         auditor.checkInvariants(chk);
-    });
-    invariants.add("ownership", [this](sim::InvariantChecker &chk) {
-        ownAuditor.checkInvariants(chk);
     });
     for (std::size_t c = 0; c < cores.size(); ++c) {
         SimCore *core = cores[c].get();
@@ -462,20 +452,10 @@ System::run()
     if (arrivals)
         scheduleNextArrival();
 
-    // The one event loop: the engine drives the system's one queue as
-    // its single domain "fc" (DESIGN.md §15). With one exec group
-    // nothing crosses a domain, so stats are byte-identical at every
-    // hostJobs; above 1 the round runs on one pool worker.
-    sim::ParallelEngine::Config ec;
-    ec.hostJobs = cfg.hostJobs;
-    // The stop condition is read only at barriers, so the round budget
-    // fixes where a run ends; the goldens pin this boundary.
-    ec.roundEvents = 20000;
-    sim::ParallelEngine engine(ec);
-    // Publish the executing domain thread-locally while the engine
-    // runs so instrumented callbacks can certify their ownership.
-    engine.setOwnership(&ownAuditor);
-    engine.addDomain("fc", eq, 0);
+    // The one event loop (DESIGN.md §15). The stop condition is read
+    // only between rounds, so the round budget fixes where a run ends;
+    // the goldens pin this boundary.
+    sim::ParallelEngine engine(eq, 20000);
 
     // Invariant sweeps run between rounds, never from scheduled
     // events: a recurring event would keep the queue non-empty and
@@ -486,19 +466,12 @@ System::run()
         return phase == Phase::Done ||
                eq.curTick() >= cfg.maxSimTicks;
     };
-    hooks.atBarrier = [this, &next_check](sim::Ticks) {
+    hooks.atBarrier = [this, &next_check](sim::Ticks now) {
         if (sim::checksEnabled() && cfg.invariantInterval > 0 &&
-            eq.curTick() >= next_check) {
-            invariants.checkAll(eq.curTick());
-            next_check = eq.curTick() + cfg.invariantInterval;
+            now >= next_check) {
+            invariants.checkAll(now);
+            next_check = now + cfg.invariantInterval;
         }
-    };
-    // A pool worker executes this system's events on the run owner's
-    // behalf; route its trace emissions into the owner's ring
-    // (--trace drains it after run()).
-    sim::Tracer *trace_sink = &sim::Tracer::instance();
-    hooks.workerInit = [trace_sink] {
-        sim::Tracer::redirectThread(trace_sink);
     };
     engine.run(hooks);
     engineStatsData = engine.stats();

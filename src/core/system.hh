@@ -25,7 +25,6 @@
 #include "sim/causality.hh"
 #include "sim/event_queue.hh"
 #include "sim/invariant.hh"
-#include "sim/ownership.hh"
 #include "sim/parallel_engine.hh"
 #include "sim/stats.hh"
 #include "workload/workload.hh"
@@ -134,30 +133,6 @@ class System
     }
 
     /**
-     * Domain-ownership vocabulary (DESIGN.md §16): the one domain
-     * "fc", which owns the single event queue every component runs
-     * on, plus every component and channel-endpoint declaration made
-     * against it.
-     */
-    sim::OwnershipRegistry &ownershipRegistry() { return ownership; }
-    const sim::OwnershipRegistry &ownershipRegistry() const
-    {
-        return ownership;
-    }
-
-    /**
-     * Ownership auditor certifying that instrumented callbacks run
-     * only in their owning domain. Armed with the checks gate;
-     * registered as the "ownership" invariant component. Counters are
-     * NOT in the stats tree (same rule as the causality auditor).
-     */
-    sim::OwnershipAuditor &ownershipAuditor() { return ownAuditor; }
-    const sim::OwnershipAuditor &ownershipAuditor() const
-    {
-        return ownAuditor;
-    }
-
-    /**
      * Replace the built-in generators with an external job source
      * (e.g. a workload::TraceReader). Must be set before run(); the
      * source is shared across cores and called in a deterministic
@@ -173,11 +148,10 @@ class System
     std::uint64_t eventsExecuted() const { return eq.executed(); }
 
     /**
-     * Engine telemetry from the last run() (zeroes before the first).
-     * Every run is one domain in one exec group, so groups == 1 and
-     * the round structure is the same at every hostJobs. Deliberately
-     * NOT in the stats tree: host-parallelism bookkeeping must never
-     * move golden bytes, the same rule the causality auditor follows.
+     * Run-loop telemetry from the last run() (zeroes before the
+     * first): rounds and events executed. Deliberately NOT in the
+     * stats tree: host bookkeeping must never move golden bytes, the
+     * same rule the causality auditor follows.
      */
     const sim::ParallelEngine::Stats &
     engineStats() const
@@ -239,10 +213,6 @@ class System
     /** Declared before the event queue and every channel owner so it
      *  outlives all components that hold hooks into it. */
     sim::CausalityAuditor auditor;
-    /** Ownership vocabulary + runtime auditor, declared before the
-     *  queues and components for the same lifetime reason. */
-    sim::OwnershipRegistry ownership;
-    sim::OwnershipAuditor ownAuditor{ownership};
     sim::EventQueue eq;
     sim::ParallelEngine::Stats engineStatsData;
 

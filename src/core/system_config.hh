@@ -110,12 +110,9 @@ struct SystemConfig {
     std::uint64_t tieBreakSeed = 0;
 
     /**
-     * Host worker threads for one run (--host-jobs). Every run drives
-     * the system's one event queue through sim::ParallelEngine as a
-     * single domain; 1 (the default) executes each round inline, > 1
-     * executes it on one pool worker (the engine clamps workers to
-     * its one exec group). Stats are byte-identical at every value by
-     * construction and gated by the goldens (DESIGN.md §15).
+     * No-op, kept only because the host-time benchmark still sets it
+     * (bench/astribench). Every run executes on the calling thread
+     * whatever its value (DESIGN.md §19).
      */
     unsigned hostJobs = 1;
 

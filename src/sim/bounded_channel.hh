@@ -27,11 +27,9 @@
 #define ASTRIFLASH_SIM_BOUNDED_CHANNEL_HH
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,7 +37,6 @@
 #include "causality.hh"
 #include "invariant.hh"
 #include "logging.hh"
-#include "ownership.hh"
 #include "stats.hh"
 #include "ticks.hh"
 
@@ -103,41 +100,13 @@ class BoundedChannel
     /** Declared determinism contract. */
     const ChannelContract &contract() const { return channelContract; }
 
-    /**
-     * Declare the endpoint domains alongside the ChannelContract
-     * (DESIGN.md §16): messages are pushed from @p producer and
-     * consumed in @p consumer. Reported to the attached
-     * OwnershipAuditor's registry so the channel seam is enumerable
-     * in the domain-coupling report.
-     */
-    void
-    declareEndpoints(DomainId producer, DomainId consumer)
-    {
-        producerDomain = producer;
-        consumerDomain = consumer;
-        if (OwnershipAuditor *a = OwnershipAuditor::current())
-            a->registry().declareChannel(chName, producer, consumer);
-    }
-
-    /** Declared producer domain (kNoDomain if undeclared). */
-    DomainId producerEndpoint() const { return producerDomain; }
-
-    /** Declared consumer domain (kNoDomain if undeclared). */
-    DomainId consumerEndpoint() const { return consumerDomain; }
-
     /** Messages pushed but not yet popped. */
-    bool
-    empty() const
-    {
-        std::lock_guard<std::mutex> lk(chMu);
-        return waiting.empty();
-    }
+    bool empty() const { return waiting.empty(); }
 
     /** Slots still owned by in-flight transactions at @p now. */
     std::uint32_t
     inFlight(Ticks now) const
     {
-        std::lock_guard<std::mutex> lk(chMu);
         std::size_t busy = waiting.size();
         for (const Ticks t : busyUntil) {
             if (t > now)
@@ -148,21 +117,6 @@ class BoundedChannel
 
     /** Backpressure signal: would a push at @p now stall? */
     bool wouldStall(Ticks now) const { return inFlight(now) >= cap; }
-
-    /**
-     * Stamp watermark: accept tick of the oldest un-popped message,
-     * or kTickNever when the channel is idle. Lock-free — a single
-     * atomic load — so a domain scheduler (sim::ParallelEngine
-     * horizon computation) on another host thread can read "earliest
-     * undelivered stamp" without taking the channel's mutation path.
-     * Combined with the declared lookahead it bounds the earliest
-     * consumer-side work this channel can still cause.
-     */
-    Ticks
-    stampWatermark() const
-    {
-        return watermark.load(std::memory_order_acquire);
-    }
 
     /**
      * Enqueue @p msg at @p now.
@@ -176,8 +130,6 @@ class BoundedChannel
     push(Msg msg, Ticks now)
     {
         Ticks accept = now;
-        {
-        std::lock_guard<std::mutex> lk(chMu);
         prune(now);
         const std::size_t occ = busyUntil.size() + waiting.size();
         if (occ >= cap) {
@@ -206,11 +158,10 @@ class BoundedChannel
             statsData.peakOccupancy = live;
         const std::uint64_t seq = ++lastSeq;
         waiting.push_back(Stamped{std::move(msg), now, accept, seq});
-        publishWatermark();
         if (auditor)
             auditor->onPush(auditId, seq, now, accept);
-        }
-        // The drain hook runs unlocked: it re-enters this channel.
+        // The consumer drains synchronously; the hook re-enters this
+        // channel.
         if (drainHook)
             drainHook();
         return accept;
@@ -220,10 +171,6 @@ class BoundedChannel
     Stamped &
     front()
     {
-        // The returned reference stays valid and unwritten under
-        // concurrent pushes: deque push_back never moves elements and
-        // only the (single) consumer pops.
-        std::lock_guard<std::mutex> lk(chMu);
         ASTRI_ASSERT_MSG(!waiting.empty(), "%s: front() on empty",
                          chName.c_str());
         return waiting.front();
@@ -232,7 +179,6 @@ class BoundedChannel
     const Stamped &
     front() const
     {
-        std::lock_guard<std::mutex> lk(chMu);
         ASTRI_ASSERT_MSG(!waiting.empty(), "%s: front() on empty",
                          chName.c_str());
         return waiting.front();
@@ -249,7 +195,6 @@ class BoundedChannel
     void
     dropFront(Ticks consumed_at, Ticks release_at)
     {
-        std::lock_guard<std::mutex> lk(chMu);
         ASTRI_ASSERT_MSG(!waiting.empty(), "%s: dropFront() on empty",
                          chName.c_str());
         if (auditor) {
@@ -258,7 +203,6 @@ class BoundedChannel
                                s.acceptedAt, consumed_at);
         }
         waiting.pop_front();
-        publishWatermark();
         statsData.pops.inc();
         busyUntil.push_back(release_at);
     }
@@ -296,7 +240,6 @@ class BoundedChannel
     void
     resetStats()
     {
-        std::lock_guard<std::mutex> lk(chMu);
         statsData.pushes.reset();
         statsData.pushes.inc(waiting.size());
         statsData.pops.reset();
@@ -332,7 +275,6 @@ class BoundedChannel
     void
     checkInvariants(InvariantChecker &chk) const
     {
-        std::lock_guard<std::mutex> lk(chMu);
         SIM_INVARIANT_MSG(chk,
                           statsData.pushes.value() ==
                               statsData.pops.value() + waiting.size(),
@@ -375,14 +317,6 @@ class BoundedChannel
         SIM_INVARIANT(chk,
                       statsData.peakOccupancy <=
                           statsData.pushes.value());
-        SIM_INVARIANT_MSG(chk,
-                          stampWatermark() ==
-                              (waiting.empty()
-                                   ? kTickNever
-                                   : waiting.front().acceptedAt),
-                          "%s: stamp watermark out of sync with the "
-                          "queue front",
-                          chName.c_str());
     }
 
   private:
@@ -394,33 +328,14 @@ class BoundedChannel
                       [now](Ticks t) { return t <= now; });
     }
 
-    /** Mirror the front stamp after every queue mutation. */
-    void
-    publishWatermark()
-    {
-        watermark.store(waiting.empty() ? kTickNever
-                                        : waiting.front().acceptedAt,
-                        std::memory_order_release);
-    }
-
     std::string chName;
     std::uint32_t cap;
     ChannelContract channelContract;
     CausalityAuditor *auditor = nullptr;
     std::uint32_t auditId = 0;
-    DomainId producerDomain = kNoDomain;
-    DomainId consumerDomain = kNoDomain;
     std::uint64_t lastSeq = 0;
     std::deque<Stamped> waiting;    ///< Pushed, not yet popped.
     std::vector<Ticks> busyUntil;   ///< Popped slots' release ticks.
-    /**
-     * Guards every queue/stat mutation and read, so a channel stays
-     * safe to touch from whichever engine worker runs its exec group
-     * while another thread reads it. The drain hook is invoked
-     * outside it.
-     */
-    mutable std::mutex chMu;
-    std::atomic<Ticks> watermark{kTickNever};
     DrainHook drainHook;
     Stats statsData;
 };

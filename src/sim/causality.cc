@@ -33,7 +33,6 @@ std::uint32_t
 CausalityAuditor::registerChannel(std::string name,
                                   ChannelContract contract)
 {
-    std::lock_guard<std::mutex> lk(mu);
     ChannelState st;
     st.name = std::move(name);
     st.contract = contract;
@@ -68,7 +67,6 @@ CausalityAuditor::onPush(std::uint32_t ch, std::uint64_t seq,
 {
     if (!checksEnabled())
         return;
-    std::lock_guard<std::mutex> lk(mu);
     ChannelState &st = channels[ch];
     ++st.sends;
     ++sendsAuditedCount;
@@ -112,7 +110,6 @@ CausalityAuditor::onDeliver(std::uint32_t ch, std::uint64_t seq,
 {
     if (!checksEnabled())
         return;
-    std::lock_guard<std::mutex> lk(mu);
     ChannelState &st = channels[ch];
     ++st.deliveries;
     ++deliveriesAuditedCount;
@@ -139,8 +136,7 @@ CausalityAuditor::onDeliver(std::uint32_t ch, std::uint64_t seq,
     }
     // The lookahead certificate: the consumer never observes a
     // message earlier than its push tick plus the declared channel
-    // latency, so a conservative parallel engine could lag the
-    // producer by minLatency without missing anything.
+    // latency.
     const Ticks horizon = pushed_at + st.contract.minLatency;
     if (consumed_at < horizon) {
         violation(st.name,
@@ -165,7 +161,6 @@ CausalityAuditor::onDeliver(std::uint32_t ch, std::uint64_t seq,
 void
 CausalityAuditor::checkInvariants(InvariantChecker &chk) const
 {
-    std::lock_guard<std::mutex> lk(mu);
     for (const Violation &v : out) {
         chk.fail(__FILE__, __LINE__,
                  detail::format("%s at tick %llu: %s",

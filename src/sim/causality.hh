@@ -11,9 +11,8 @@
  *
  *  - FIFO delivery: messages are consumed in push order.
  *  - Stamp sanity: accept >= push, consume >= accept.
- *  - Lookahead: consume >= push + minLatency. This is the quantity a
- *    future conservative parallel engine (Chandy–Misra) would rely on
- *    to run the consumer ahead of the producer by up to minLatency.
+ *  - Lookahead: consume >= push + minLatency, the declared minimum
+ *    latency of the modeled hardware queue.
  *  - Declared monotonicity: a channel whose producers are event
  *    handlers (never skewed core-local clocks) must see non-
  *    decreasing push ticks.
@@ -32,7 +31,6 @@
 #define ASTRIFLASH_SIM_CAUSALITY_HH
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -114,7 +112,6 @@ class CausalityAuditor
     {
         if (!checksEnabled())
             return;
-        std::lock_guard<std::mutex> lk(mu);
         ++eventsAuditedCount;
         if (when < now) {
             violation("eq",
@@ -172,13 +169,6 @@ class CausalityAuditor
     void violation(const std::string &channel, std::string detail,
                    Ticks tick);
 
-    /**
-     * Serializes the audit hooks: an armed multi-group engine run
-     * calls onPush from the producer group's worker and onDeliver
-     * from the consumer group's, concurrently. Auditor state is
-     * outside the stats tree, so the lock cannot perturb goldens.
-     */
-    mutable std::mutex mu;
     std::vector<ChannelState> channels;
     std::vector<Violation> out;
     std::uint64_t sendsAuditedCount = 0;

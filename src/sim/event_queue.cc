@@ -33,46 +33,13 @@ EventQueue::setTiePerturbation(std::uint64_t seed)
     tieSeed = seed;
 }
 
-void
-EventQueue::joinGroup(EventQueueGroup &group)
-{
-    ASTRI_ASSERT_MSG(heap.empty() && executedCount == 0,
-                     "joinGroup() on a queue that already ran");
-    clk = &group.now;
-    seqCtr = &group.nextSeq;
-}
-
-bool
-EventQueue::headKey(HeadKey &out)
-{
-    while (!heap.empty()) {
-        const Node &top = heap.front();
-        if (slots[top.slot].cancelled) {
-            const Node dead = heapPop();
-            releaseSlot(dead.slot);
-            --cancelledCount;
-            continue;
-        }
-        out.when = top.when;
-        out.prio = top.prio;
-#if ASTRIFLASH_CHECKS_ENABLED
-        out.tie = top.tie;
-#else
-        out.tie = top.seq;
-#endif
-        out.seq = top.seq;
-        return true;
-    }
-    return false;
-}
-
 EventId
 EventQueue::schedule(Ticks when, Callback fn, EventPriority prio)
 {
-    ASTRI_ASSERT_MSG(when >= *clk,
+    ASTRI_ASSERT_MSG(when >= now,
                      "scheduling into the past: when=%llu now=%llu",
                      static_cast<unsigned long long>(when),
-                     static_cast<unsigned long long>(*clk));
+                     static_cast<unsigned long long>(now));
     std::uint32_t slot;
     if (!freeSlots.empty()) {
         slot = freeSlots.back();
@@ -87,7 +54,7 @@ EventQueue::schedule(Ticks when, Callback fn, EventPriority prio)
     s.fn = std::move(fn);
     s.busy = true;
     s.cancelled = false;
-    const std::uint64_t seq = (*seqCtr)++;
+    const std::uint64_t seq = (nextSeq)++;
 #if ASTRIFLASH_CHECKS_ENABLED
     // Seed 0 keeps tie == seq, bit-for-bit the unperturbed order.
     const std::uint64_t tie = tieSeed ? mix64(seq ^ tieSeed) : seq;
@@ -189,10 +156,10 @@ EventQueue::runUntil(Ticks limit)
         if (top.when > limit)
             break;
         const Node node = heapPop();
-        ASTRI_ASSERT(node.when >= *clk);
+        ASTRI_ASSERT(node.when >= now);
         if (auditor)
-            auditor->onEventFired(*clk, node.when);
-        *clk = node.when;
+            auditor->onEventFired(now, node.when);
+        now = node.when;
         // Move the callback out and release the slot *before* running:
         // the callback may schedule (reusing this slot) or grow the
         // slot table, either of which would invalidate an in-place
@@ -219,10 +186,10 @@ EventQueue::runSteps(std::uint64_t max_events)
             continue;
         }
         const Node node = heapPop();
-        ASTRI_ASSERT(node.when >= *clk);
+        ASTRI_ASSERT(node.when >= now);
         if (auditor)
-            auditor->onEventFired(*clk, node.when);
-        *clk = node.when;
+            auditor->onEventFired(now, node.when);
+        now = node.when;
         Callback fn = std::move(slots[node.slot].fn);
         releaseSlot(node.slot);
         ++executedCount;
@@ -275,15 +242,15 @@ EventQueue::checkInvariants(InvariantChecker &chk) const
                           n.slot < slots.size() && slots[n.slot].busy,
                           "heap node %zu references dead slot %u", i,
                           n.slot);
-        SIM_INVARIANT_MSG(chk, n.seq < *seqCtr,
+        SIM_INVARIANT_MSG(chk, n.seq < nextSeq,
                           "heap node seq %llu outside issued range",
                           static_cast<unsigned long long>(n.seq));
         // Time only advances to the earliest pending node, so nothing
         // in the heap (tombstones included) may lie in the past.
-        SIM_INVARIANT_MSG(chk, n.when >= *clk,
+        SIM_INVARIANT_MSG(chk, n.when >= now,
                           "heap node at %llu lies before now %llu",
                           static_cast<unsigned long long>(n.when),
-                          static_cast<unsigned long long>(*clk));
+                          static_cast<unsigned long long>(now));
         if (i > 0) {
             const Node &parent = heap[(i - 1) / 2];
             SIM_INVARIANT_MSG(chk, !later(parent, n),

@@ -43,22 +43,6 @@ class CausalityAuditor;
  */
 using EventId = std::uint64_t;
 
-/**
- * Shared clock and sequence state for a group of queues executed in
- * one merged global order (sim::ParallelEngine exec groups).
- *
- * Queues that join a group read and advance the *same* current tick
- * and draw insertion sequence numbers from the *same* counter, so a
- * merged execution of N member queues assigns exactly the clock values
- * and tie-break keys a single queue holding every event would have —
- * the property the host-jobs byte-identity gate rests on
- * (DESIGN.md §15).
- */
-struct EventQueueGroup {
-    Ticks now = 0;
-    std::uint64_t nextSeq = 1;
-};
-
 /** Sentinel returned for an event that could not be scheduled. */
 inline constexpr EventId kInvalidEventId = 0;
 
@@ -91,48 +75,7 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
-    Ticks curTick() const { return *clk; }
-
-    /**
-     * Share clock and sequence state with @p group (see
-     * EventQueueGroup). Must be called before anything is scheduled:
-     * a queue that already issued sequence numbers from its own
-     * counter cannot merge tie-break spaces retroactively.
-     */
-    void joinGroup(EventQueueGroup &group);
-
-    /** Sort key of the live head event, matching the internal
-     *  comparator: ascending (when, prio, tie, seq). */
-    struct HeadKey {
-        Ticks when;
-        std::int32_t prio;
-        std::uint64_t tie;
-        std::uint64_t seq;
-
-        bool
-        operator<(const HeadKey &o) const
-        {
-            if (when != o.when)
-                return when < o.when;
-            if (prio != o.prio)
-                return prio < o.prio;
-            if (tie != o.tie)
-                return tie < o.tie;
-            return seq < o.seq;
-        }
-    };
-
-    /**
-     * Key of the earliest runnable event, reaping any cancelled nodes
-     * that surface on the way. @return false if the queue is empty.
-     * The engine's merge loop pairs this with runSteps(1): the node
-     * headKey() described is exactly the node runSteps pops next.
-     */
-    bool headKey(HeadKey &out);
-
-    /** Identity of the clock/sequence state this queue uses; equal
-     *  for queues joined to the same EventQueueGroup. */
-    const void *groupKey() const { return clk; }
+    Ticks curTick() const { return now; }
 
     /**
      * Schedule @p fn to run at absolute time @p when.
@@ -150,7 +93,7 @@ class EventQueue
     scheduleIn(Ticks delta, Callback fn,
                EventPriority prio = EventPriority::Default)
     {
-        return schedule(*clk + delta, std::move(fn), prio);
+        return schedule(now + delta, std::move(fn), prio);
     }
 
     /**
@@ -303,17 +246,8 @@ class EventQueue
                cancelledCount * kCompactDenominator > heap.size();
     }
 
-    /**
-     * Clock and sequence counter. Standalone queues (the default) use
-     * their own storage; queues merged into an exec group point both
-     * at the shared EventQueueGroup so every member sees one global
-     * clock and one tie-break sequence space. One extra indirection on
-     * the schedule/run paths; kernel_bench showed it in the noise.
-     */
-    EventQueueGroup ownState;
-    Ticks *clk = &ownState.now;
-    std::uint64_t *seqCtr = &ownState.nextSeq;
-
+    Ticks now = 0;
+    std::uint64_t nextSeq = 1; ///< Next insertion sequence number.
     std::uint64_t tieSeed = 0;
     CausalityAuditor *auditor = nullptr;
     std::uint64_t executedCount = 0;

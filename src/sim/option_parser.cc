@@ -1,10 +1,7 @@
 #include "option_parser.hh"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
-#include <sstream>
 
 namespace astriflash::sim {
 
@@ -181,28 +178,6 @@ OptionParser::usage() const
     }
     out += "  --help                  show this message\n";
     return out;
-}
-
-bool
-parseUintList(const std::string &value, std::vector<unsigned> *out)
-{
-    out->clear();
-    std::istringstream in(value);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-        // strtoull alone would accept " 4", "+4" and "-1" (wrapped).
-        if (item.empty() ||
-            !std::isdigit(static_cast<unsigned char>(item[0])))
-            return false;
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(item.c_str(), &end, 10);
-        if (*end != '\0' || v == 0 ||
-            v > std::numeric_limits<unsigned>::max())
-            return false;
-        out->push_back(static_cast<unsigned>(v));
-    }
-    // getline drops a trailing empty item ("1,2,"); reject it too.
-    return !out->empty() && value.back() != ',';
 }
 
 } // namespace astriflash::sim

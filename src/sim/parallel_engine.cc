@@ -1,371 +1,32 @@
 #include "parallel_engine.hh"
 
-#include <algorithm>
-
 #include "logging.hh"
 
 namespace astriflash::sim {
 
-namespace {
-
-/** Saturating tick addition: never wraps past kTickNever. */
-Ticks
-satAdd(Ticks a, Ticks b)
+ParallelEngine::ParallelEngine(EventQueue &queue,
+                               std::uint64_t round_events)
+    : q(queue), roundEvents(round_events)
 {
-    return a > kTickNever - b ? kTickNever : a + b;
-}
-
-} // namespace
-
-ParallelEngine::ParallelEngine(Config cfg_) : cfg(cfg_)
-{
-    if (cfg.roundEvents == 0)
-        ASTRI_FATAL("parallel engine needs roundEvents >= 1");
-}
-
-ParallelEngine::DomainId
-ParallelEngine::addDomain(std::string name, EventQueue &queue,
-                          GroupId group)
-{
-    ASTRI_ASSERT_MSG(!prepared, "addDomain() after run()");
-    const auto id = static_cast<DomainId>(domains.size());
-    domains.push_back(Domain{std::move(name), &queue, group, {}, 0,
-                             kTickNever, 0});
-    return id;
-}
-
-void
-ParallelEngine::addLink(DomainId src, DomainId dst, Ticks lookahead,
-                        std::function<Ticks()> watermark)
-{
-    ASTRI_ASSERT_MSG(!prepared, "addLink() after run()");
-    ASTRI_ASSERT(src < domains.size() && dst < domains.size());
-    domains[dst].inbound.push_back(
-        Link{src, lookahead, std::move(watermark), false});
-}
-
-void
-ParallelEngine::post(DomainId src, DomainId dst, Ticks when,
-                     EventQueue::Callback fn, EventPriority prio)
-{
-    ASTRI_ASSERT(src < domains.size() && dst < domains.size());
-    // postSeq is only ever touched by the worker currently executing
-    // src's group, so it needs no lock of its own.
-    const std::uint64_t seq = ++domains[src].postSeq;
-    std::lock_guard<std::mutex> lk(postMu);
-    mailbox.push_back(Post{when, static_cast<std::int32_t>(prio), src,
-                           dst, seq, std::move(fn)});
-}
-
-void
-ParallelEngine::prepare()
-{
-    ASTRI_ASSERT_MSG(!domains.empty(),
-                     "parallel engine has no domains");
-    // Groups ordered by id so round dispatch is deterministic.
-    std::vector<GroupId> ids;
-    for (const Domain &d : domains)
-        ids.push_back(d.group);
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (const GroupId gid : ids) {
-        Group g;
-        g.id = gid;
-        for (DomainId d = 0; d < domains.size(); ++d) {
-            if (domains[d].group == gid)
-                g.members.push_back(d);
-        }
-        groups.push_back(std::move(g));
-    }
-
-    for (const Group &g : groups) {
-        // A multi-member group is executed as one K-way merge over
-        // its queues; that is only bit-identical to a single queue if
-        // the members share clock and sequence state.
-        for (const DomainId m : g.members) {
-            if (domains[m].q->groupKey() !=
-                domains[g.members[0]].q->groupKey()) {
-                ASTRI_FATAL("domains '%s' and '%s' share exec group "
-                            "%u but not an EventQueueGroup",
-                            domains[g.members[0]].name.c_str(),
-                            domains[m].name.c_str(), g.id);
-            }
-        }
-    }
-
-    // Resolve each domain's ownership-registry id from its queue so
-    // runGroupRound can publish it while executing (DESIGN.md §16).
-    if (ownershipAuditor) {
-        for (Domain &d : domains)
-            d.ownerTag = ownershipAuditor->registry().domainOf(d.q);
-    }
-
-    for (Domain &d : domains) {
-        for (Link &l : d.inbound) {
-            l.crossGroup = domains[l.src].group != d.group;
-            // A zero-lookahead cross-group cycle would let two groups
-            // execute the same tick concurrently while exchanging
-            // messages at that tick; require strictly positive
-            // lookahead so the horizon fixpoint always advances.
-            if (l.crossGroup && l.lookahead == 0) {
-                ASTRI_FATAL("cross-group link %s -> %s needs "
-                            "lookahead > 0",
-                            domains[l.src].name.c_str(),
-                            d.name.c_str());
-            }
-        }
-    }
-    prepared = true;
-}
-
-void
-ParallelEngine::computeHorizons()
-{
-    // Null-message fixpoint on committed clocks: c[d] starts at d's
-    // next local event and is relaxed through every link until
-    // stable. After k sweeps c[d] accounts for every path of k hops;
-    // simple paths cap at |D| hops and any longer path repeats a node
-    // (adding a full positive-lookahead cycle), so |D| sweeps reach
-    // the exact fixpoint.
-    for (Domain &d : domains) {
-        EventQueue::HeadKey k;
-        d.committed = d.q->headKey(k) ? k.when : kTickNever;
-    }
-    for (std::size_t sweep = 0; sweep < domains.size(); ++sweep) {
-        bool changed = false;
-        for (Domain &d : domains) {
-            for (const Link &l : d.inbound) {
-                Ticks src_clock = domains[l.src].committed;
-                if (l.watermark)
-                    src_clock = std::min(src_clock, l.watermark());
-                const Ticks bound = satAdd(src_clock, l.lookahead);
-                if (bound < d.committed) {
-                    d.committed = bound;
-                    changed = true;
-                }
-            }
-        }
-        if (!changed)
-            break;
-    }
-    // Horizons bound execution only across groups; inside a group the
-    // merged order is already exact.
-    for (Domain &d : domains) {
-        Ticks h = kTickNever;
-        for (const Link &l : d.inbound) {
-            if (!l.crossGroup)
-                continue;
-            Ticks src_clock = domains[l.src].committed;
-            if (l.watermark)
-                src_clock = std::min(src_clock, l.watermark());
-            h = std::min(h, satAdd(src_clock, l.lookahead));
-        }
-        d.horizon = h;
-    }
-}
-
-bool
-ParallelEngine::allDrained() const
-{
-    for (const Domain &d : domains) {
-        if (!d.q->empty())
-            return false;
-    }
-    return mailbox.empty();
-}
-
-std::uint64_t
-ParallelEngine::runGroupRound(Group &g)
-{
-    std::uint64_t executed = 0;
-    while (executed < cfg.roundEvents) {
-        EventQueue *best = nullptr;
-        std::uint32_t best_owner = kNoDomain;
-        EventQueue::HeadKey best_key{};
-        for (const DomainId m : g.members) {
-            Domain &d = domains[m];
-            EventQueue::HeadKey k;
-            if (!d.q->headKey(k) || k.when > d.horizon)
-                continue;
-            if (!best || k < best_key) {
-                best = d.q;
-                best_owner = d.ownerTag;
-                best_key = k;
-            }
-        }
-        if (!best)
-            break;
-        if (ownershipAuditor && checksEnabled()) {
-            // Publish the executing domain for the ownership audit;
-            // thread-local only, so goldens are unaffected.
-            OwnershipAuditor::ExecScope scope(best_owner);
-            best->runSteps(1);
-        } else {
-            best->runSteps(1);
-        }
-        ++executed;
-    }
-    g.ranThisRound = executed > 0;
-    g.events += executed;
-    return executed;
-}
-
-void
-ParallelEngine::deliverPosts()
-{
-    std::lock_guard<std::mutex> lk(postMu);
-    if (mailbox.empty())
-        return;
-    // Worker timing decides mailbox append order; the sort erases it.
-    std::stable_sort(mailbox.begin(), mailbox.end(),
-                     [](const Post &a, const Post &b) {
-                         if (a.when != b.when)
-                             return a.when < b.when;
-                         if (a.prio != b.prio)
-                             return a.prio < b.prio;
-                         if (a.src != b.src)
-                             return a.src < b.src;
-                         return a.srcSeq < b.srcSeq;
-                     });
-    for (Post &p : mailbox) {
-        domains[p.dst].q->schedule(
-            p.when, std::move(p.fn),
-            static_cast<EventPriority>(p.prio));
-        ++statsData.postsDelivered;
-    }
-    mailbox.clear();
-}
-
-void
-ParallelEngine::workerMain(const RunHooks &hooks)
-{
-    if (hooks.workerInit)
-        hooks.workerInit();
-    std::uint64_t my_epoch = 0;
-    std::unique_lock<std::mutex> lk(poolMu);
-    for (;;) {
-        workCv.wait(lk, [&] {
-            return quitWorkers || epoch != my_epoch;
-        });
-        if (quitWorkers)
-            return;
-        my_epoch = epoch;
-        for (;;) {
-            if (nextGroup >= roundWork.size())
-                break;
-            Group *g = roundWork[nextGroup++];
-            lk.unlock();
-            const std::uint64_t n = runGroupRound(*g);
-            lk.lock();
-            roundExecuted += n;
-            if (n < cfg.roundEvents && !groupQueuesEmpty(*g))
-                ++roundHorizonStalls;
-        }
-        --activeWorkers;
-        if (activeWorkers == 0)
-            doneCv.notify_one();
-    }
-}
-
-bool
-ParallelEngine::groupQueuesEmpty(const Group &g) const
-{
-    for (const DomainId m : g.members) {
-        if (!domains[m].q->empty())
-            return false;
-    }
-    return true;
+    if (roundEvents == 0)
+        ASTRI_FATAL("run loop needs roundEvents >= 1");
 }
 
 void
 ParallelEngine::run(const RunHooks &hooks)
 {
-    prepare();
-
-    const unsigned want_workers =
-        cfg.hostJobs > 1
-            ? static_cast<unsigned>(std::min<std::size_t>(
-                  cfg.hostJobs, groups.size()))
-            : 0;
-    spawnedWorkers = want_workers;
-    for (unsigned w = 0; w < want_workers; ++w)
-        workers.emplace_back([this, hooks] { workerMain(hooks); });
-
     for (;;) {
         if (hooks.stop && hooks.stop())
             break;
-        deliverPosts();
-        computeHorizons();
-
-        roundWork.clear();
-        for (Group &g : groups) {
-            for (const DomainId m : g.members) {
-                Domain &d = domains[m];
-                EventQueue::HeadKey k;
-                if (d.q->headKey(k) && k.when <= d.horizon) {
-                    roundWork.push_back(&g);
-                    break;
-                }
-            }
-        }
-        if (roundWork.empty()) {
-            if (allDrained())
-                break;
-            // Conservative progress theorem: the domain holding the
-            // globally earliest event always clears its horizon. No
-            // eligible work with events pending means a declared
-            // lookahead is wrong (or a watermark never drains).
-            ASTRI_FATAL("parallel engine deadlock: events pending "
-                        "but no domain may execute");
-        }
-
-        roundExecuted = 0;
-        roundHorizonStalls = 0;
-        if (want_workers == 0) {
-            for (Group *g : roundWork) {
-                const std::uint64_t n = runGroupRound(*g);
-                roundExecuted += n;
-                if (n < cfg.roundEvents && !groupQueuesEmpty(*g))
-                    ++roundHorizonStalls;
-            }
-        } else {
-            std::unique_lock<std::mutex> lk(poolMu);
-            nextGroup = 0;
-            activeWorkers = want_workers;
-            ++epoch;
-            workCv.notify_all();
-            doneCv.wait(lk, [&] { return activeWorkers == 0; });
-        }
-        statsData.rounds += roundWork.size();
-        statsData.events += roundExecuted;
-        statsData.horizonStalls += roundHorizonStalls;
-        ++statsData.barriers;
-
-        if (hooks.atBarrier) {
-            Ticks floor = kTickNever;
-            for (const Domain &d : domains)
-                floor = std::min(floor, d.q->curTick());
-            hooks.atBarrier(floor);
-        }
+        if (q.empty())
+            break;
+        statsData.events += q.runSteps(roundEvents);
+        ++statsData.rounds;
+        if (hooks.atBarrier)
+            hooks.atBarrier(q.curTick());
     }
-
-    if (want_workers > 0) {
-        {
-            std::lock_guard<std::mutex> lk(poolMu);
-            quitWorkers = true;
-        }
-        workCv.notify_all();
-        for (std::thread &t : workers)
-            t.join();
-        workers.clear();
-    }
-
-    // Partition telemetry snapshot (groups are ordered by id, so the
-    // per-group tallies index deterministically).
-    statsData.groups = static_cast<std::uint32_t>(groups.size());
-    statsData.groupEvents.clear();
-    for (const Group &g : groups)
-        statsData.groupEvents.push_back(g.events);
+    statsData.groups = 1;
+    statsData.groupEvents = {statsData.events};
 }
 
 } // namespace astriflash::sim

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "event_queue.hh"
-#include "ownership.hh"
 #include "ticks.hh"
 
 namespace astriflash::sim {
@@ -20,12 +19,6 @@ namespace astriflash::sim {
  *
  * SimObjects own their statistics and expose them through name-prefixed
  * accessors; the queue is shared and owned by the enclosing system.
- *
- * Ownership (DESIGN.md §16): when an OwnershipAuditor is attached at
- * construction time, the object resolves its owning domain from the
- * queue it schedules on and declares itself in the registry. Event
- * callbacks that call auditDomain() then certify at runtime that they
- * execute only inside that domain.
  */
 class SimObject
 {
@@ -36,13 +29,7 @@ class SimObject
      */
     SimObject(EventQueue &queue, std::string name)
         : eq(queue), objName(std::move(name))
-    {
-        if (OwnershipAuditor *a = OwnershipAuditor::current()) {
-            ownAuditor = a;
-            ownDomain = a->registry().domainOf(&queue);
-            a->registry().declareComponent(objName, ownDomain);
-        }
-    }
+    {}
 
     virtual ~SimObject() = default;
 
@@ -58,9 +45,6 @@ class SimObject
     /** The event queue this object schedules on. */
     EventQueue &eventQueue() { return eq; }
 
-    /** Domain owning this object (kNoDomain when unaudited). */
-    DomainId owningDomain() const { return ownDomain; }
-
   protected:
     /** Schedule a member callback @p delta ticks from now. */
     EventId
@@ -70,25 +54,9 @@ class SimObject
         return eq.scheduleIn(delta, std::move(fn), prio);
     }
 
-    /**
-     * Certify that the calling event callback is executing in this
-     * object's owning domain. Place at the top of event-queue-invoked
-     * entry points only — synchronous channel-drain paths legitimately
-     * run in the peer's domain and must not be instrumented.
-     */
-    void
-    auditDomain()
-    {
-        if (ownAuditor)
-            ownAuditor->onCallback(objName.c_str(), ownDomain,
-                                   eq.curTick());
-    }
-
   private:
     EventQueue &eq;
     std::string objName;
-    OwnershipAuditor *ownAuditor = nullptr;
-    DomainId ownDomain = kNoDomain;
 };
 
 } // namespace astriflash::sim

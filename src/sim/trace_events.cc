@@ -41,29 +41,15 @@ tracePointName(TracePoint p)
     return "unknown";
 }
 
-namespace {
-// Per-thread redirect target (see Tracer::redirectThread).
-thread_local Tracer *g_redirect = nullptr;
-} // namespace
-
 Tracer &
 Tracer::instance()
 {
     // One sink per host thread: a simulation owns its thread for the
     // duration of a run (SweepRunner runs whole systems per thread),
     // so per-thread sinks give each parallel simulation an isolated
-    // tracer with zero synchronization on the emit path. Engine
-    // workers redirect to the run owner's sink instead.
-    if (g_redirect)
-        return *g_redirect;
+    // tracer with zero synchronization on the emit path.
     thread_local Tracer tracer;
     return tracer;
-}
-
-void
-Tracer::redirectThread(Tracer *sink)
-{
-    g_redirect = sink;
 }
 
 void

@@ -71,19 +71,8 @@ struct TraceRecord {
 class Tracer
 {
   public:
-    /** The calling thread's sink (or the redirect target, if set). */
+    /** The calling thread's sink. */
     static Tracer &instance();
-
-    /**
-     * Redirect this thread's instance() to @p sink (null restores the
-     * thread-local default). sim::ParallelEngine workers execute a
-     * system's events on behalf of the thread that owns the run, so
-     * the owner's ring — the one --trace drains at exit — must be the
-     * one they record into. Safe because at most one worker executes a
-     * given exec group at a time and engine barriers order the
-     * handoffs; there is still no synchronization on the emit path.
-     */
-    static void redirectThread(Tracer *sink);
 
     /** Pre-allocate @p capacity records and start recording. */
     void enable(std::size_t capacity);

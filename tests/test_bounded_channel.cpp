@@ -12,9 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/bounded_channel.hh"
@@ -340,120 +338,5 @@ TEST(BoundedChannel, ResetStatsMidFlightRebasesConservation)
     ch.push(4, 40);
     ch.push(5, 40);
     EXPECT_EQ(ch.inFlight(40), 3u); // 2 queued + the tick-500 slot
-    EXPECT_EQ(auditFailures(ch), 0u);
-}
-
-// --------------------------------------------------------------------
-// Stamp watermark: the lock-free "earliest undelivered stamp" the
-// parallel engine's horizon computation reads from another thread.
-// --------------------------------------------------------------------
-
-TEST(BoundedChannel, WatermarkTracksTheFrontAcceptStamp)
-{
-    sim::BoundedChannel<int> ch("ch", 4);
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever); // idle
-
-    ch.push(1, 10);
-    EXPECT_EQ(ch.stampWatermark(), 10u);
-
-    // A later push does not move the watermark: it mirrors the OLDEST
-    // undelivered message, which bounds the earliest consumer work.
-    ch.push(2, 25);
-    EXPECT_EQ(ch.stampWatermark(), 10u);
-
-    ch.dropFront(30);
-    EXPECT_EQ(ch.stampWatermark(), 25u);
-    ch.dropFront(40);
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever); // idle again
-    EXPECT_EQ(auditFailures(ch), 0u);
-}
-
-TEST(BoundedChannel, WatermarkCarriesTheStalledAcceptTick)
-{
-    sim::BoundedChannel<int> ch("ch", 1);
-    ch.push(1, 0);
-    ch.dropFront(50); // slot busy to tick 50
-
-    // The stalled push is accepted at 50, and it is the accept stamp —
-    // not the push tick — the watermark must publish: no consumer-side
-    // work can precede the tick the message actually entered.
-    EXPECT_EQ(ch.push(2, 10), 50u);
-    EXPECT_EQ(ch.stampWatermark(), 50u);
-    ch.dropFront(60);
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever);
-    EXPECT_EQ(auditFailures(ch), 0u);
-}
-
-TEST(BoundedChannel, WatermarkSurvivesResetStatsMidFlight)
-{
-    sim::BoundedChannel<int> ch("ch", 4);
-    ch.push(1, 10);
-    ch.push(2, 20);
-    ch.dropFront(25);
-    EXPECT_EQ(ch.stampWatermark(), 20u);
-
-    // The warmup-boundary reset rebases the counters, but the
-    // watermark mirrors queue contents, not statistics: the horizon
-    // computation on another thread must keep seeing the true oldest
-    // undelivered stamp across the reset.
-    ch.resetStats();
-    EXPECT_EQ(ch.stats().pushes.value(), 1u);
-    EXPECT_EQ(ch.stampWatermark(), 20u);
-    EXPECT_EQ(auditFailures(ch), 0u);
-
-    // Messages pushed after the reset keep following the front.
-    ch.push(3, 35);
-    EXPECT_EQ(ch.stampWatermark(), 20u);
-    ch.dropFront(40);
-    EXPECT_EQ(ch.stampWatermark(), 35u);
-    ch.dropFront(50);
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever);
-    EXPECT_EQ(auditFailures(ch), 0u);
-}
-
-TEST(BoundedChannel, WatermarkIsReadableFromAnotherThread)
-{
-    // The engine's horizon computation reads stampWatermark() from a
-    // worker thread while the producer's thread mutates the queue —
-    // the one cross-thread access the channel supports. Exercise that
-    // pairing under load so the TSan job certifies the release-store /
-    // acquire-load protocol: every value the reader observes must be a
-    // stamp the producer actually published (or idle), never a torn or
-    // stale-beyond-reuse value.
-    sim::BoundedChannel<int> ch("ch", 8);
-    constexpr sim::Ticks kRounds = 2000;
-
-    std::atomic<bool> stop{false};
-    std::vector<sim::Ticks> seen;
-    std::thread reader([&ch, &stop, &seen] {
-        while (!stop.load(std::memory_order_relaxed)) {
-            const sim::Ticks w = ch.stampWatermark();
-            if (seen.empty() || seen.back() != w)
-                seen.push_back(w);
-        }
-    });
-
-    // Owner thread: monotonic push/drain cycles; accept stamps are
-    // exactly the push ticks (the channel never fills at depth 8 with
-    // an immediate drop).
-    for (sim::Ticks t = 1; t <= kRounds; ++t) {
-        ch.push(static_cast<int>(t), 10 * t);
-        ch.dropFront(10 * t);
-    }
-    stop.store(true, std::memory_order_relaxed);
-    reader.join();
-
-    EXPECT_EQ(ch.stampWatermark(), sim::kTickNever);
-    sim::Ticks prev = 0;
-    for (const sim::Ticks w : seen) {
-        if (w == sim::kTickNever)
-            continue;
-        // Published stamps are multiples of 10 in-range, and the
-        // front never moves backwards.
-        EXPECT_EQ(w % 10, 0u);
-        EXPECT_GE(w, prev);
-        EXPECT_LE(w, 10 * kRounds);
-        prev = w;
-    }
     EXPECT_EQ(auditFailures(ch), 0u);
 }

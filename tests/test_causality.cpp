@@ -9,13 +9,15 @@
  *
  * Separate binary (test_causality_suite): arms the global checks gate
  * and runs death tests, so it must not share a process with timing
- * suites. The whole-system certification runs a committed golden
- * configuration under audit and requires zero violations with nonzero
- * audit traffic.
+ * suites. The whole-system certification runs every committed golden
+ * configuration under audit and requires zero violations, nonzero
+ * audit traffic, and golden bytes unchanged by the armed audit.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "sim/bounded_channel.hh"
@@ -235,3 +237,56 @@ TEST(CausalitySystem, GoldenConfigCertifiesCleanUnderAudit)
     EXPECT_GE(auditor.sendsAudited(), auditor.deliveriesAudited());
     EXPECT_GT(auditor.eventsAudited(), 0u);
 }
+
+namespace {
+
+/** Whole-file slurp; fails the test if the golden file is missing. */
+std::string
+readGolden(const std::string &case_name)
+{
+    const std::string path =
+        std::string(ASTRI_GOLDEN_DIR) + "/" + case_name + ".json";
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "missing golden file " << path;
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+class OwnershipGolden : public ::testing::TestWithParam<GoldenCase>
+{};
+
+} // namespace
+
+/** Every golden config certifies clean under the armed causality
+ *  auditor, and arming it moves no golden byte: its counters live
+ *  outside the stats tree by design. */
+TEST_P(OwnershipGolden, ArmedAuditorIsCleanAndByteIdentical)
+{
+    ScopedChecks armed(true);
+    const GoldenCase &gc = GetParam();
+    const std::string want = readGolden(gc.name);
+
+    System sys(goldenCaseConfig(gc));
+    const RunResults r = sys.run();
+
+    const sim::CausalityAuditor &auditor = sys.causalityAuditor();
+    EXPECT_EQ(auditor.violationCount(), 0u)
+        << gc.name << ": "
+        << (auditor.violations().empty()
+                ? std::string()
+                : auditor.violations()[0].detail);
+    // The certificate is vacuous unless real events ran under audit.
+    EXPECT_GT(auditor.eventsAudited(), 0u) << gc.name;
+    EXPECT_EQ(r.invariantViolations, 0u) << gc.name;
+
+    std::ostringstream os;
+    writeGoldenJson(os, gc, r, sys);
+    EXPECT_EQ(os.str(), want) << gc.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCases, OwnershipGolden,
+                         ::testing::ValuesIn(kGoldenCases),
+                         [](const auto &info) {
+                             return std::string(info.param.name);
+                         });

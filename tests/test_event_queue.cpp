@@ -472,98 +472,3 @@ TEST(EventQueuePerturbationDeath, NonzeroSeedFatalWhenCompiledOut)
     EXPECT_EXIT(eq.setTiePerturbation(1),
                 ::testing::ExitedWithCode(1), "compiled out");
 }
-
-// --------------------------------------------------------------------
-// Exec-group support: shared clock/sequence state and the head-key
-// probe the parallel engine's K-way merge is built on.
-// --------------------------------------------------------------------
-
-TEST(EventQueueGroupState, MembersShareClockAndSequenceSpace)
-{
-    EventQueueGroup group;
-    EventQueue a;
-    EventQueue b;
-    a.joinGroup(group);
-    b.joinGroup(group);
-    EXPECT_EQ(a.groupKey(), b.groupKey());
-    EXPECT_NE(a.groupKey(), EventQueue{}.groupKey());
-
-    // Executing on one member advances every member's clock.
-    a.schedule(40, [] {});
-    a.runSteps(1);
-    EXPECT_EQ(a.curTick(), 40u);
-    EXPECT_EQ(b.curTick(), 40u);
-
-    // scheduleIn() on the idle member is relative to the shared now.
-    std::vector<int> order;
-    b.scheduleIn(5, [&order] { order.push_back(1); });
-    b.runSteps(1);
-    EXPECT_EQ(b.curTick(), 45u);
-    EXPECT_EQ(order, (std::vector<int>{1}));
-}
-
-TEST(EventQueueGroupState, SharedSequenceBreaksCrossQueueTies)
-{
-    // Two members schedule at the same (when, prio); the shared
-    // counter makes global insertion order the tie break, exactly as
-    // if one queue held both events.
-    EventQueueGroup group;
-    EventQueue a;
-    EventQueue b;
-    a.joinGroup(group);
-    b.joinGroup(group);
-
-    EventQueue::HeadKey ka;
-    EventQueue::HeadKey kb;
-    a.schedule(10, [] {});
-    b.schedule(10, [] {});
-    ASSERT_TRUE(a.headKey(ka));
-    ASSERT_TRUE(b.headKey(kb));
-    EXPECT_EQ(ka.when, kb.when);
-    EXPECT_EQ(ka.prio, kb.prio);
-    EXPECT_TRUE(ka < kb); // a scheduled first on the shared counter
-    EXPECT_FALSE(kb < ka);
-}
-
-TEST(EventQueue, HeadKeyDescribesTheNextPoppedEvent)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(20, [&order] { order.push_back(20); });
-    eq.schedule(10, [&order] { order.push_back(10); });
-    eq.schedule(10, [&order] { order.push_back(11); },
-                EventPriority::Stats);
-
-    EventQueue::HeadKey k;
-    ASSERT_TRUE(eq.headKey(k));
-    EXPECT_EQ(k.when, 10u);
-    EXPECT_EQ(k.prio,
-              static_cast<std::int32_t>(EventPriority::Default));
-    eq.runSteps(1);
-    EXPECT_EQ(order, (std::vector<int>{10}));
-
-    ASSERT_TRUE(eq.headKey(k));
-    EXPECT_EQ(k.when, 10u);
-    EXPECT_EQ(k.prio,
-              static_cast<std::int32_t>(EventPriority::Stats));
-    eq.run();
-    EXPECT_FALSE(eq.headKey(k));
-    EXPECT_EQ(order, (std::vector<int>{10, 11, 20}));
-}
-
-TEST(EventQueue, HeadKeyReapsCancelledRoots)
-{
-    EventQueue eq;
-    const EventId e1 = eq.schedule(5, [] {});
-    const EventId e2 = eq.schedule(6, [] {});
-    eq.schedule(7, [] {});
-    EXPECT_TRUE(eq.deschedule(e1));
-    EXPECT_TRUE(eq.deschedule(e2));
-
-    // The probe must skip both tombstones and describe the live head.
-    EventQueue::HeadKey k;
-    ASSERT_TRUE(eq.headKey(k));
-    EXPECT_EQ(k.when, 7u);
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_EQ(eq.cancelledInHeap(), 0u); // reaped by the probe
-}

@@ -146,27 +146,3 @@ TEST(OptionParser, RejectsPositionalArgument)
     EXPECT_EQ(opts.parse(a.argc(), a.argv()),
               OptionParser::Status::Error);
 }
-
-TEST(ParseUintList, AcceptsPositiveCommaSeparatedValues)
-{
-    std::vector<unsigned> out;
-    ASSERT_TRUE(parseUintList("1,2,4", &out));
-    EXPECT_EQ(out, (std::vector<unsigned>{1, 2, 4}));
-    ASSERT_TRUE(parseUintList("256", &out));
-    EXPECT_EQ(out, std::vector<unsigned>{256});
-    // Order and repeats are the caller's business.
-    ASSERT_TRUE(parseUintList("8,1,8", &out));
-    EXPECT_EQ(out, (std::vector<unsigned>{8, 1, 8}));
-    ASSERT_TRUE(parseUintList("4294967295", &out));
-    EXPECT_EQ(out, std::vector<unsigned>{4294967295u});
-}
-
-TEST(ParseUintList, RejectsMalformedLists)
-{
-    std::vector<unsigned> out;
-    for (const char *bad :
-         {"", ",", "1,,2", ",1", "1,", "0", "1,0,2", "4x", "1,2abc",
-          "-1", "+4", " 4", "4 ", "1.5", "4294967296"}) {
-        EXPECT_FALSE(parseUintList(bad, &out)) << '"' << bad << '"';
-    }
-}

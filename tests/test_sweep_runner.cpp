@@ -149,51 +149,39 @@ statsBatch(unsigned host_jobs)
 } // namespace
 
 /**
+ * The shared CLI binding the figure benches (fig9, fig10, table2,
+ * ablation) use: the fabric flags land in the SystemConfig, and
+ * --host-jobs is no longer a flag.
+ */
+TEST(SweepRunner, FabricOptionsPropagateFabricFlags)
+{
+    FabricOptions fabric;
+    sim::OptionParser opts("bench", "fabric smoke");
+    fabric.addTo(opts);
+
+    const char *argv[] = {"bench", "--bc-shards=2", "--flash-devices=4",
+                          "--flash-backend=zns"};
+    ASSERT_EQ(opts.parse(4, argv), sim::OptionParser::Status::Ok);
+
+    SystemConfig cfg;
+    fabric.apply(cfg);
+    EXPECT_EQ(cfg.dramCache.bc.shards, 2u);
+    EXPECT_EQ(cfg.dramCache.fabric.devices, 4u);
+    EXPECT_EQ(cfg.dramCache.fabric.backend, flash::BackendKind::Zns);
+
+    FabricOptions retired;
+    sim::OptionParser strict("bench", "fabric smoke");
+    retired.addTo(strict);
+    const char *old_argv[] = {"bench", "--host-jobs=4"};
+    EXPECT_EQ(strict.parse(2, old_argv),
+              sim::OptionParser::Status::Error);
+}
+
+/**
  * The determinism contract of DESIGN.md §9: a sweep's stats output is a
  * pure function of each cell's config — byte-identical whether the
  * batch runs on one host thread or eight.
  */
-/**
- * Smoke test for the shared CLI binding the figure benches (fig9,
- * fig10, table2, ablation) use: --host-jobs must parse and land in
- * SystemConfig::hostJobs, so every bench can set the engine's worker
- * pool without its own flag plumbing.
- */
-TEST(SweepRunner, FabricOptionsPropagateHostJobs)
-{
-    FabricOptions fabric;
-    sim::OptionParser opts("bench", "host-jobs smoke");
-    fabric.addTo(opts);
-
-    const char *argv[] = {"bench", "--host-jobs=4", "--bc-shards=2"};
-    ASSERT_EQ(opts.parse(3, argv), sim::OptionParser::Status::Ok);
-
-    SystemConfig cfg;
-    fabric.apply(cfg);
-    EXPECT_EQ(cfg.hostJobs, 4u);
-    EXPECT_EQ(cfg.dramCache.bc.shards, 2u);
-}
-
-TEST(SweepRunner, FabricOptionsClampHostJobsZeroToLegacyLoop)
-{
-    FabricOptions fabric;
-    sim::OptionParser opts("bench", "host-jobs smoke");
-    fabric.addTo(opts);
-
-    const char *argv[] = {"bench", "--host-jobs=0"};
-    ASSERT_EQ(opts.parse(2, argv), sim::OptionParser::Status::Ok);
-
-    SystemConfig cfg;
-    fabric.apply(cfg);
-    EXPECT_EQ(cfg.hostJobs, 1u); // 0 means "no partitioning".
-
-    // Absent flag: the config default survives apply().
-    FabricOptions untouched;
-    SystemConfig dflt;
-    untouched.apply(dflt);
-    EXPECT_EQ(dflt.hostJobs, SystemConfig{}.hostJobs);
-}
-
 TEST(SweepRunner, StatsJsonIsByteIdenticalAcrossJobCounts)
 {
     const std::vector<std::string> serial = statsBatch(1);

@@ -67,16 +67,7 @@
  *   AF018  sim::BoundedChannel constructed without a declared
  *          ChannelContract: every channel must state its minimum
  *          push-to-consume latency (the lookahead manifest) so the
- *          causality auditor can certify it and a conservative
- *          parallel engine could schedule against it.
- *   AF019  scheduling through another component's eventQueue()
- *          accessor in src/ (outside src/sim/): under the domain
- *          partition (DESIGN.md §15) each EventQueue belongs to one
- *          domain, so `other.eventQueue().schedule(...)` injects
- *          work into a queue that may be executing on a different
- *          host thread. Components schedule only on their own held
- *          queue reference; cross-domain work crosses a contracted
- *          BoundedChannel (or ParallelEngine::post).
+ *          causality auditor can certify it.
  *
  * v4 adds cross-TU domain-ownership rules (DESIGN.md §16). A second
  * global pass builds a member/call access map from the class bodies in
@@ -103,16 +94,12 @@
  *          mutable reference holder's domain differs from the value
  *          owner's (page tags, DRAM model, footprint masks — the
  *          measured worklist of the exec-group split).
- *   AF023  a ParallelEngine::addLink watermark lambda capturing
- *          foreign-domain state by reference: the sanctioned pattern
- *          reads a channel's lock-free stamp watermark (acquire
- *          load), never a by-reference capture of mutable state.
  *
  * `--ownership-report=PREFIX` additionally writes the measured
  * domain-coupling graph (PREFIX.json + PREFIX.dot) enumerating every
  * synchronous FC<->BC edge: allowlisted facade calls, cross-domain
- * shared-state holders (including baselined ones), channel-seam
- * members, and watermark lambdas. DESIGN.md §16 commits this as the
+ * shared-state holders (including baselined ones), and channel-seam
+ * members. DESIGN.md §16 commits this as the
  * exec-group-split worklist.
  *
  * Comments and string literals are stripped (newlines preserved)
@@ -1343,58 +1330,14 @@ checkChannelContractDeclared(const std::vector<Token> &toks,
     }
 }
 
-/**
- * AF019: `<expr>.eventQueue().schedule(...)` (or -> forms) from src/
- * outside src/sim/. The accessor names SOMEBODY's queue — under the
- * domain partition possibly one executing on another host thread —
- * so scheduling through it bypasses both the channel seam and the
- * engine's deterministic post mailbox. The kernel layer itself
- * (src/sim/, which implements queues, engines, and SimObject) is
- * exempt.
- */
-void
-checkCrossDomainScheduling(const std::vector<Token> &toks,
-                           const std::string &file,
-                           const Suppressions &sup,
-                           std::vector<Finding> &out)
-{
-    for (std::size_t i = 0; i + 4 < toks.size(); ++i) {
-        if (!tokIs(toks, i, "eventQueue") || !tokIs(toks, i + 1, "(") ||
-            !tokIs(toks, i + 2, ")"))
-            continue;
-        // `.` is one token; `->` tokenizes as `-` `>`.
-        std::size_t callee = 0;
-        if (tokIs(toks, i + 3, "."))
-            callee = i + 4;
-        else if (tokIs(toks, i + 3, "-") && tokIs(toks, i + 4, ">"))
-            callee = i + 5;
-        if (callee == 0)
-            continue;
-        if (!tokIs(toks, callee, "schedule") &&
-            !tokIs(toks, callee, "scheduleIn"))
-            continue;
-        if (!tokIs(toks, callee + 1, "("))
-            continue;
-        const int line = toks[i].line;
-        if (sup.allows(line, "AF019"))
-            continue;
-        out.push_back(
-            {file, line, "AF019",
-             "scheduling through an eventQueue() accessor injects "
-             "work into another domain's queue; schedule on the "
-             "component's own queue reference, and cross domains "
-             "only via a contracted channel (DESIGN.md §15)"});
-    }
-}
-
 /*
  * ---------------------------------------------------------------------
- * Domain-ownership analysis (AF020..AF023, DESIGN.md §16).
+ * Domain-ownership analysis (AF020..AF022, DESIGN.md §16).
  *
  * Resolved across the whole scan, like AF015: class bodies in src/
  * headers contribute members and method declarations, every src/ file
- * contributes call sites and addLink lambdas, and the rules are judged
- * after the file loop (resolveOwnership). The component→domain table
+ * contributes call sites, and the rules are judged after the file
+ * loop (resolveOwnership). The component→domain table
  * mirrors the runtime partition System builds: the frontside queue
  * owns the cores, the FC and the facade's value-owned shared
  * structures; each backside shard's queue owns one BC with its MSR,
@@ -1466,16 +1409,6 @@ struct OwnershipState {
         bool suppressed = false;
     };
     std::vector<Call> calls;
-
-    /** An addLink(...) lambda argument (the watermark provider). */
-    struct Watermark {
-        std::string file;
-        int line = 0;
-        bool refCapture = false;    ///< Capture list contains '&'.
-        bool usesWatermark = false; ///< Body calls stampWatermark().
-        bool suppressed = false;
-    };
-    std::vector<Watermark> watermarks;
 
     // Report-side edges, filled during resolution (deliberately
     // including baselined findings: the report is the worklist).
@@ -1689,7 +1622,7 @@ collectOwnershipClasses(const std::vector<Token> &toks,
     }
 }
 
-/** Phase-1 collection over every src/ file: calls + addLink lambdas. */
+/** Phase-1 collection over every src/ file: call sites. */
 void
 collectOwnershipUses(const std::vector<Token> &toks,
                      const std::string &rel, const Suppressions &sup)
@@ -1708,48 +1641,10 @@ collectOwnershipUses(const std::vector<Token> &toks,
                 {rel, toks[callee].text, toks[callee].line,
                  sup.allows(toks[callee].line, "AF021")});
         }
-        if (!tokIs(toks, i, "addLink") || !tokIs(toks, i + 1, "("))
-            continue;
-        int d = 0;
-        for (std::size_t k = i + 1; k < toks.size(); ++k) {
-            const std::string &x = toks[k].text;
-            if (x == "(") {
-                ++d;
-            } else if (x == ")") {
-                if (--d == 0)
-                    break;
-            } else if (x == "[" && d == 1) {
-                // A lambda argument: the watermark provider.
-                OwnershipState::Watermark w;
-                w.file = rel;
-                w.line = toks[k].line;
-                w.suppressed = sup.allows(w.line, "AF023");
-                std::size_t p = k + 1;
-                for (; p < toks.size() && toks[p].text != "]"; ++p) {
-                    if (toks[p].text == "&")
-                        w.refCapture = true;
-                }
-                while (p < toks.size() && toks[p].text != "{")
-                    ++p;
-                int bd = 0;
-                for (; p < toks.size(); ++p) {
-                    if (toks[p].text == "{") {
-                        ++bd;
-                    } else if (toks[p].text == "}") {
-                        if (--bd == 0)
-                            break;
-                    } else if (tokIs(toks, p, "stampWatermark")) {
-                        w.usesWatermark = true;
-                    }
-                }
-                g_own.watermarks.push_back(w);
-                k = p; // parens inside the body were consumed with it
-            }
-        }
     }
 }
 
-/** AF020..AF023 resolution, after every file contributed. */
+/** AF020..AF022 resolution, after every file contributed. */
 void
 resolveOwnership(std::vector<Finding> &out)
 {
@@ -1869,21 +1764,6 @@ resolveOwnership(std::vector<Finding> &out)
                  m->name});
         }
     }
-
-    // AF023: addLink watermark lambdas capturing by reference. The
-    // sanctioned provider copies its bindings and reads the channel's
-    // acquire-stamped watermark.
-    for (const OwnershipState::Watermark &w : g_own.watermarks) {
-        if (!w.refCapture || w.suppressed)
-            continue;
-        out.push_back(
-            {w.file, w.line, "AF023",
-             "addLink watermark lambda captures by reference; a "
-             "conservative-engine watermark runs on the consumer's "
-             "thread, so capture by value and read the producer "
-             "channel's stampWatermark() (acquire) instead",
-             "watermark-lambda"});
-    }
 }
 
 void
@@ -1939,8 +1819,6 @@ scanFile(const fs::path &path, const std::string &rel,
         checkPointerKeyedContainers(toks, rel, sup, out);
         checkMutableStaticState(toks, lines, rel, sup, out);
         checkChannelContractDeclared(toks, rel, sup, out);
-        if (rel.rfind("src/sim/", 0) != 0)
-            checkCrossDomainScheduling(toks, rel, sup, out);
     }
 }
 
@@ -2055,16 +1933,6 @@ writeOwnershipReport(const std::string &prefix)
            << e.endpoints << "}"
            << (i + 1 < traffic.size() ? "," : "") << "\n";
     }
-    js << "  ],\n  \"watermarks\": [\n";
-    for (std::size_t i = 0; i < g_own.watermarks.size(); ++i) {
-        const OwnershipState::Watermark &w = g_own.watermarks[i];
-        js << "    {\"site\": \"" << jsonEscape(w.file) << ":"
-           << w.line << "\", \"by_ref_capture\": "
-           << (w.refCapture ? "true" : "false")
-           << ", \"reads_stamp_watermark\": "
-           << (w.usesWatermark ? "true" : "false") << "}"
-           << (i + 1 < g_own.watermarks.size() ? "," : "") << "\n";
-    }
     js << "  ]\n}\n";
 
     dot << "digraph ownership {\n  rankdir=LR;\n"
@@ -2088,10 +1956,6 @@ writeOwnershipReport(const std::string &prefix)
             << (e.owner.empty() ? std::string("fc") : e.owner)
             << " [style=dashed, label=\"" << e.holder
             << "::" << e.member << " : " << e.type << "\"];\n";
-    }
-    for (const OwnershipState::Watermark &w : g_own.watermarks) {
-        dot << "  fc -> bc [style=dotted, label=\"watermark "
-            << w.file << ":" << w.line << "\"];\n";
     }
     dot << "}\n";
     return js.good() && dot.good();

@@ -1,8 +1,8 @@
 /**
  * @file
- * AF021 + AF023 seeds: synchronous FC<->BC calls from outside the
- * controllers' own files and the facade's allowlisted pump, plus an
- * addLink watermark lambda capturing by reference. Never compiled.
+ * AF021 seeds: synchronous FC<->BC calls from outside the
+ * controllers' own files and the facade's allowlisted pump. Never
+ * compiled.
  */
 
 #include "backside_controller.hh"
@@ -22,20 +22,6 @@ pumpFromTheWrongPlace(FrontsideController &fc, BacksideController &bc,
     // AF021: same crossing in the other direction — `notify` belongs
     // to the backside controller.
     bc.notify(fc);
-}
-
-struct Engine {
-    void addLink(int src, int dst, int lookahead, void *watermark);
-};
-
-void
-wireLinks(Engine &engine, int &depth)
-{
-    // AF023: the watermark lambda captures `depth` by reference; a
-    // conservative engine runs it on the consumer's thread, so it
-    // must capture by value and read the producer channel's
-    // acquire-stamped watermark instead.
-    engine.addLink(0, 1, 10, [&depth] { return depth; });
 }
 
 } // namespace fixture

@@ -56,22 +56,4 @@ makeUncertifiedChannel()
     return std::make_unique<BoundedChannel<Job>>("fixture.chan", 64u);
 }
 
-struct FixtureQueue {
-    void schedule(std::uint64_t when);
-    void scheduleIn(std::uint64_t delta);
-};
-
-struct OtherDomain {
-    FixtureQueue &eventQueue();
-};
-
-void
-injectAcrossDomains(OtherDomain &peer)
-{
-    // AF019: scheduling through another component's eventQueue()
-    // accessor bypasses the channel seam and the engine's mailbox.
-    peer.eventQueue().schedule(100);
-    peer.eventQueue().scheduleIn(10);
-}
-
 } // namespace fixture

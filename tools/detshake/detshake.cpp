@@ -7,8 +7,7 @@
  * deep its (never-stalling) channels are: any divergence means some
  * model consulted an ordering accident — unordered-container
  * iteration, address-dependent keys, tie-break luck — and would break
- * the SweepRunner byte-identity contract today and the conservative
- * parallel engine tomorrow (DESIGN.md §14).
+ * the SweepRunner byte-identity contract (DESIGN.md §14).
  *
  * For every committed golden case (tools/golden_cases.hh) detshake
  * reruns the simulation under
@@ -19,13 +18,7 @@
  *     -DASTRIFLASH_CHECKS=ON build), and
  *  2. seeded channel-depth jitter inside the timing-neutral band
  *     (every depth stays far above the peak occupancy any config can
- *     reach, so accept ticks cannot move), and
- *
- *  3. a sweep over --host-jobs values (the worker pool of the
- *     sim::ParallelEngine every run goes through): inline and
- *     pool-worker rounds must reproduce the same bytes exactly, alone
- *     and combined with the perturbations above (works in any build —
- *     the engine is not gated on checks),
+ *     reach, so accept ticks cannot move),
  *
  * and byte-compares the full stats JSON against the committed golden
  * file. Exit 0: every ordering reproduced the goldens. Exit 1: a
@@ -37,7 +30,6 @@
  *   detshake --golden-dir=tests/golden --seeds=8
  *   detshake --golden-dir=tests/golden --seeds=4 --jitter-only
  *   detshake --case=astriflash_tatp --seeds=2 --out-dir=/tmp/shake
- *   detshake --golden-dir=tests/golden --seeds=2 --host-jobs=1,2,4
  */
 
 #include <cstdint>
@@ -86,14 +78,13 @@ struct Mismatch {
     std::string variant;
 };
 
-/** Render one (case, tie seed, jitter seed, host jobs) run to JSON. */
+/** Render one (case, tie seed, jitter seed) run to JSON. */
 std::string
 renderRun(const GoldenCase &gc, std::uint64_t tie_seed,
-          std::uint64_t jitter_seed, unsigned host_jobs)
+          std::uint64_t jitter_seed)
 {
     SystemConfig cfg = goldenCaseConfig(gc);
     cfg.tieBreakSeed = tie_seed;
-    cfg.hostJobs = host_jobs;
     if (jitter_seed != 0) {
         ChannelConfig &ch = cfg.dramCache.channels;
         ch.fcToBcDepth = jitterDepth(jitter_seed * 3 + 0);
@@ -137,7 +128,6 @@ main(int argc, char **argv)
     std::uint64_t seeds = 8;
     bool jitter_only = false;
     bool list = false;
-    std::vector<unsigned> jobs_list{1};
 
     sim::OptionParser opts(
         "detshake",
@@ -153,12 +143,6 @@ main(int argc, char **argv)
                  "perturbation seeds per case (1..N, 0 = baseline only)");
     opts.addFlag("jitter-only", &jitter_only,
                  "skip tie-break perturbation (works in any build)");
-    opts.addCustom("host-jobs", "LIST",
-                   "comma-separated host-jobs values to sweep "
-                   "(default 1; e.g. 1,2,4)",
-                   [&jobs_list](const std::string &value) {
-                       return sim::parseUintList(value, &jobs_list);
-                   });
     opts.addFlag("list", &list, "print the known case names");
     opts.parseOrExit(argc, argv);
 
@@ -195,45 +179,33 @@ main(int argc, char **argv)
         slurp << in.rdbuf();
         const std::string want = slurp.str();
 
-        for (const unsigned hj : jobs_list) {
-            for (std::uint64_t s = 0; s <= seeds; ++s) {
-                // s == 0 is the unperturbed baseline (also proves the
-                // harness itself reproduces the golden); s >= 1 shakes
-                // the tie-breaking and the channel depths together.
-                // Each host-jobs value reruns the whole ladder: a
-                // pool-worker run must survive every perturbation an
-                // inline run does.
-                const std::uint64_t tie = perturb ? s : 0;
-                std::string variant =
-                    s == 0 ? std::string("baseline")
-                           : (perturb ? "tie+jitter seed "
-                                      : "jitter seed ") +
-                                 std::to_string(s);
-                if (hj != 1)
-                    variant += " @ host-jobs " + std::to_string(hj);
-                const std::string got = renderRun(gc, tie, s, hj);
-                ++runs;
-                if (got == want) {
-                    std::printf("ok   %-28s %s\n", gc.name,
-                                variant.c_str());
-                    continue;
-                }
-                std::printf("FAIL %-28s %s\n", gc.name,
-                            variant.c_str());
-                reportDiff(got, want);
-                if (!out_dir.empty()) {
-                    const std::string path =
-                        out_dir + "/" + gc.name + ".seed" +
-                        std::to_string(s) + ".hj" +
-                        std::to_string(hj) + ".json";
-                    std::ofstream out(path, std::ios::binary);
-                    out << got;
-                    std::fprintf(stderr,
-                                 "  actual output kept at %s\n",
-                                 path.c_str());
-                }
-                bad.push_back(Mismatch{gc.name, variant});
+        for (std::uint64_t s = 0; s <= seeds; ++s) {
+            // s == 0 is the unperturbed baseline (also proves the
+            // harness itself reproduces the golden); s >= 1 shakes the
+            // tie-breaking and the channel depths together.
+            const std::uint64_t tie = perturb ? s : 0;
+            const std::string variant =
+                s == 0 ? std::string("baseline")
+                       : (perturb ? "tie+jitter seed " : "jitter seed ") +
+                             std::to_string(s);
+            const std::string got = renderRun(gc, tie, s);
+            ++runs;
+            if (got == want) {
+                std::printf("ok   %-28s %s\n", gc.name, variant.c_str());
+                continue;
             }
+            std::printf("FAIL %-28s %s\n", gc.name, variant.c_str());
+            reportDiff(got, want);
+            if (!out_dir.empty()) {
+                const std::string path = out_dir + "/" + gc.name +
+                                         ".seed" + std::to_string(s) +
+                                         ".json";
+                std::ofstream out(path, std::ios::binary);
+                out << got;
+                std::fprintf(stderr, "  actual output kept at %s\n",
+                             path.c_str());
+            }
+            bad.push_back(Mismatch{gc.name, variant});
         }
     }
 

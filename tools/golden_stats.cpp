@@ -15,10 +15,6 @@
  *
  *   golden_stats --list
  *   golden_stats --case=astriflash_tatp --out=stats.json
- *
- * --host-jobs=N runs the case on the conservative parallel engine;
- * the output must stay byte-identical to the committed golden at any
- * N (the CI host-jobs matrix pins {1,2,4}).
  */
 
 #include <cstdio>
@@ -40,7 +36,6 @@ main(int argc, char **argv)
     std::string case_name;
     std::string out_file;
     bool list = false;
-    std::uint32_t host_jobs = 1;
 
     sim::OptionParser opts(
         "golden_stats",
@@ -50,8 +45,6 @@ main(int argc, char **argv)
     opts.addString("out", &out_file,
                    "output JSON file (- for stdout)");
     opts.addFlag("list", &list, "print the known case names");
-    opts.addUint32("host-jobs", &host_jobs,
-                   "host worker threads (output must be identical)");
     opts.parseOrExit(argc, argv);
 
     if (list) {
@@ -72,9 +65,7 @@ main(int argc, char **argv)
         return 2;
     }
 
-    SystemConfig cfg = goldenCaseConfig(*chosen);
-    cfg.hostJobs = host_jobs == 0 ? 1 : host_jobs;
-    System sys(cfg);
+    System sys(goldenCaseConfig(*chosen));
     const RunResults r = sys.run();
 
     if (out_file.empty() || out_file == "-") {
