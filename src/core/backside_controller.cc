@@ -15,17 +15,16 @@ namespace astriflash::core {
 BacksideController::BacksideController(
     sim::EventQueue &eq, std::string name,
     const DramCacheConfig &config, const mem::AddressMap &amap,
-    flash::Backend &flash_dev,
+    flash::Backend &flash_dev, mem::Dram &dram,
+    mem::SetAssocCache &tags, FootprintState &footprint,
     sim::BoundedChannel<MissRequest> &in_channel,
     sim::BoundedChannel<FlashCmdMsg> &to_flash,
     sim::BoundedChannel<InstallComplete> &to_fc,
-    sim::BoundedChannel<BcNotice> &to_fc_rsp,
-    sim::BoundedChannel<InstallGrant> &from_fc_ctl,
     std::uint32_t msr_sets, std::uint32_t msr_entries_per_set,
     std::uint32_t evict_entries)
     : sim::SimObject(eq, std::move(name)), cfg(config), addrMap(amap),
-      flashDev(flash_dev), inbox(in_channel), toFlash(to_flash),
-      toFc(to_fc), toFcRsp(to_fc_rsp), fromFcCtl(from_fc_ctl),
+      flashDev(flash_dev), dramModel(dram), pageTags(tags),
+      fp(footprint), inbox(in_channel), toFlash(to_flash), toFc(to_fc),
       msrTable(SimObject::name() + ".msr", msr_sets,
                msr_entries_per_set),
       evictBuf(SimObject::name() + ".evictbuf", evict_entries),
@@ -38,63 +37,43 @@ BacksideController::BacksideController(
 void
 BacksideController::bindChannels()
 {
-    // Every inbound channel drains inside the push that filled it:
-    // the whole miss chain runs nested in the producer's call, exactly
-    // like the pre-split facade pump. The submit path is bc-owned, so
-    // startMiss's issued-assertions can rely on the command channel's
-    // drain and that seam honestly declares zero lookahead.
+    // Commands drain inside the push that queued them, so startMiss's
+    // issued-assertions can rely on it and the seam honestly declares
+    // zero lookahead.
     toFlash.setDrainHook([this] { pumpFlash(); });
-    inbox.setDrainHook([this] { pumpInbox(); });
-    fromFcCtl.setDrainHook([this] { pumpCtl(); });
 }
 
-void
-BacksideController::pumpInbox()
+BcReply
+BacksideController::request(const MissRequest &req, sim::Ticks now)
 {
-    while (!inbox.empty())
-        serviceHead();
-}
-
-void
-BacksideController::serviceHead()
-{
-    ASTRI_ASSERT_MSG(!inbox.empty(),
-                     "%s: serviceHead() with an empty miss channel",
-                     name().c_str());
-    auto &st = inbox.front();
-    const MissRequest req = st.msg;
-    const sim::Ticks accept = st.acceptedAt;
-
-    BcNotice ack;
-    ack.kind = BcNotice::Kind::MissAck;
-    ack.page = req.page;
+    BcReply rep;
+    rep.accepted = inbox.push(req, now);
 
     if (!req.subPage && evictBuf.contains(req.page)) {
         // The page is parked in the evict buffer awaiting writeback;
         // serve the request from there. (Footprint sub-page refetches
         // target a resident page, which cannot be parked here.)
-        ack.reply.kind = BcReply::Kind::EvictBufferHit;
-        ack.reply.ready = accept + bcOp();
-        inbox.dropFront(ack.reply.ready);
-        toFcRsp.push(ack, ack.reply.ready);
-        return;
+        rep.kind = BcReply::Kind::EvictBufferHit;
+        rep.ready = rep.accepted + bcOp();
+        inbox.dropFront(rep.ready);
+        return rep;
     }
 
-    ack.reply.kind = BcReply::Kind::MissStarted;
-    ack.reply.merged = pending.count(req.page) != 0;
-    ack.reply.ready = startMiss(req, accept);
+    rep.kind = BcReply::Kind::MissStarted;
+    rep.merged = pending.count(req.page) != 0;
+    rep.ready = startMiss(req, rep.accepted);
     if (req.hasWaiter)
         pending[req.page].waiters.push_back(req.waiter);
     // Merged requests ride the original transaction's slot and only
     // pay the BC's dequeue + MSR search; a new miss holds its slot
-    // until the page's install completes, making the channel depth
+    // until the page's install completes, so the channel depth bounds
     // the BC's outstanding-transaction window. Either way the BC
     // consumes the request after its dequeue + MSR-search ops.
-    const sim::Ticks consumed = accept + 2 * bcOp();
-    inbox.dropFront(consumed, ack.reply.merged
+    const sim::Ticks consumed = rep.accepted + 2 * bcOp();
+    inbox.dropFront(consumed, rep.merged
                                   ? consumed
                                   : pending[req.page].dataReady);
-    toFcRsp.push(ack, consumed);
+    return rep;
 }
 
 sim::Ticks
@@ -117,12 +96,10 @@ BacksideController::startMiss(const MissRequest &req, sim::Ticks now)
     PendingMiss miss;
     miss.anyWrite = req.write;
     if (cfg.footprintEnabled) {
-        // Footprint history is fc-owned; the producer snapshotted the
-        // page's recorded footprint into the request at push time.
-        miss.fetchMask = req.histValid
-            ? (req.histMask | req.wantMask) : ~0ull;
-    } else {
-        miss.fetchMask = ~0ull;
+        // Seed the fetch from the page's recorded footprint.
+        const auto hist = fp.history.find(page);
+        miss.fetchMask = hist != fp.history.end()
+            ? (hist->second | req.wantMask) : ~0ull;
     }
 
     // BC: one op to dequeue the request, one CAS-equivalent op to
@@ -192,7 +169,7 @@ BacksideController::pumpFlash()
         // The slot drains when the device finishes the read or
         // accepts the write, so the depth models the device command
         // queue; the declared zero lookahead matches the synchronous
-        // submit (the seam never leaves this domain).
+        // submit.
         toFlash.dropFront(issued, res.complete);
         if (msg.cmd.op == flash::FlashCommand::Op::Read)
             flashReadIssued(msg.page, issued, res.complete);
@@ -243,85 +220,68 @@ BacksideController::pageArrived(mem::PageNum page)
                      static_cast<unsigned long long>(
                          pageByteAddr(page)));
     const std::uint64_t fetch_mask = pit->second.fetchMask;
-    const std::uint64_t fetch_bytes =
+    std::uint64_t fetch_bytes =
         static_cast<std::uint64_t>(std::popcount(fetch_mask)) *
         mem::kBlockSize;
-    statsData.flashBytesRead.inc(
-        fetch_bytes > cfg.pageBytes ? cfg.pageBytes : fetch_bytes);
+    if (fetch_bytes > cfg.pageBytes)
+        fetch_bytes = cfg.pageBytes;
+    statsData.flashBytesRead.inc(fetch_bytes);
+    const mem::Addr page_addr = pageByteAddr(page);
+    if (cfg.footprintEnabled)
+        fp.fetched[page] |= fetch_mask;
 
-    // Securing a frame needs the tag array, the DRAM model, and the
-    // footprint masks — all fc-owned. Request the install across the
-    // seam; the grant comes back on the ctl channel and finishes the
-    // miss in finishInstall().
-    BcNotice n;
-    n.kind = BcNotice::Kind::InstallReq;
-    n.page = page;
-    n.fetchMask = fetch_mask;
-    n.dirty = pit->second.anyWrite;
-    toFcRsp.push(n, now);
-}
-
-void
-BacksideController::pumpCtl()
-{
-    const sim::Ticks lat = fromFcCtl.contract().minLatency;
-    while (!fromFcCtl.empty()) {
-        const auto &st = fromFcCtl.front();
-        const InstallGrant grant = st.msg;
-        const sim::Ticks at = st.acceptedAt;
-        fromFcCtl.dropFront(at + lat);
-        // Finish the miss at the grant's accept tick: the whole
-        // install chain is one nested call at the arrival tick,
-        // byte-identical to the pre-split controller.
-        finishInstall(grant, at);
+    // Secure a frame: fill the tag array.
+    const auto victim = pageTags.fill(page_addr, pit->second.anyWrite);
+    mem::PageNum vpage{0};
+    if (victim) {
+        vpage = pageNum(victim->tag_addr);
+        if (cfg.footprintEnabled) {
+            // Record the victim's footprint for its next residency
+            // and drop its residency masks.
+            const auto t = fp.touched.find(vpage);
+            if (t != fp.touched.end() && t->second != 0)
+                fp.history[vpage] = t->second;
+            fp.touched.erase(vpage);
+            fp.fetched.erase(vpage);
+        }
     }
-}
 
-void
-BacksideController::finishInstall(const InstallGrant &grant,
-                                  sim::Ticks now)
-{
-    auto pit = pending.find(grant.page);
-    ASTRI_ASSERT_MSG(pit != pending.end(),
-                     "install grant for page %llx with no pending miss",
-                     static_cast<unsigned long long>(
-                         pageByteAddr(grant.page)));
+    // Install: stream the fetched blocks into the frame.
+    const auto install = dramModel.access(
+        dcSetRowAddr(cfg, pageTags.numSets(), page_addr), now, true,
+        fetch_bytes);
     statsData.fills.inc();
 
     // A displaced victim parks in the evict buffer and drains to
     // flash off the critical path.
-    if (grant.hasVictim) {
+    if (victim) {
         if (evictBuf.full()) {
             // Backpressure: force-drain the oldest entry now (the
             // install stalls behind the BC's emergency writeback).
             drainEvictBuffer(now);
         }
-        const bool ok =
-            evictBuf.insert(grant.victim, grant.victimDirty, now);
+        const bool ok = evictBuf.insert(vpage, victim->dirty, now);
         ASTRI_ASSERT(ok);
         sim::traceEvent(sim::TracePoint::PageEvict, now, kNoCore,
-                        pageByteAddr(grant.victim),
-                        grant.victimDirty ? 1 : 0);
+                        pageByteAddr(vpage), victim->dirty ? 1 : 0);
         // Lazy drain keeps writes off the read path.
         const sim::Ticks drain_at = now + bcOp() * 4;
         scheduleIn(drain_at > curTick() ? drain_at - curTick() : 0,
                    [this] { drainEvictBuffer(curTick()); });
     }
 
-    const sim::Ticks ready = grant.installComplete + bcOp();
+    const sim::Ticks ready = install.complete + bcOp();
     statsData.missPenalty.sample(ready > now ? ready - now : 0);
     sim::traceEvent(sim::TracePoint::PageFill, ready, kNoCore,
-                    pageByteAddr(grant.page),
-                    ready > now ? ready - now : 0);
+                    page_addr, ready > now ? ready - now : 0);
 
     // Free the MSR entry and unblock any set-conflicted misses.
-    msrTable.free(grant.page);
+    msrTable.free(page);
     retryMsrStalled(now);
 
     auto waiters = std::move(pit->second.waiters);
     pending.erase(pit);
-    toFc.push(InstallComplete{grant.page, ready, std::move(waiters)},
-              now);
+    toFc.push(InstallComplete{page, ready, std::move(waiters)}, now);
 }
 
 void
@@ -463,25 +423,16 @@ BacksideController::checkInvariants(sim::InvariantChecker &chk) const
                           statsData.fills.value()),
                       static_cast<unsigned long long>(
                           msrTable.stats().frees.value()));
-}
 
-void
-BacksideController::auditShared(sim::InvariantChecker &chk,
-                                const mem::SetAssocCache &tags) const
-{
-    if (cfg.footprintEnabled) {
-        // Footprint mode legitimately refetches absent blocks of
-        // resident pages, so residency and pending can coexist.
+    // A full-page miss cannot coexist with a resident copy; footprint
+    // mode legitimately refetches absent blocks of resident pages.
+    if (cfg.footprintEnabled)
         return;
-    }
-    // Cross-domain audit at a quiesce point: a full-page miss cannot
-    // coexist with a resident copy. The tag array is fc-owned and
-    // passed by const reference — the BC never holds it.
     // Audit-only, order-insensitive walk (baselined AF015).
     for (const auto &[page, miss] : pending) {
         (void)miss;
         SIM_INVARIANT_MSG(chk,
-                          !tags.contains(pageByteAddr(page)),
+                          !pageTags.contains(pageByteAddr(page)),
                           "page %llx is both resident and pending",
                           static_cast<unsigned long long>(
                               pageByteAddr(page)));

@@ -3,26 +3,20 @@
  * Backside controller (BC) of the DRAM cache (§IV-B, Fig. 5).
  *
  * The BC is the programmable (slower per operation) half of the
- * controller pair: it drains MissRequests off the FC→BC channel,
- * deduplicates them through the in-DRAM Miss Status Row, issues 4 KB
- * flash reads through its own flash::Backend submit path, parks
- * victims in the evict buffer, and writes dirty victims back to flash
- * off the critical path.
+ * controller pair: it services the MissRequests the facade pushes onto
+ * its FC→BC channel, deduplicates them through the in-DRAM Miss Status
+ * Row, issues 4 KB flash reads through its own flash::Backend submit
+ * path, installs each arrived page (tag fill, footprint masks, DRAM
+ * write), parks victims in the evict buffer, and writes dirty victims
+ * back to flash off the critical path.
  *
- * Single-owner seam (DESIGN.md §16.1): the BC owns the MSR, the evict
- * buffer, the pending-miss table, and the flash submit path — and
- * nothing else. The page tags, the DRAM model, and the footprint
- * state are fc-owned; whenever the BC needs them (seeding a fetch
- * mask from footprint history, installing an arrived page) the data
- * crosses the seam as message fields: MissRequest::histMask inbound,
- * a BcNotice::InstallReq outbound answered by an InstallGrant. The BC
- * never names the frontside controller or a concrete flash device
- * (aflint AF013/AF014); all its inputs and outputs are channels plus
- * the abstract flash::Backend.
- *
- * The BC drains its own inbound channels through synchronous drain
- * hooks, which keeps the whole miss chain nested inside the
- * producer's push exactly like the pre-split facade pump.
+ * The BC owns the MSR, the evict buffer, the pending-miss table, and
+ * the flash submit path; it shares the tag array, the DRAM device
+ * model, and the footprint masks with the frontside, as both
+ * controllers address the same DRAM rows. It never names the frontside
+ * controller or a concrete flash device (aflint AF013/AF014): its
+ * replies go back to the facade as return values, and its page-ready
+ * notices leave through the BC→FC install channel.
  */
 
 #ifndef ASTRIFLASH_CORE_BACKSIDE_CONTROLLER_HH
@@ -36,6 +30,7 @@
 
 #include "flash/backend.hh"
 #include "mem/address_map.hh"
+#include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
 #include "sim/bounded_channel.hh"
 #include "sim/invariant.hh"
@@ -69,28 +64,35 @@ class BacksideController : public sim::SimObject
      *        shardSlice()).
      * @param flash_dev the shard's submit path. The BC derives its
      *        conservative read estimate from it.
+     * @param dram / @p tags / @p footprint the cache-wide DRAM device,
+     *        tag array, and footprint masks the facade holds.
      */
     BacksideController(sim::EventQueue &eq, std::string name,
                        const DramCacheConfig &config,
                        const mem::AddressMap &amap,
-                       flash::Backend &flash_dev,
+                       flash::Backend &flash_dev, mem::Dram &dram,
+                       mem::SetAssocCache &tags,
+                       FootprintState &footprint,
                        sim::BoundedChannel<MissRequest> &inbox,
                        sim::BoundedChannel<FlashCmdMsg> &to_flash,
                        sim::BoundedChannel<InstallComplete> &to_fc,
-                       sim::BoundedChannel<BcNotice> &to_fc_rsp,
-                       sim::BoundedChannel<InstallGrant> &from_fc_ctl,
                        std::uint32_t msr_sets,
                        std::uint32_t msr_entries_per_set,
                        std::uint32_t evict_entries);
 
     /**
-     * Install this controller's channel hooks. Both controllers
-     * declare bindChannels(); the facade calls it after channel
-     * construction, once per controller: synchronous drain hooks on
-     * the inbox, the ctl channel, and the BC→flash channel (the
-     * submit path is bc-owned, so that seam never leaves the domain).
+     * Install the synchronous drain hook on the BC→flash channel: the
+     * command queue submits through the BC's own flash::Backend.
      */
     void bindChannels();
+
+    /**
+     * Push @p req onto the FC→BC channel at @p now and service it:
+     * evict-buffer short-circuit, MSR dedup/alloc, flash issue. The
+     * slot is released at the transaction's completion tick.
+     * @return the reply, including the channel's accept tick.
+     */
+    BcReply request(const MissRequest &req, sim::Ticks now);
 
     /** Outstanding (in-flight) misses right now. */
     std::uint32_t
@@ -106,19 +108,11 @@ class BacksideController : public sim::SimObject
 
     /**
      * Audit the miss-tracking machinery: every issued pending miss
-     * holds an MSR entry (and nothing else does), and the stall queue
-     * mirrors the un-issued pending misses exactly.
+     * holds an MSR entry (and nothing else does), the stall queue
+     * mirrors the un-issued pending misses exactly, and (outside
+     * footprint mode) no page is both resident and pending.
      */
     void checkInvariants(sim::InvariantChecker &chk) const;
-
-    /**
-     * Cross-domain audit run at quiesce points (both controllers
-     * declare auditShared; the facade invokes them with the fc-owned
-     * structures passed by const ref): no page may be both resident
-     * in @p tags and pending here.
-     */
-    void auditShared(sim::InvariantChecker &chk,
-                     const mem::SetAssocCache &tags) const;
 
     const Stats &stats() const { return statsData; }
     const MissStatusRow &msr() const { return msrTable; }
@@ -147,23 +141,8 @@ class BacksideController : public sim::SimObject
         return mem::pageAddr(pn, cfg.pageBytes);
     }
 
-    /**
-     * Service the MissRequest at the head of the FC→BC channel:
-     * evict-buffer short-circuit, MSR dedup/alloc, flash issue. The
-     * slot is released at the transaction's completion tick, so the
-     * channel depth bounds the BC's outstanding-transaction window.
-     * The reply leaves through the BC→FC response channel.
-     */
-    void serviceHead();
-
-    /** Drain every inbox entry. */
-    void pumpInbox();
-
     /** Submit queued flash commands; reads schedule their arrival. */
     void pumpFlash();
-
-    /** Drain the InstallGrants off the FC→BC ctl channel. */
-    void pumpCtl();
 
     /**
      * Miss handling: MSR dedup/alloc, flash read, arrival event.
@@ -178,11 +157,12 @@ class BacksideController : public sim::SimObject
     void flashReadIssued(mem::PageNum page, sim::Ticks issued_at,
                          sim::Ticks complete_at);
 
-    /** A fetched page arrived: request the fc-side install. */
+    /**
+     * A fetched page arrived: fill the tag array, update the footprint
+     * masks, write the page into DRAM, park the victim, free the MSR
+     * entry, and wake the waiters.
+     */
     void pageArrived(mem::PageNum page);
-
-    /** The FC installed the page: evict path, MSR free, waiters. */
-    void finishInstall(const InstallGrant &grant, sim::Ticks now);
 
     /** Issue queued misses that were blocked on a full MSR set. */
     void retryMsrStalled(sim::Ticks now);
@@ -195,11 +175,12 @@ class BacksideController : public sim::SimObject
     const DramCacheConfig &cfg;
     const mem::AddressMap &addrMap;
     flash::Backend &flashDev;
+    mem::Dram &dramModel;
+    mem::SetAssocCache &pageTags;
+    FootprintState &fp;
     sim::BoundedChannel<MissRequest> &inbox;
     sim::BoundedChannel<FlashCmdMsg> &toFlash;
     sim::BoundedChannel<InstallComplete> &toFc;
-    sim::BoundedChannel<BcNotice> &toFcRsp;
-    sim::BoundedChannel<InstallGrant> &fromFcCtl;
     MissStatusRow msrTable;
     EvictBuffer evictBuf;
     std::unordered_map<mem::PageNum, PendingMiss> pending;

@@ -1,23 +1,18 @@
 /**
  * @file
- * Message schemas for the DRAM-cache controller channels (§IV-B).
+ * Message schemas for the DRAM-cache channels (§IV-B).
  *
- * The frontside and backside controllers exchange state ONLY through
- * sim::BoundedChannel instances carrying these messages (enforced by
- * aflint rule AF013); the DramCache facade owns the channels but no
- * longer pumps them — each controller drains its own inbound
- * channels. Five channels exist per BC shard:
+ * The frontside and backside controllers never name each other
+ * (aflint AF013); the DramCache facade composes them. Three bounded
+ * channels exist per BC shard:
  *
- *   FC --MissRequest-->   BC   (the BC's transaction queue)
- *   BC --FlashCmdMsg-->   BC   (device command queue; the BC submits
- *                               through flash::Backend in its own
- *                               drain, so the seam is intra-domain)
- *   BC --BcNotice-->      FC   (miss acks + install requests: every
- *                               BC-side decision the FC acts on)
- *   FC --InstallGrant-->  BC   (tag/DRAM install results going back:
- *                               the FC owns pageTags/dramModel/fp,
- *                               the BC owns the evict path)
- *   BC --InstallComplete--> FC (wake the merged waiters)
+ *   FC --MissRequest-->     BC   (fc_to_bc: the BC's transaction
+ *                                 queue; the facade pushes the FC's
+ *                                 miss and hands the BcReply back)
+ *   BC --FlashCmdMsg-->     BC   (bc_to_flash: the device command
+ *                                 queue, submitted through
+ *                                 flash::Backend in the BC's drain)
+ *   BC --InstallComplete--> FC   (bc_to_fc: wake the merged waiters)
  *
  * See DESIGN.md §11 for slot-lifetime rules and §14 for the
  * per-channel lookahead manifest.
@@ -55,14 +50,9 @@ struct MissRequest {
     WaiterCookie waiter = 0;
     /** Blocks the requester needs transferred (footprint mode). */
     std::uint64_t wantMask = ~std::uint64_t{0};
-    /** Footprint history snapshot for this page, taken by the FC at
-     *  push time (the FC owns FootprintState; the BC seeds its fetch
-     *  mask from these fields instead of reading fp.history). */
-    bool histValid = false;
-    std::uint64_t histMask = 0;
 };
 
-/** BC's reply to one serviced MissRequest (carried in a BcNotice). */
+/** BC's reply to one serviced MissRequest, returned to the facade. */
 struct BcReply {
     enum class Kind {
         EvictBufferHit, ///< Served from a parked victim page.
@@ -73,13 +63,15 @@ struct BcReply {
     /** EvictBufferHit: data-ready tick. MissStarted: the (possibly
      *  conservative) tick the page's data will be installed. */
     sim::Ticks ready = 0;
+    /** Miss-channel accept tick (after any full-queue stall). */
+    sim::Ticks accepted = 0;
 };
 
 /**
  * BC→flash: one device command. The BC's own drain pops and submits
- * through flash::Backend::submit() (the submit path is bc-owned);
- * the slot drains when the device finishes (reads) or accepts the
- * page (writes), so the depth models the device command queue.
+ * through flash::Backend::submit(); the slot drains when the device
+ * finishes (reads) or accepts the page (writes), so the depth models
+ * the device command queue.
  */
 struct FlashCmdMsg {
     flash::FlashCommand cmd;
@@ -95,47 +87,6 @@ struct InstallComplete {
     mem::PageNum page{0};
     sim::Ticks ready = 0;
     std::vector<WaiterCookie> waiters;
-};
-
-/**
- * BC→FC response traffic (the `bc_to_fc_rsp` channel): one message
- * per BC-side decision the FC must act on. Two traffic classes share
- * the channel so per-shard FIFO order between acks and install
- * requests is preserved.
- */
-struct BcNotice {
-    enum class Kind {
-        /** Reply to one MissRequest, in per-shard request order. */
-        MissAck,
-        /** A fetched page is ready to install: the FC (owner of
-         *  pageTags/dramModel/fp) runs the fill and answers with an
-         *  InstallGrant. */
-        InstallReq,
-    };
-    Kind kind = Kind::MissAck;
-    mem::PageNum page{0};
-    /** MissAck payload. */
-    BcReply reply;
-    /** InstallReq payload: blocks fetched from flash, and whether the
-     *  install marks the frame dirty (write-triggered miss). */
-    std::uint64_t fetchMask = 0;
-    bool dirty = false;
-};
-
-/**
- * FC→BC install result (the `fc_to_bc_ctl` channel): the FC performed
- * the tag fill and the DRAM install access for an InstallReq; the BC
- * finishes the miss (evict path, MSR free, waiter release) from these
- * fields without touching any fc-owned structure.
- */
-struct InstallGrant {
-    mem::PageNum page{0};
-    /** Completion tick of the install's DRAM access. */
-    sim::Ticks installComplete = 0;
-    /** Victim evicted by the tag fill, bound for the evict buffer. */
-    bool hasVictim = false;
-    bool victimDirty = false;
-    mem::PageNum victim{0};
 };
 
 } // namespace astriflash::core

@@ -13,7 +13,7 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
       pageTags(SimObject::name() + ".tags", config.capacityBytes,
                config.pageBytes, config.ways),
       fcCtl(SimObject::name() + ".fc", cfg, dramModel, pageTags,
-            footprint, fcToBc, bcToFc, bcToFcRsp, fcToBcCtl)
+            footprint, bcToFc)
 {
     // Bad user configuration, not an invariant: SIM_CHECK compiles
     // out in plain Release, so both checks are always-on. shards=0
@@ -54,27 +54,20 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
     fcToBc.reserve(shards);
     bcToFlash.reserve(shards);
     bcToFc.reserve(shards);
-    bcToFcRsp.reserve(shards);
-    fcToBcCtl.reserve(shards);
     bcCtls.reserve(shards);
     // The lookahead manifest (DESIGN.md §14), in BC operations: the
-    // consumer of a fc_to_bc request, bc_to_fc install completion,
-    // bc_to_fc_rsp notice or fc_to_bc_ctl grant spends at least one op
-    // before acting on it; bc_to_flash commands go to the device the
-    // moment the channel accepts them, so that seam declares zero.
-    // fc_to_bc and bc_to_flash are fed at skewed core-local clocks
-    // through the FC's synchronous probe, so only bc_to_fc — pushed
-    // exclusively by the arrival event handler — declares monotone
-    // push ticks. The rsp channel mixes probe-clocked acks with
-    // event-clocked install requests and the ctl channel answers
-    // them, so neither declares monotonicity.
+    // consumer of a fc_to_bc request or bc_to_fc install completion
+    // spends at least one op before acting on it; bc_to_flash commands
+    // go to the device the moment the channel accepts them, so that
+    // seam declares zero. fc_to_bc and bc_to_flash are fed at skewed
+    // core-local clocks through the FC's synchronous probe, so only
+    // bc_to_fc — pushed exclusively by the arrival event handler —
+    // declares monotone push ticks.
     const sim::ClockDomain clk(cfg.controllerFreqHz);
     const sim::Ticks op = clk.cycles(cfg.bc.cyclesPerOp);
     const sim::ChannelContract miss_contract{op, false};
     const sim::ChannelContract flash_contract{0, false};
     const sim::ChannelContract install_contract{op, true};
-    const sim::ChannelContract rsp_contract{op, false};
-    const sim::ChannelContract ctl_contract{op, false};
     for (std::uint32_t i = 0; i < shards; ++i) {
         const std::string tag = shardTag(i);
         fcToBc.push_back(
@@ -89,26 +82,18 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
             std::make_unique<sim::BoundedChannel<InstallComplete>>(
                 SimObject::name() + ".bc_to_fc" + tag,
                 cfg.channels.bcToFcDepth, install_contract));
-        bcToFcRsp.push_back(
-            std::make_unique<sim::BoundedChannel<BcNotice>>(
-                SimObject::name() + ".bc_to_fc_rsp" + tag,
-                cfg.channels.bcToFcRspDepth, rsp_contract));
-        fcToBcCtl.push_back(
-            std::make_unique<sim::BoundedChannel<InstallGrant>>(
-                SimObject::name() + ".fc_to_bc_ctl" + tag,
-                cfg.channels.fcToBcCtlDepth, ctl_contract));
     }
     for (std::uint32_t i = 0; i < shards; ++i) {
         bcCtls.push_back(std::make_unique<BacksideController>(
             eq,
             SimObject::name() + ".bc" + shardTag(i), cfg, amap, flash,
-            *fcToBc[i], *bcToFlash[i], *bcToFc[i], *bcToFcRsp[i],
-            *fcToBcCtl[i], shardSlice(cfg.bc.msrSets, shards, i),
+            dramModel, pageTags, footprint, *fcToBc[i], *bcToFlash[i],
+            *bcToFc[i], shardSlice(cfg.bc.msrSets, shards, i),
             cfg.bc.msrEntriesPerSet,
             shardSlice(cfg.bc.evictBufferEntries, shards, i)));
     }
 
-    // Each controller drains its own inbound channels.
+    // The BC drains its command queue, the FC its install channels.
     for (auto &bc : bcCtls)
         bc->bindChannels();
     fcCtl.bindChannels();
@@ -127,13 +112,24 @@ DcAccess
 DramCache::access(mem::Addr pa, bool write, sim::Ticks now,
                   WaiterCookie waiter)
 {
-    return fcCtl.access(pa, write, now, waiter);
+    FrontsideController::Probe p = fcCtl.probe(pa, write, now, false);
+    if (p.hit)
+        return DcAccess{true, p.ready};
+    p.miss.hasWaiter = true;
+    p.miss.waiter = waiter;
+    return fcCtl.finishMiss(
+        p, bcCtls[shardOf(p.miss.page)]->request(p.miss, p.ready));
 }
 
 sim::Ticks
 DramCache::accessSync(mem::Addr pa, bool write, sim::Ticks now)
 {
-    return fcCtl.accessSync(pa, write, now);
+    const FrontsideController::Probe p =
+        fcCtl.probe(pa, write, now, true);
+    if (p.hit)
+        return p.ready;
+    return fcCtl.finishSyncMiss(
+        p, bcCtls[shardOf(p.miss.page)]->request(p.miss, p.ready));
 }
 
 bool
@@ -199,11 +195,8 @@ void
 DramCache::checkInvariants(sim::InvariantChecker &chk) const
 {
     fcCtl.checkInvariants(chk);
-    fcCtl.auditShared(chk, pageTags);
-    for (const auto &bc : bcCtls) {
+    for (const auto &bc : bcCtls)
         bc->checkInvariants(chk);
-        bc->auditShared(chk, pageTags);
-    }
 }
 
 } // namespace astriflash::core

@@ -4,32 +4,32 @@
  *
  * The cache is a fast FSM frontside controller
  * (frontside_controller.hh) and N page-interleaved backside-controller
- * shards (backside_controller.hh) that exchange state ONLY through
- * bounded, tick-stamped channels — five per shard:
+ * shards (backside_controller.hh), joined by bounded, tick-stamped
+ * channels — three per shard:
  *
  *   FC --MissRequest-->     BC<i>   (fc_to_bc<i>, the shard's queue)
  *   BC<i> --FlashCmdMsg-->  BC<i>   (bc_to_flash<i>, command queue;
  *                                    the shard submits through its
  *                                    abstract flash::Backend)
- *   BC<i> --BcNotice-->     FC      (bc_to_fc_rsp<i>: miss acks +
- *                                    install requests)
- *   FC --InstallGrant-->    BC<i>   (fc_to_bc_ctl<i>: tag fill +
- *                                    DRAM install results)
  *   BC<i> --InstallComplete--> FC   (bc_to_fc<i>, waiter wakeups)
+ *
+ * The facade composes one access, in the shape lookup → request →
+ * reply: the FC's tag probe serves hits; a miss goes to the page's
+ * shard (BacksideController::request pushes it onto fc_to_bc<i> and
+ * services it), and the BcReply comes back to the FC as a plain
+ * return value. The BC installs arrived pages itself (tag fill,
+ * footprint masks, DRAM write, victim), as in the paper.
  *
  * A page's shard is mem::pageInterleave(page, shards); each shard owns
  * an equal slice of the cache-wide MSR and evict-buffer capacity
  * (shardSlice(), checked at construction to sum exactly to the
- * configured totals). The facade owns the fc-side shared structures
- * (DRAM device, tag array, footprint masks), constructs the channels
- * and the controllers on the system's one event queue, and wires each
- * controller to drain its OWN inbound channels — the facade itself
- * pumps nothing and makes no synchronous controller-to-controller
- * calls (the ownership report's sync-facade-call count is zero). It
- * is the single allowlisted place (aflint AF013) where both
- * controllers are visible at once, and the flash back-end it hands
- * each shard is only ever the abstract flash::Backend (aflint AF014
- * keeps the concrete device types out of src/core entirely).
+ * configured totals). The facade holds the structures both
+ * controllers address (DRAM device, tag array, footprint masks),
+ * constructs the channels and the controllers on the system's one
+ * event queue, and is the single allowlisted place (aflint AF013)
+ * where both controllers are visible at once. The flash back-end it
+ * hands each shard is only ever the abstract flash::Backend (aflint
+ * AF014 keeps the concrete device types out of src/core entirely).
  *
  * With one shard the channel, controller, and stat names collapse to
  * the pre-sharding spellings ("bc", "fc_to_bc", ...) and the facade is
@@ -188,16 +188,13 @@ class DramCache : public sim::SimObject
      * shard ("bc" unsharded, "bc<i>" sharded) with "msr"/"evictbuf"
      * children, the "dram" device and the "tags" array, plus each
      * shard's channels ("fc_to_bc[<i>]", "bc_to_flash[<i>]",
-     * "bc_to_fc[<i>]"). The rsp/ctl channels stay out of the tree,
-     * which keeps it byte-identical to the pre-split goldens; their
-     * invariants are swept (System::registerInvariants).
+     * "bc_to_fc[<i>]").
      */
     void regStats(sim::StatRegistry &reg) const;
 
-    /** Audit the FC and every BC shard, including the cross-domain
-     *  auditShared sweeps over the fc-owned structures. The MSRs,
-     *  evict buffers, tag array, and channels register their own
-     *  invariant entries (see System::registerInvariants). */
+    /** Audit the FC and every BC shard. The MSRs, evict buffers, tag
+     *  array, and channels register their own invariant entries (see
+     *  System::registerInvariants). */
     void checkInvariants(sim::InvariantChecker &chk) const;
 
     /** Frontside accounting (hits, misses, hit latency). */
@@ -261,18 +258,6 @@ class DramCache : public sim::SimObject
         return *bcToFc[shard];
     }
 
-    const sim::BoundedChannel<BcNotice> &
-    rspChannel(std::uint32_t shard = 0) const
-    {
-        return *bcToFcRsp[shard];
-    }
-
-    const sim::BoundedChannel<InstallGrant> &
-    ctlChannel(std::uint32_t shard = 0) const
-    {
-        return *fcToBcCtl[shard];
-    }
-
   private:
     /** Shard-scoped suffix: "" unsharded, "<i>" sharded. */
     std::string shardTag(std::uint32_t shard) const;
@@ -287,10 +272,6 @@ class DramCache : public sim::SimObject
         bcToFlash;
     std::vector<std::unique_ptr<sim::BoundedChannel<InstallComplete>>>
         bcToFc;
-    std::vector<std::unique_ptr<sim::BoundedChannel<BcNotice>>>
-        bcToFcRsp;
-    std::vector<std::unique_ptr<sim::BoundedChannel<InstallGrant>>>
-        fcToBcCtl;
     FrontsideController fcCtl;
     std::vector<std::unique_ptr<BacksideController>> bcCtls;
 };

@@ -56,11 +56,6 @@ struct ChannelConfig {
     std::uint32_t fcToBcDepth = 65536;
     std::uint32_t bcToFlashDepth = 65536;
     std::uint32_t bcToFcDepth = 65536;
-    /** BC→FC response channel (miss acks + install requests). */
-    std::uint32_t bcToFcRspDepth = 65536;
-    /** FC→BC install-grant channel. */
-    std::uint32_t fcToBcCtlDepth = 65536;
-
 };
 
 /** DRAM cache parameters. */
@@ -135,12 +130,11 @@ dcSetRowAddr(const DramCacheConfig &cfg, std::uint64_t num_sets,
 }
 
 /**
- * Footprint-mode residency masks, owned by the FC's domain: the FC
- * records touched blocks, detects sub-page misses, snapshots history
- * into MissRequest::histMask, and maintains the masks across
- * install/evict when it services the BC's install requests. The BC
- * never touches this structure — it sees only message fields. Held by
- * the facade (it also prewarms into it).
+ * Footprint-mode residency masks, held by the facade (it also
+ * prewarms into them) and shared by both controllers: the FC records
+ * touched blocks and detects sub-page misses; the BC seeds each fetch
+ * from the page's history and maintains the masks across install and
+ * eviction.
  */
 struct FootprintState {
     /** Blocks actually transferred for each resident page. */
@@ -152,7 +146,7 @@ struct FootprintState {
     /**
      * Audit-only: pages displaced by set conflicts while prewarm was
      * filling the tags. Prewarm predates the miss path, so these
-     * evictions carry no InstallGrant victim bookkeeping and the
+     * evictions skip the install's victim bookkeeping and the
      * page's full-page fetched mask is left behind (erasing it here
      * would change the committed goldens: a later reinstall ORs into
      * the leftover mask). The residency audit exempts exactly this

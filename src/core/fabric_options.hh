@@ -3,7 +3,7 @@
  * Shared CLI binding for the shard/fabric knobs.
  *
  * Every binary that builds a System (astriflash_sim, the figure
- * benches, the ablation) exposes the same four flags:
+ * benches, the ablation) exposes the same three flags:
  *
  *   --bc-shards=N       backside-controller shards
  *   --flash-devices=M   flash devices behind the fabric

@@ -177,18 +177,6 @@ System::registerInvariants()
                 [this, i](sim::InvariantChecker &chk) {
                     dcache->installChannel(i).checkInvariants(chk);
                 });
-            // Every miss ack and install grant crosses the rsp/ctl
-            // pair.
-            invariants.add(
-                "dcache.bc_to_fc_rsp" + tag,
-                [this, i](sim::InvariantChecker &chk) {
-                    dcache->rspChannel(i).checkInvariants(chk);
-                });
-            invariants.add(
-                "dcache.fc_to_bc_ctl" + tag,
-                [this, i](sim::InvariantChecker &chk) {
-                    dcache->ctlChannel(i).checkInvariants(chk);
-                });
         }
     }
     if (flashDev) {

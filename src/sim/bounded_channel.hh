@@ -115,9 +115,6 @@ class BoundedChannel
         return static_cast<std::uint32_t>(busy);
     }
 
-    /** Backpressure signal: would a push at @p now stall? */
-    bool wouldStall(Ticks now) const { return inFlight(now) >= cap; }
-
     /**
      * Enqueue @p msg at @p now.
      *
@@ -229,25 +226,6 @@ class BoundedChannel
     void setDrainHook(DrainHook hook) { drainHook = std::move(hook); }
 
     const Stats &stats() const { return statsData; }
-
-    /**
-     * Start a fresh measurement window mid-flight: counters restart
-     * with the conservation law re-based on the currently queued
-     * messages (pushes := queued, pops := 0) so the invariant audit
-     * holds across the reset, and the peak restarts at the current
-     * queue depth. In-flight slot release ticks are untouched.
-     */
-    void
-    resetStats()
-    {
-        statsData.pushes.reset();
-        statsData.pushes.inc(waiting.size());
-        statsData.pops.reset();
-        statsData.fullStalls.reset();
-        statsData.stallTicks.reset();
-        statsData.occupancy.reset();
-        statsData.peakOccupancy = waiting.size();
-    }
 
     /** Register channel stats into @p reg. */
     void

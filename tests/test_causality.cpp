@@ -230,8 +230,10 @@ TEST(CausalitySystem, GoldenConfigCertifiesCleanUnderAudit)
         << (auditor.violations().empty()
                 ? std::string()
                 : auditor.violations()[0].detail);
-    // The certificate is vacuous unless real traffic was audited.
-    EXPECT_GE(auditor.channelCount(), 3u);
+    // Exactly the three controller channels per BC shard (fc_to_bc,
+    // bc_to_flash, bc_to_fc); the certificate is vacuous unless real
+    // traffic was audited.
+    EXPECT_EQ(auditor.channelCount(), 3u * gc.shards);
     EXPECT_GT(auditor.sendsAudited(), 0u);
     EXPECT_GT(auditor.deliveriesAudited(), 0u);
     EXPECT_GE(auditor.sendsAudited(), auditor.deliveriesAudited());

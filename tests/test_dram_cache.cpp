@@ -138,6 +138,66 @@ TEST(DramCache, WriteAllocateInstallsDirtyAndWritesBack)
     EXPECT_GE(rig.flash->stats().writes.value(), 1u);
 }
 
+namespace {
+
+/** Parameter: footprint mode on/off. */
+class DramCacheInstall : public ::testing::TestWithParam<bool>
+{};
+
+} // namespace
+
+TEST_P(DramCacheInstall, DirtyVictimParksAndWritesBackOnce)
+{
+    DramCacheConfig cfg = Rig::smallCfg();
+    cfg.footprintEnabled = GetParam();
+    Rig rig(cfg);
+    const mem::PageNum victim = mem::pageNumber(rig.pa(9));
+
+    // A write miss installs page 9 dirty; a read of its second block
+    // hits, so the residency touched blocks 0 and 1.
+    rig.dc->access(rig.pa(9), true, 0, 1);
+    rig.eq.run();
+    ASSERT_TRUE(rig.dc->access(rig.pa(9) + 64, false, rig.eq.curTick(),
+                               1).hit);
+
+    // 64 sets x 8 ways: seven conflicting pages fill page 9's set
+    // without a victim; the eighth's install displaces page 9 (LRU).
+    for (std::uint64_t k = 1; k <= 7; ++k) {
+        rig.dc->access(rig.pa(9 + k * 64), false, rig.eq.curTick(), 1);
+        rig.eq.run();
+    }
+    ASSERT_EQ(rig.dc->evictBuffer().stats().inserts.value(), 0u);
+    rig.dc->access(rig.pa(9 + 8 * 64), false, rig.eq.curTick(), 1);
+    while (rig.dc->evictBuffer().empty() && rig.eq.runSteps(1) != 0) {
+    }
+
+    // Stopped right after the install: the victim is parked dirty and
+    // its lazy drain has not run yet.
+    EXPECT_FALSE(rig.dc->pageResident(rig.pa(9)));
+    EXPECT_TRUE(rig.dc->evictBuffer().contains(victim));
+    EXPECT_EQ(rig.dc->evictBuffer().stats().dirtyInserts.value(), 1u);
+    EXPECT_EQ(rig.dc->bcStats().dirtyWritebacks.value(), 0u);
+
+    rig.eq.run();
+    EXPECT_TRUE(rig.dc->evictBuffer().empty());
+    EXPECT_EQ(rig.dc->bcStats().dirtyWritebacks.value(), 1u);
+    EXPECT_EQ(rig.flash->stats().writes.value(), 1u);
+
+    // Refetch: footprint mode transfers only the victim's recorded
+    // history (blocks 0 and 1); otherwise the whole page comes back.
+    const std::uint64_t before =
+        rig.dc->bcStats().flashBytesRead.value();
+    rig.dc->access(rig.pa(9), false, rig.eq.curTick(), 1);
+    rig.eq.run();
+    EXPECT_EQ(rig.dc->bcStats().flashBytesRead.value() - before,
+              GetParam() ? 2 * 64u : kPageSize);
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, DramCacheInstall, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &i) {
+                             return i.param ? "Footprint" : "FullPage";
+                         });
+
 TEST(DramCache, SyncAccessBlocksForMiss)
 {
     Rig rig;
@@ -195,22 +255,20 @@ TEST(DramCache, ResetStatsZeroes)
 
 TEST(DramCache, DepthOneChannelsSerializeWithoutLoss)
 {
-    // The narrowest legal window on all five per-shard channels still
+    // The narrowest legal window on all three per-shard channels still
     // conserves messages: each slot's lifetime ends before the next
     // push needs it, so nothing deadlocks or drops.
     DramCacheConfig cfg = Rig::smallCfg();
     cfg.channels.fcToBcDepth = 1;
     cfg.channels.bcToFlashDepth = 1;
     cfg.channels.bcToFcDepth = 1;
-    cfg.channels.bcToFcRspDepth = 1;
-    cfg.channels.fcToBcCtlDepth = 1;
     Rig rig(cfg);
 
     constexpr unsigned kProbes = 8;
     unsigned issued = 0;
     // One probe at a time, spaced 200 us apart: each full round trip
-    // (miss -> ack -> install-req -> grant -> complete) must recycle
-    // every depth-1 slot before the next begins.
+    // (miss -> flash read -> install -> complete) must recycle every
+    // depth-1 slot before the next begins.
     for (unsigned i = 0; i < kProbes; ++i) {
         rig.eq.schedule(microseconds(200) * i, [&rig, &issued]() {
             rig.dc->access(rig.pa(3 + issued), false,
@@ -226,13 +284,15 @@ TEST(DramCache, DepthOneChannelsSerializeWithoutLoss)
     EXPECT_EQ(rig.dc->outstandingMisses(), 0u);
     EXPECT_EQ(rig.ready.size(), kProbes);
     EXPECT_TRUE(rig.dc->missChannel().empty());
-    EXPECT_TRUE(rig.dc->rspChannel().empty());
-    EXPECT_TRUE(rig.dc->ctlChannel().empty());
-    EXPECT_TRUE(rig.dc->installChannel().empty());
     EXPECT_TRUE(rig.dc->flashChannel().empty());
-    EXPECT_EQ(rig.dc->rspChannel().stats().pushes.value(),
-              2 * kProbes); // one ack + one install request per miss
-    EXPECT_EQ(rig.dc->ctlChannel().stats().pushes.value(), kProbes);
+    EXPECT_TRUE(rig.dc->installChannel().empty());
+    // One request, one flash read and one install completion per miss
+    // (no victims: eight pages fit a 512-frame cache).
+    EXPECT_EQ(rig.dc->missChannel().stats().pushes.value(), kProbes);
+    EXPECT_EQ(rig.dc->flashChannel().stats().pushes.value(), kProbes);
+    EXPECT_EQ(rig.dc->installChannel().stats().pushes.value(),
+              kProbes);
+    EXPECT_EQ(rig.dc->missChannel().stats().fullStalls.value(), 0u);
 }
 
 // ---------------------------------------------------------------

@@ -30,13 +30,12 @@
  *   AF012  log2i()/alignDown()/alignUp() called with a literal that
  *          is not a power of two (rejected at runtime by SIM_CHECK_CE)
  *   AF013  direct cross-component reference inside the split DRAM
- *          cache: the frontside and backside controllers may only
- *          communicate through sim::BoundedChannel messages, so
- *          naming the opposite controller (or a structure it owns,
- *          or the flash device / system layers) from
- *          frontside_controller.* / backside_controller.* bypasses
- *          the channel contract. The DramCache facade is the one
- *          allowlisted composition point.
+ *          cache: the frontside and backside controllers never name
+ *          each other, a structure only the other side owns, or the
+ *          flash device / system layers from
+ *          frontside_controller.* / backside_controller.*. The
+ *          DramCache facade is the one allowlisted composition point:
+ *          it hands the FC's miss to the BC and the reply back.
  *   AF014  concrete flash device type (FlashDevice / ZnsDevice / Ftl)
  *          named from src/core: core code talks to storage only
  *          through the abstract flash::Backend interface; the model
@@ -68,39 +67,6 @@
  *          ChannelContract: every channel must state its minimum
  *          push-to-consume latency (the lookahead manifest) so the
  *          causality auditor can certify it.
- *
- * v4 adds cross-TU domain-ownership rules (DESIGN.md §16). A second
- * global pass builds a member/call access map from the class bodies in
- * src/ headers, assigns each known component class to its execution
- * domain ("fc" = frontside + cores + facade + fabric, "bc" = backside
- * shard), and flags state and call paths that escape the domain
- * partition — the exact couplings that force System to fuse every
- * domain into one exec group:
- *
- *   AF020  a component class holding a raw pointer/reference to a
- *          component owned by a different domain. The channel seam
- *          (sim::BoundedChannel members) and the DramCache facade
- *          (dram_cache.*, the allowlisted composition point) are
- *          exempt.
- *   AF021  a direct call of a method attributable to exactly one
- *          controller (FrontsideController / BacksideController)
- *          from outside that controller's own files and outside
- *          dram_cache.*'s allowlisted pump: such calls cross the
- *          FC<->BC domain boundary synchronously, bypassing the
- *          channels.
- *   AF022  mutable shared state reachable from two domains without an
- *          owning declaration: a non-component type held by value or
- *          reference from classes in more than one domain, where a
- *          mutable reference holder's domain differs from the value
- *          owner's (page tags, DRAM model, footprint masks — the
- *          measured worklist of the exec-group split).
- *
- * `--ownership-report=PREFIX` additionally writes the measured
- * domain-coupling graph (PREFIX.json + PREFIX.dot) enumerating every
- * synchronous FC<->BC edge: allowlisted facade calls, cross-domain
- * shared-state holders (including baselined ones), and channel-seam
- * members. DESIGN.md §16 commits this as the
- * exec-group-split worklist.
  *
  * Comments and string literals are stripped (newlines preserved)
  * before matching, so prose never trips a rule. Intentional
@@ -134,7 +100,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -167,7 +132,6 @@ struct Options {
     std::vector<std::string> paths; ///< Scan roots relative to root.
     std::string sinceRef;           ///< Diff mode: scan changed files.
     std::string baselinePath;       ///< Override baseline location.
-    std::string reportPrefix;       ///< --ownership-report=PREFIX.
     bool json = false;
     bool defaultExcludes = true;
     bool noBaseline = false;
@@ -817,11 +781,11 @@ checkPowerOfTwoLiterals(const std::vector<Token> &toks,
 }
 
 /**
- * AF013: the FC/BC decomposition of the DRAM cache communicates ONLY
- * through bounded channels; a controller source file that names the
- * opposite controller, a structure the opposite side owns, or the
- * layers above/below (flash device, DramCache facade, System/SimCore)
- * has re-grown a direct call path around the channel layer. Matching
+ * AF013: the FC and BC of the DRAM cache are composed only by the
+ * DramCache facade; a controller source file that names the opposite
+ * controller, a structure the opposite side owns, or the layers
+ * above/below (flash device, DramCache facade, System/SimCore) has
+ * re-grown a direct call path around the facade. Matching
  * is by exact identifier token, so e.g. BcReply::Kind::EvictBufferHit
  * in the frontside does not trip the EvictBuffer ban. The DramCache
  * facade (dram_cache.*) is the allowlisted place where both
@@ -865,9 +829,9 @@ checkChannelBypass(const std::vector<Token> &toks,
         out.push_back(
             {rel, t.line, "AF013",
              "direct reference to '" + t.text + "' from the " + side +
-                 " controller bypasses the channel layer; FC and BC "
-                 "talk only through sim::BoundedChannel messages "
-                 "(composition lives in the DramCache facade)"});
+                 " controller bypasses the DramCache facade; FC and BC "
+                 "never name each other (the facade composes them "
+                 "and carries the miss and its reply)"});
     }
 }
 
@@ -1330,442 +1294,6 @@ checkChannelContractDeclared(const std::vector<Token> &toks,
     }
 }
 
-/*
- * ---------------------------------------------------------------------
- * Domain-ownership analysis (AF020..AF022, DESIGN.md §16).
- *
- * Resolved across the whole scan, like AF015: class bodies in src/
- * headers contribute members and method declarations, every src/ file
- * contributes call sites, and the rules are judged after the file
- * loop (resolveOwnership). The component→domain table
- * mirrors the runtime partition System builds: the frontside queue
- * owns the cores, the FC and the facade's value-owned shared
- * structures; each backside shard's queue owns one BC with its MSR,
- * evict buffer and flash-fabric slice (flash submit() runs in the
- * owning BC's event chain, never the frontside's).
- * ---------------------------------------------------------------------
- */
-
-/** Execution domain of a known component class (nullptr otherwise). */
-const char *
-componentDomain(const std::string &cls)
-{
-    static const std::map<std::string, const char *> kTable = {
-        {"FrontsideController", "fc"}, {"SimCore", "fc"},
-        {"DramCache", "fc"},           {"FlashFabric", "bc"},
-        {"BacksideController", "bc"},  {"MissStatusRow", "bc"},
-        {"EvictBuffer", "bc"}};
-    const auto it = kTable.find(cls);
-    return it == kTable.end() ? nullptr : it->second;
-}
-
-/** True when @p rel's basename starts with @p stem. */
-bool
-baseStartsWith(const std::string &rel, const char *stem)
-{
-    const std::size_t slash = rel.find_last_of('/');
-    const std::string base =
-        slash == std::string::npos ? rel : rel.substr(slash + 1);
-    return base.rfind(stem, 0) == 0;
-}
-
-/** Execution domain of a src/ file (nullptr when not attributable). */
-const char *
-fileDomain(const std::string &rel)
-{
-    if (baseStartsWith(rel, "frontside_controller.") ||
-        baseStartsWith(rel, "sim_core.") ||
-        baseStartsWith(rel, "system.") ||
-        baseStartsWith(rel, "dram_cache."))
-        return "fc";
-    if (baseStartsWith(rel, "backside_controller.") ||
-        baseStartsWith(rel, "miss_status_row.") ||
-        baseStartsWith(rel, "evict_buffer.") ||
-        rel.find("src/flash/") != std::string::npos)
-        return "bc";
-    return nullptr;
-}
-
-struct OwnershipState {
-    /** A data member of a component class (from a src/ header). */
-    struct Member {
-        std::string cls, file, name, type;
-        int line = 0;
-        bool isRef = false;   ///< Top-level & or * declarator.
-        bool isConst = false; ///< Any top-level const qualifier.
-        bool isChannel = false; ///< Mentions sim::BoundedChannel.
-        bool sup20 = false, sup22 = false;
-    };
-    std::vector<Member> members;
-
-    /** Method name → every class declaring it; a method is
-     *  attributable only when exactly one class declares it. */
-    std::map<std::string, std::set<std::string>> methodOwners;
-
-    /** A `.` / `->` call site anywhere under src/. */
-    struct Call {
-        std::string file, method;
-        int line = 0;
-        bool suppressed = false;
-    };
-    std::vector<Call> calls;
-
-    // Report-side edges, filled during resolution (deliberately
-    // including baselined findings: the report is the worklist).
-    struct SyncEdge {
-        std::string method, callee, file;
-        int line = 0;
-    };
-    std::vector<SyncEdge> syncEdges; ///< Facade-allowlisted calls.
-    struct SharedEdge {
-        std::string type, holder, member, domain, owner, file;
-        int line = 0;
-    };
-    std::vector<SharedEdge> sharedEdges; ///< Cross-domain mutable refs.
-};
-
-OwnershipState g_own;
-
-/** Skip from a '{' at @p open to just past its matching '}'. */
-std::size_t
-skipBraces(const std::vector<Token> &toks, std::size_t open)
-{
-    int depth = 0;
-    for (std::size_t k = open; k < toks.size(); ++k) {
-        if (toks[k].text == "{") {
-            ++depth;
-        } else if (toks[k].text == "}") {
-            if (--depth == 0)
-                return k + 1;
-        }
-    }
-    return toks.size();
-}
-
-/** Record the method declared by the statement ending at '(' @p paren. */
-void
-recordOwnershipMethod(const std::vector<Token> &toks, std::size_t stmt,
-                      std::size_t paren, const std::string &cls)
-{
-    static const std::set<std::string> kNotMethods = {
-        "if",     "for",    "while",  "switch", "return", "sizeof",
-        "new",    "delete", "throw",  "catch",  "void",   "bool",
-        "int",    "auto",   "static_assert",    "decltype",
-        "alignof", "noexcept"};
-    if (paren <= stmt || toks[paren - 1].kind != Token::Kind::Ident)
-        return;
-    const std::string &name = toks[paren - 1].text;
-    if (name == cls || kNotMethods.count(name) != 0)
-        return; // constructor / control keyword / builtin type
-    if (paren >= 2 && toks[paren - 2].text == "~")
-        return; // destructor
-    g_own.methodOwners[name].insert(cls);
-}
-
-/** Record the member declared by the statement [stmt, end). */
-void
-recordOwnershipMember(const std::vector<Token> &toks, std::size_t stmt,
-                      std::size_t end, const std::string &cls,
-                      const std::string &rel, const Suppressions &sup)
-{
-    if (end <= stmt || componentDomain(cls) == nullptr)
-        return;
-    static const std::set<std::string> kNotMembers = {
-        "using",   "typedef", "friend",    "template", "static",
-        "enum",    "class",   "struct",    "union",    "public",
-        "private", "protected", "operator", "virtual",  "return",
-        "case",    "default", "goto",      "break",    "continue"};
-    OwnershipState::Member m;
-    m.cls = cls;
-    m.file = rel;
-    std::size_t name_end = end;
-    int angle = 0;
-    for (std::size_t k = stmt; k < end; ++k) {
-        const Token &t = toks[k];
-        if (t.kind == Token::Kind::Ident &&
-            kNotMembers.count(t.text) != 0)
-            return;
-        if (t.text == "<") {
-            ++angle;
-        } else if (t.text == ">") {
-            --angle;
-        } else if (t.text == "=" && angle == 0) {
-            name_end = k;
-            break;
-        } else if (t.text == "BoundedChannel") {
-            m.isChannel = true;
-        } else if (t.text == "const" && angle == 0) {
-            m.isConst = true;
-        } else if ((t.text == "&" || t.text == "*") && angle == 0) {
-            m.isRef = true;
-        }
-    }
-    // Last identifier names the member; the identifier before it (in
-    // declaration order, possibly inside template angles) is the best
-    // single-token guess at the held type.
-    std::size_t name_at = 0;
-    for (std::size_t k = stmt; k < name_end; ++k) {
-        if (toks[k].kind == Token::Kind::Ident) {
-            if (name_at != 0)
-                m.type = toks[name_at].text;
-            name_at = k;
-        }
-    }
-    if (name_at == 0 || m.type.empty())
-        return;
-    m.name = toks[name_at].text;
-    m.line = toks[name_at].line;
-    m.sup20 = sup.allows(m.line, "AF020");
-    m.sup22 = sup.allows(m.line, "AF022");
-    g_own.members.push_back(std::move(m));
-}
-
-/** Walk one class body: member declarations + declared methods. */
-void
-parseOwnershipClassBody(const std::vector<Token> &toks,
-                        std::size_t open, const std::string &cls,
-                        const std::string &rel, const Suppressions &sup)
-{
-    int depth = 0;
-    std::size_t close = toks.size();
-    for (std::size_t k = open; k < toks.size(); ++k) {
-        if (toks[k].text == "{") {
-            ++depth;
-        } else if (toks[k].text == "}") {
-            if (--depth == 0) {
-                close = k;
-                break;
-            }
-        }
-    }
-    std::size_t stmt = open + 1;
-    std::size_t k = open + 1;
-    while (k < close) {
-        const std::string &x = toks[k].text;
-        if (x == "(") {
-            recordOwnershipMethod(toks, stmt, k, cls);
-            // Skip the parameter list, then the declaration tail:
-            // a body / ctor-init braces are opaque, a ';' ends it.
-            int d = 0;
-            for (; k < close; ++k) {
-                if (toks[k].text == "(") {
-                    ++d;
-                } else if (toks[k].text == ")" && --d == 0) {
-                    ++k;
-                    break;
-                }
-            }
-            int pd = 0;
-            while (k < close) {
-                const std::string &y = toks[k].text;
-                if (y == "(") {
-                    ++pd;
-                } else if (y == ")") {
-                    --pd;
-                } else if (y == "{" && pd == 0) {
-                    k = skipBraces(toks, k);
-                    break;
-                } else if (y == ";" && pd == 0) {
-                    ++k;
-                    break;
-                }
-                ++k;
-            }
-            stmt = k;
-        } else if (x == "{") {
-            // Brace-initialised member or nested type body.
-            recordOwnershipMember(toks, stmt, k, cls, rel, sup);
-            k = skipBraces(toks, k);
-            if (k < close && toks[k].text == ";")
-                ++k;
-            stmt = k;
-        } else if (x == ";") {
-            recordOwnershipMember(toks, stmt, k, cls, rel, sup);
-            stmt = ++k;
-        } else if (x == ":" && k == stmt + 1 &&
-                   (tokIs(toks, stmt, "public") ||
-                    tokIs(toks, stmt, "private") ||
-                    tokIs(toks, stmt, "protected"))) {
-            stmt = ++k;
-        } else {
-            ++k;
-        }
-    }
-}
-
-/** Phase-1 collection over src/ headers: class bodies. */
-void
-collectOwnershipClasses(const std::vector<Token> &toks,
-                        const std::string &rel, const Suppressions &sup)
-{
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (!tokIs(toks, i, "class") && !tokIs(toks, i, "struct"))
-            continue;
-        if (toks[i + 1].kind != Token::Kind::Ident)
-            continue;
-        // The body '{' must come before any ';' / '(' — otherwise a
-        // forward declaration or an elaborated-type mention.
-        std::size_t open = 0;
-        for (std::size_t k = i + 2; k < toks.size(); ++k) {
-            const std::string &x = toks[k].text;
-            if (x == "{") {
-                open = k;
-                break;
-            }
-            if (x == ";" || x == "(" || x == ")" || x == "}")
-                break;
-        }
-        if (open != 0) {
-            parseOwnershipClassBody(toks, open, toks[i + 1].text, rel,
-                                    sup);
-        }
-    }
-}
-
-/** Phase-1 collection over every src/ file: call sites. */
-void
-collectOwnershipUses(const std::vector<Token> &toks,
-                     const std::string &rel, const Suppressions &sup)
-{
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        // `.` is one token; `->` tokenizes as `-` `>`.
-        std::size_t callee = 0;
-        if (tokIs(toks, i, "."))
-            callee = i + 1;
-        else if (tokIs(toks, i, "-") && tokIs(toks, i + 1, ">"))
-            callee = i + 2;
-        if (callee != 0 && callee + 1 < toks.size() &&
-            toks[callee].kind == Token::Kind::Ident &&
-            tokIs(toks, callee + 1, "(")) {
-            g_own.calls.push_back(
-                {rel, toks[callee].text, toks[callee].line,
-                 sup.allows(toks[callee].line, "AF021")});
-        }
-    }
-}
-
-/** AF020..AF022 resolution, after every file contributed. */
-void
-resolveOwnership(std::vector<Finding> &out)
-{
-    // AF020: a component holding a raw pointer/reference into a
-    // component of the OTHER domain. Channels and the facade are the
-    // sanctioned seams.
-    for (const OwnershipState::Member &m : g_own.members) {
-        const char *holder_dom = componentDomain(m.cls);
-        const char *type_dom = componentDomain(m.type);
-        if (holder_dom == nullptr || type_dom == nullptr)
-            continue;
-        if (!m.isRef || m.isConst || m.isChannel)
-            continue;
-        if (std::string(holder_dom) == type_dom)
-            continue;
-        if (baseStartsWith(m.file, "dram_cache."))
-            continue; // the allowlisted composition point
-        if (m.sup20)
-            continue;
-        out.push_back(
-            {m.file, m.line, "AF020",
-             "'" + m.cls + "::" + m.name + "' holds a raw " +
-                 std::string(holder_dom) + "-side reference to " +
-                 m.type + " (" + type_dom + "-owned); cross the "
-                 "domain boundary through a BoundedChannel or the "
-                 "DramCache facade (DESIGN.md §16)",
-             m.name});
-    }
-
-    // AF021: direct calls of methods attributable to exactly one
-    // controller, outside its own files and outside the facade.
-    std::map<std::string, std::string> attributable;
-    for (const auto &mo : g_own.methodOwners) {
-        if (mo.second.size() != 1)
-            continue;
-        const std::string &cls = *mo.second.begin();
-        if (cls == "FrontsideController" ||
-            cls == "BacksideController")
-            attributable[mo.first] = cls;
-    }
-    for (const OwnershipState::Call &c : g_own.calls) {
-        const auto it = attributable.find(c.method);
-        if (it == attributable.end())
-            continue;
-        const std::string &cls = it->second;
-        const char *home = cls == "FrontsideController"
-                               ? "frontside_controller."
-                               : "backside_controller.";
-        if (baseStartsWith(c.file, home))
-            continue; // the controller's own files
-        if (baseStartsWith(c.file, "dram_cache.")) {
-            // The allowlisted pump: recorded as a measured sync edge
-            // for the ownership report, never flagged.
-            g_own.syncEdges.push_back({c.method, cls, c.file, c.line});
-            continue;
-        }
-        const char *caller_dom = fileDomain(c.file);
-        if (caller_dom != nullptr &&
-            std::string(caller_dom) == componentDomain(cls))
-            continue; // same-domain call, no boundary crossed
-        if (c.suppressed)
-            continue;
-        out.push_back(
-            {c.file, c.line, "AF021",
-             "direct call of " + cls + "::" + c.method + " crosses "
-             "the FC<->BC domain boundary synchronously; route it "
-             "through the channel seam or the DramCache facade's "
-             "allowlisted pump (DESIGN.md §16)",
-             c.method});
-    }
-
-    // AF022: a non-component type held mutably from two domains.
-    // The owning domain is the one holding it by value (the facade's
-    // shared structures); mutable references from the other domain
-    // are the measured exec-group-split worklist.
-    std::map<std::string,
-             std::vector<const OwnershipState::Member *>> shared;
-    for (const OwnershipState::Member &m : g_own.members) {
-        if (componentDomain(m.type) != nullptr || m.isChannel)
-            continue;
-        if (m.type.empty() ||
-            !std::isupper(static_cast<unsigned char>(m.type[0])))
-            continue; // class-ish types only
-        shared[m.type].push_back(&m);
-    }
-    for (const auto &entry : shared) {
-        std::set<std::string> domains;
-        std::string owner;
-        for (const OwnershipState::Member *m : entry.second) {
-            domains.insert(componentDomain(m->cls));
-            if (!m->isRef && owner.empty())
-                owner = componentDomain(m->cls);
-        }
-        if (domains.size() < 2)
-            continue;
-        for (const OwnershipState::Member *m : entry.second) {
-            if (!m->isRef || m->isConst)
-                continue;
-            const std::string dom = componentDomain(m->cls);
-            if (!owner.empty() && dom == owner)
-                continue;
-            g_own.sharedEdges.push_back({entry.first, m->cls, m->name,
-                                         dom, owner, m->file,
-                                         m->line});
-            if (m->sup22)
-                continue;
-            out.push_back(
-                {m->file, m->line, "AF022",
-                 "'" + m->cls + "::" + m->name + "' mutably shares " +
-                     entry.first + " across domains (" +
-                     (owner.empty() ? std::string("no value owner")
-                                    : owner + "-owned by value") +
-                     ", referenced from " + dom + ") without an "
-                     "owning declaration — a synchronous coupling "
-                     "the exec-group split must break (DESIGN.md "
-                     "§16)",
-                 m->name});
-        }
-    }
-}
-
 void
 scanFile(const fs::path &path, const std::string &rel,
          std::vector<Finding> &out)
@@ -1813,9 +1341,6 @@ scanFile(const fs::path &path, const std::string &rel,
     checkConcreteFlashTypes(toks, rel, sup, out);
     if (under_src) {
         collectUnorderedIteration(toks, rel, sup);
-        collectOwnershipUses(toks, rel, sup);
-        if (isHeader(path))
-            collectOwnershipClasses(toks, rel, sup);
         checkPointerKeyedContainers(toks, rel, sup, out);
         checkMutableStaticState(toks, lines, rel, sup, out);
         checkChannelContractDeclared(toks, rel, sup, out);
@@ -1835,137 +1360,10 @@ jsonEscape(const std::string &s)
 }
 
 /**
- * The measured domain-coupling graph (--ownership-report=PREFIX):
- * PREFIX.json + PREFIX.dot from the resolution-time edge lists. The
- * report deliberately includes baselined couplings — it is the
- * exec-group-split worklist (DESIGN.md §16), not the violation list.
- */
-bool
-writeOwnershipReport(const std::string &prefix)
-{
-    std::ofstream js(prefix + ".json");
-    std::ofstream dot(prefix + ".dot");
-    if (!js || !dot) {
-        std::cerr << "aflint: cannot write ownership report to '"
-                  << prefix << ".{json,dot}'\n";
-        return false;
-    }
-
-    // Facade sync calls run FC-side when the callee is the BC
-    // (service on the miss path) and BC-side when the callee is the
-    // FC (install delivery under a channel drain).
-    auto edgeDir = [](const std::string &callee) {
-        return callee == "BacksideController" ? "fc->bc" : "bc->fc";
-    };
-
-    js << "{\n  \"domains\": [\"fc\", \"bc\"],\n";
-    js << "  \"sync_calls\": [\n";
-    for (std::size_t i = 0; i < g_own.syncEdges.size(); ++i) {
-        const OwnershipState::SyncEdge &e = g_own.syncEdges[i];
-        js << "    {\"method\": \"" << jsonEscape(e.callee)
-           << "::" << jsonEscape(e.method) << "\", \"direction\": \""
-           << edgeDir(e.callee) << "\", \"site\": \""
-           << jsonEscape(e.file) << ":" << e.line << "\"}"
-           << (i + 1 < g_own.syncEdges.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"shared_state\": [\n";
-    for (std::size_t i = 0; i < g_own.sharedEdges.size(); ++i) {
-        const OwnershipState::SharedEdge &e = g_own.sharedEdges[i];
-        js << "    {\"type\": \"" << jsonEscape(e.type)
-           << "\", \"holder\": \"" << jsonEscape(e.holder)
-           << "::" << jsonEscape(e.member) << "\", \"holder_domain\": \""
-           << jsonEscape(e.domain) << "\", \"owner_domain\": \""
-           << jsonEscape(e.owner) << "\", \"site\": \""
-           << jsonEscape(e.file) << ":" << e.line << "\"}"
-           << (i + 1 < g_own.sharedEdges.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"channels\": [\n";
-    std::vector<const OwnershipState::Member *> channels;
-    for (const OwnershipState::Member &m : g_own.members) {
-        if (m.isChannel)
-            channels.push_back(&m);
-    }
-    for (std::size_t i = 0; i < channels.size(); ++i) {
-        const OwnershipState::Member *m = channels[i];
-        js << "    {\"holder\": \"" << jsonEscape(m->cls)
-           << "::" << jsonEscape(m->name) << "\", \"domain\": \""
-           << componentDomain(m->cls) << "\", \"site\": \""
-           << jsonEscape(m->file) << ":" << m->line << "\"}"
-           << (i + 1 < channels.size() ? "," : "") << "\n";
-    }
-    js << "  ],\n  \"traffic\": [\n";
-    // Per-edge message classes, derived from the facade's channel
-    // members: the DramCache names encode the direction (fcToBc,
-    // bcToFcRsp, ...) and the parser's single-token type guess lands
-    // on the template argument — the message class. The endpoint
-    // count tallies every component-held channel member carrying the
-    // same class (facade + both controllers), i.e. how many
-    // declaration sites a message-format change has to visit.
-    struct TrafficEdge {
-        std::string message, edge, channel;
-        int endpoints = 0;
-    };
-    std::vector<TrafficEdge> traffic;
-    for (const OwnershipState::Member *m : channels) {
-        if (m->cls != "DramCache")
-            continue;
-        const std::string &n = m->name;
-        const std::string src = n.rfind("fc", 0) == 0 ? "fc" : "bc";
-        // The flash leg stays inside the backside shard's domain
-        // (the fabric slice is bc-owned).
-        const std::string dst =
-            n.find("ToFc") != std::string::npos ? "fc" : "bc";
-        TrafficEdge e;
-        e.message = m->type;
-        e.edge = src + "->" + dst;
-        e.channel = m->cls + "::" + n;
-        for (const OwnershipState::Member *c : channels) {
-            if (c->type == m->type)
-                ++e.endpoints;
-        }
-        traffic.push_back(std::move(e));
-    }
-    for (std::size_t i = 0; i < traffic.size(); ++i) {
-        const TrafficEdge &e = traffic[i];
-        js << "    {\"message\": \"" << jsonEscape(e.message)
-           << "\", \"edge\": \"" << e.edge << "\", \"channel\": \""
-           << jsonEscape(e.channel) << "\", \"endpoints\": "
-           << e.endpoints << "}"
-           << (i + 1 < traffic.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-
-    dot << "digraph ownership {\n  rankdir=LR;\n"
-        << "  fc [label=\"fc (frontside: cores + FC + facade + tags "
-           "+ dram + footprint)\"];\n"
-        << "  bc [label=\"bc (backside shard: BC + MSR + evict "
-           "buffer + fabric slice)\"];\n";
-    for (const TrafficEdge &e : traffic) {
-        dot << "  " << (e.edge == "fc->bc" ? "fc -> bc" : "bc -> fc")
-            << " [label=\"" << e.message << " via " << e.channel
-            << " (" << e.endpoints << " endpoints)\"];\n";
-    }
-    for (const OwnershipState::SyncEdge &e : g_own.syncEdges) {
-        const bool to_bc = e.callee == "BacksideController";
-        dot << "  " << (to_bc ? "fc -> bc" : "bc -> fc")
-            << " [label=\"" << e.callee << "::" << e.method << " ("
-            << e.file << ":" << e.line << ")\"];\n";
-    }
-    for (const OwnershipState::SharedEdge &e : g_own.sharedEdges) {
-        dot << "  " << e.domain << " -> "
-            << (e.owner.empty() ? std::string("fc") : e.owner)
-            << " [style=dashed, label=\"" << e.holder
-            << "::" << e.member << " : " << e.type << "\"];\n";
-    }
-    dot << "}\n";
-    return js.good() && dot.good();
-}
-
-/**
  * Baseline: reviewed long-lived findings keyed (rule, file, token) in
  * tools/aflint/baseline.json, replacing inline annotation noise for
- * couplings the roadmap already owns (the AF022 worklist, the
- * thread-local auditor attach points).
+ * reviewed exceptions (order-insensitive audit walks, the
+ * process-wide logging and auditor hooks).
  */
 struct BaselineEntry {
     std::string rule, file, token;
@@ -2040,7 +1438,7 @@ usage(const char *argv0)
     std::cerr
         << "usage: " << argv0
         << " [--root DIR] [--format=text|json] "
-           "[--no-default-excludes] [baseline/report flags] "
+           "[--no-default-excludes] [baseline flags] "
            "[paths...]\n"
            "Scans src tools bench tests under DIR (default: .) "
            "unless explicit paths are given.\n"
@@ -2051,10 +1449,7 @@ usage(const char *argv0)
            "(rule,file,token) [default: ROOT/tools/aflint/"
            "baseline.json]; --no-baseline disables it;\n"
            "--write-baseline regenerates the file from the current "
-           "findings; --check fails on stale entries.\n"
-           "--ownership-report=PREFIX writes the measured "
-           "domain-coupling graph to PREFIX.json and PREFIX.dot "
-           "(DESIGN.md §16).\n";
+           "findings; --check fails on stale entries.\n";
     return 2;
 }
 
@@ -2084,9 +1479,6 @@ main(int argc, char **argv)
             opt.writeBaseline = true;
         } else if (arg == "--check") {
             opt.checkBaseline = true;
-        } else if (arg.rfind("--ownership-report=", 0) == 0) {
-            opt.reportPrefix =
-                arg.substr(std::string("--ownership-report=").size());
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -2195,11 +1587,6 @@ main(int argc, char **argv)
         }
     }
     resolveUnorderedIteration(findings);
-    resolveOwnership(findings);
-
-    if (!opt.reportPrefix.empty() &&
-        !writeOwnershipReport(opt.reportPrefix))
-        return 2;
 
     const fs::path baseline_path =
         opt.baselinePath.empty()

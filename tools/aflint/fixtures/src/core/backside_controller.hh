@@ -12,20 +12,11 @@ namespace fixture {
 
 class FlashDevice;
 class FrontsideController;
-class Dram;
 
 struct BacksideController {
     // AF013: issuing flash reads by device pointer bypasses
-    // bc_to_flash (the facade owns the device pump).
+    // bc_to_flash and the abstract flash::Backend.
     FlashDevice *flash = nullptr;
-
-    // AF020: a backside shard holding the frontside by reference is
-    // the reverse raw cross-domain edge.
-    FrontsideController *front = nullptr;
-
-    // AF022 (with the frontside's copy): mutable state reachable from
-    // both domains with no value owner declaring ownership.
-    Dram &sharedDram;
 
     // AF013: waking the frontside by direct call bypasses bc_to_fc.
     void notify(FrontsideController &fc);

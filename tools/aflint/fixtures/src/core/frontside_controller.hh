@@ -1,7 +1,7 @@
 /**
  * @file
- * AF013 seeds: a frontside controller that reaches around the channel
- * layer. Lives at the controller's canonical fixture-local path so the
+ * AF013 seeds: a frontside controller that reaches around the
+ * DramCache facade. Lives at the controller's canonical fixture-local path so the
  * path-scoped rule engages when scanned with
  * `aflint --root tools/aflint/fixtures src`. Never compiled.
  */
@@ -13,16 +13,11 @@ namespace fixture {
 
 class BacksideController;
 class EvictBuffer;
-class Dram;
 
 struct FrontsideController {
-    // AF013 + AF020: the frontside holding a backside reference is a
-    // direct call path around fc_to_bc, and a raw cross-domain edge.
+    // AF013: the frontside holding a backside reference is a direct
+    // call path around the facade.
     BacksideController *bc = nullptr;
-
-    // AF022 (with the backside's copy): mutable state reachable from
-    // both domains with no value owner declaring ownership.
-    Dram &sharedDram;
 
     // AF013: peeking into the backside-owned evict buffer.
     bool probe(const EvictBuffer &buf) const;
