@@ -3,10 +3,11 @@
  * google-benchmark micro suites for the load-bearing primitives:
  * event queue, histogram, Zipfian draws, set-associative lookup and
  * miss/fill, the three-level cache hierarchy's miss path (alone and
- * across 256 hierarchies), MSR
- * operations, DRAM-cache hit path, ASO rename/store, and real
- * user-level thread switches (the artifact behind the paper's 100 ns
- * switch claim — here measured as host-machine ucontext switches).
+ * across 256 hierarchies, on the heap and in a tag slab), the on-chip
+ * MSHR file, MSR operations, DRAM-cache hit path, ASO rename/store,
+ * and real user-level thread switches (the artifact behind the
+ * paper's 100 ns switch claim — here measured as host-machine
+ * ucontext switches).
  */
 
 #include <benchmark/benchmark.h>
@@ -20,7 +21,9 @@
 #include "flash/flash_device.hh"
 #include "mem/address_map.hh"
 #include "mem/cache_hierarchy.hh"
+#include "mem/mshr.hh"
 #include "mem/set_assoc_cache.hh"
+#include "mem/tag_slab.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -122,45 +125,89 @@ BM_HierarchyAccessMiss(benchmark::State &state)
 }
 BENCHMARK(BM_HierarchyAccessMiss);
 
+namespace {
+
+/**
+ * BM_HierarchyAccessMiss's stream served round-robin by 256 default
+ * hierarchies, one per core of the paper-scale runs. Their 6.5 M ways
+ * do not fit in a host cache, so each access pays for the set bytes
+ * it fetches, as the 256-core systems do.
+ */
+struct Farm {
+    std::vector<mem::CacheHierarchy> hiers;
+    sim::Rng rng{4};
+    std::size_t next = 0;
+
+    /** 256 hierarchies with their tag arrays in @p slab, or the heap. */
+    explicit Farm(mem::TagSlab *slab)
+    {
+        hiers.reserve(256);
+        for (int i = 0; i < 256; ++i)
+            hiers.emplace_back("h", mem::defaultHierarchyConfig(),
+                               mem::CacheHierarchy::kDefaultMshrEntries,
+                               slab);
+        // Built and warmed once, as google-benchmark calls a benchmark
+        // function several times to size its run: two LLC capacities
+        // of accesses per hierarchy fill nearly every set, so misses
+        // evict.
+        for (int i = 0; i < 256 * 32 * 1024; ++i)
+            step();
+    }
+
+    void
+    step()
+    {
+        mem::CacheHierarchy &h = hiers[next];
+        next = (next + 1) % hiers.size();
+        const mem::Addr a = rng.uniformInt((64 << 20) / 64) * 64;
+        const bool write = rng.uniformInt(4) == 0;
+        if (h.access(a, write).llcMiss)
+            h.fillFromMemory(a, write);
+    }
+};
+
+} // namespace
+
 static void
 BM_HierarchyMissFill256(benchmark::State &state)
 {
-    // BM_HierarchyAccessMiss's stream served round-robin by 256
-    // default hierarchies, one per core of the paper-scale runs. Their
-    // 6.5 M ways do not fit in a host cache, so each access pays for
-    // the set bytes it fetches, as the 256-core systems do.
-    struct Farm {
-        std::vector<mem::CacheHierarchy> hiers;
-        sim::Rng rng{4};
-        std::size_t next = 0;
-
-        void
-        step()
-        {
-            mem::CacheHierarchy &h = hiers[next];
-            next = (next + 1) % hiers.size();
-            const mem::Addr a = rng.uniformInt((64 << 20) / 64) * 64;
-            const bool write = rng.uniformInt(4) == 0;
-            if (h.access(a, write).llcMiss)
-                h.fillFromMemory(a, write);
-        }
-    };
-    // Built and warmed once, as google-benchmark calls this function
-    // several times to size its run: two LLC capacities of accesses
-    // per hierarchy fill nearly every set, so misses evict.
-    static Farm farm = [] {
-        Farm f;
-        f.hiers.reserve(256);
-        for (int i = 0; i < 256; ++i)
-            f.hiers.emplace_back("h", mem::defaultHierarchyConfig());
-        for (int i = 0; i < 256 * 32 * 1024; ++i)
-            f.step();
-        return f;
-    }();
+    static Farm farm(nullptr);
     for (auto _ : state)
         farm.step();
 }
 BENCHMARK(BM_HierarchyMissFill256);
+
+static void
+BM_HierarchyMissFill256Slab(benchmark::State &state)
+{
+    // The same stream with every tag array in one huge-page slab, as
+    // a System lays out its cores' arrays.
+    static mem::TagSlab slab(
+        256 * mem::CacheHierarchy::storageBytes(
+                  mem::defaultHierarchyConfig()));
+    static Farm farm(&slab);
+    for (auto _ : state)
+        farm.step();
+}
+BENCHMARK(BM_HierarchyMissFill256Slab);
+
+static void
+BM_MshrAllocateRelease(benchmark::State &state)
+{
+    // One LLC miss's MSHR traffic as SimCore makes it: allocate, then
+    // release at the memory system's answer, on an otherwise empty
+    // file.
+    mem::MshrFile m("m", mem::CacheHierarchy::kDefaultMshrEntries);
+    sim::Rng rng(5);
+    sim::Ticks now = 0;
+    for (auto _ : state) {
+        const mem::Addr a = rng.uniformInt((64 << 20) / 64) * 64;
+        benchmark::DoNotOptimize(m.allocate(a, now));
+        benchmark::DoNotOptimize(m.release(a, now + 700));
+        now += 1000;
+    }
+}
+BENCHMARK(BM_MshrAllocateRelease);
 
 static void
 BM_MsrAllocateFree(benchmark::State &state)

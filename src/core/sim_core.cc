@@ -13,8 +13,10 @@ SimCore::SimCore(sim::EventQueue &eq, std::string name, std::uint32_t id,
                  System &system)
     : sim::SimObject(eq, std::move(name)), coreId(id), sys(system),
       sched(system.config().sched),
-      tlbModel(SimObject::name() + ".tlb", system.config().tlb),
-      hier(SimObject::name(), mem::defaultHierarchyConfig()),
+      tlbModel(SimObject::name() + ".tlb", system.config().tlb,
+               &system.tagSlab()),
+      hier(SimObject::name(), mem::defaultHierarchyConfig(),
+           mem::CacheHierarchy::kDefaultMshrEntries, &system.tagSlab()),
       asoEngine(system.config().core)
 {
     // The runtime installs the scheduler handler through the verified

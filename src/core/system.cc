@@ -2,11 +2,28 @@
 
 #include <algorithm>
 
+#include "mem/cache_hierarchy.hh"
+#include "mem/tlb.hh"
 #include "sim/logging.hh"
 
 namespace astriflash::core {
 
-System::System(const SystemConfig &config) : cfg(config)
+namespace {
+
+/** Slab bytes every core's TLB and hierarchy tag arrays take. */
+std::size_t
+coreTagBytes(const SystemConfig &config)
+{
+    return std::size_t{config.cores} *
+           (mem::CacheHierarchy::storageBytes(
+                mem::defaultHierarchyConfig()) +
+            mem::Tlb::storageBytes(config.tlb));
+}
+
+} // namespace
+
+System::System(const SystemConfig &config)
+    : cfg(config), slab(coreTagBytes(config))
 {
     cfg.applyKindDefaults();
     eq.setAuditor(&auditor);

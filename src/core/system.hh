@@ -22,6 +22,7 @@
 #include "mem/address_map.hh"
 #include "mem/dram.hh"
 #include "mem/page_table.hh"
+#include "mem/tag_slab.hh"
 #include "sim/causality.hh"
 #include "sim/event_queue.hh"
 #include "sim/invariant.hh"
@@ -164,6 +165,12 @@ class System
     os::OsPagingModel *osPaging() { return osModel.get(); }
     SimCore &coreAt(std::uint32_t i) { return *cores[i]; }
 
+    /**
+     * The block holding every core's TLB and cache-hierarchy tag
+     * arrays, sized exactly for them (DESIGN.md §9.3).
+     */
+    mem::TagSlab &tagSlab() { return slab; }
+
     // --- Interface used by SimCore -------------------------------
 
     /** Physical (flash BAR) address of a dataset-relative address. */
@@ -223,6 +230,8 @@ class System
     std::unique_ptr<mem::Dram> flatDram;
     std::unique_ptr<os::OsPagingModel> osModel;
     std::vector<std::unique_ptr<workload::Workload>> gens; // per core
+    /** Declared before the cores so it outlives their tag arrays. */
+    mem::TagSlab slab;
     std::vector<std::unique_ptr<SimCore>> cores;
     JobSource jobSource; ///< Optional external generator override.
 

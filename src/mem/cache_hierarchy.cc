@@ -20,7 +20,8 @@ defaultHierarchyConfig()
 
 CacheHierarchy::CacheHierarchy(std::string name,
                                const std::vector<CacheLevelConfig> &cfgs,
-                               std::uint32_t mshr_entries)
+                               std::uint32_t mshr_entries,
+                               TagSlab *slab)
     : hierName(std::move(name)), mshrFile(hierName + ".mshr",
                                           mshr_entries)
 {
@@ -30,10 +31,20 @@ CacheHierarchy::CacheHierarchy(std::string name,
     for (const auto &cfg : cfgs) {
         levels.push_back(std::make_unique<SetAssocCache>(
             hierName + "." + cfg.name, cfg.capacity, cfg.lineSize,
-            cfg.ways));
+            cfg.ways, ReplacementPolicy::Lru, 1, slab));
         levelLatency.push_back(cfg.accessLatency);
         missLatency += cfg.accessLatency;
     }
+}
+
+std::size_t
+CacheHierarchy::storageBytes(const std::vector<CacheLevelConfig> &cfgs)
+{
+    std::size_t bytes = 0;
+    for (const auto &cfg : cfgs)
+        bytes += SetAssocCache::storageBytes(cfg.capacity, cfg.lineSize,
+                                             cfg.ways);
+    return bytes;
 }
 
 void

@@ -7,11 +7,18 @@
  * arrays (fills on the refill path, dirty-writeback cascade on
  * eviction). DRAM-cache/flash time is added by the caller, which then
  * installs the refilled block via fillFromMemory().
+ *
+ * A System keeps every core's level arrays in one TagSlab
+ * (tag_slab.hh), sized by storageBytes(), so an LLC miss walks sets
+ * on huge host pages; standalone hierarchies use the heap. The MSHR
+ * file backing LLC misses is a short vector scanned linearly
+ * (mshr.hh).
  */
 
 #ifndef ASTRIFLASH_MEM_CACHE_HIERARCHY_HH
 #define ASTRIFLASH_MEM_CACHE_HIERARCHY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -58,15 +65,25 @@ class CacheHierarchy
         sim::Counter llcWritebacks; ///< Dirty blocks pushed to memory.
     };
 
+    /** MSHR entries backing a hierarchy's LLC misses by default. */
+    static constexpr std::uint32_t kDefaultMshrEntries = 32;
+
     /**
      * @param mshr_entries  On-chip MSHR file size backing LLC misses.
      *        The file tracks occupancy/hold-time only (the timing
      *        model never blocks on it): the paper's §IV-B comparison
      *        is how long entries stay pinned, not a stall model.
+     * @param slab  Where every level's tag array lives, or null for
+     *        the heap; see SetAssocCache.
      */
     CacheHierarchy(std::string name,
                    const std::vector<CacheLevelConfig> &levels,
-                   std::uint32_t mshr_entries = 32);
+                   std::uint32_t mshr_entries = kDefaultMshrEntries,
+                   TagSlab *slab = nullptr);
+
+    /** Slab bytes the tag arrays of a hierarchy of @p levels take. */
+    static std::size_t
+    storageBytes(const std::vector<CacheLevelConfig> &levels);
 
     /**
      * Look up @p addr.

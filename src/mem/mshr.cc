@@ -16,12 +16,21 @@ MshrFile::MshrFile(std::string name, std::uint32_t entries,
                     fileName.c_str());
 }
 
+std::size_t
+MshrFile::indexOf(BlockNum block) const
+{
+    std::size_t i = 0;
+    while (i < table.size() && table[i].block != block)
+        ++i;
+    return i;
+}
+
 MshrAlloc
 MshrFile::allocate(Addr addr, sim::Ticks now)
 {
     const BlockNum key = blockNumber(addr, line);
-    if (auto it = table.find(key); it != table.end()) {
-        ++it->second.waiters;
+    if (const std::size_t i = indexOf(key); i != table.size()) {
+        ++table[i].waiters;
         statsData.merges.inc();
         return MshrAlloc::Merged;
     }
@@ -29,7 +38,7 @@ MshrFile::allocate(Addr addr, sim::Ticks now)
         statsData.fullStalls.inc();
         return MshrAlloc::Full;
     }
-    table.emplace(key, Entry{1, now});
+    table.push_back(Entry{key, 1, now});
     statsData.allocations.inc();
     if (table.size() > statsData.peakOccupancy)
         statsData.peakOccupancy = table.size();
@@ -39,13 +48,14 @@ MshrFile::allocate(Addr addr, sim::Ticks now)
 std::uint32_t
 MshrFile::release(Addr addr, sim::Ticks now)
 {
-    auto it = table.find(blockNumber(addr, line));
-    if (it == table.end())
+    const std::size_t i = indexOf(blockNumber(addr, line));
+    if (i == table.size())
         return 0;
-    const std::uint32_t waiters = it->second.waiters;
+    const std::uint32_t waiters = table[i].waiters;
     const sim::Ticks held =
-        now > it->second.allocatedAt ? now - it->second.allocatedAt : 0;
-    table.erase(it);
+        now > table[i].allocatedAt ? now - table[i].allocatedAt : 0;
+    table[i] = table.back();
+    table.pop_back();
     statsData.frees.inc();
     statsData.heldTicks.inc(held);
     statsData.holdTime.sample(held);
@@ -55,7 +65,7 @@ MshrFile::release(Addr addr, sim::Ticks now)
 bool
 MshrFile::contains(Addr addr) const
 {
-    return table.count(blockNumber(addr, line)) != 0;
+    return indexOf(blockNumber(addr, line)) != table.size();
 }
 
 } // namespace astriflash::mem

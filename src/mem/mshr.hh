@@ -8,14 +8,20 @@
  * the in-DRAM Miss Status Row (core/miss_status_row.hh). This model
  * provides the on-chip structure plus the occupancy statistics needed to
  * demonstrate the contrast.
+ *
+ * The file is a small vector searched linearly, the host's version of
+ * the CAM: a core holds at most one entry at a time (SimCore
+ * allocates and releases around each LLC miss), so a scan of the live
+ * entries beats a hash table's node allocation and hashing.
  */
 
 #ifndef ASTRIFLASH_MEM_MSHR_HH
 #define ASTRIFLASH_MEM_MSHR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/invariant.hh"
 #include "sim/stats.hh"
@@ -111,8 +117,8 @@ class MshrFile
     }
 
     /**
-     * Audit the CAM: bounded occupancy, line-aligned keys with at least
-     * one waiter each, and allocations == frees + occupancy.
+     * Audit the CAM: bounded occupancy, one entry per line with at
+     * least one waiter each, and allocations == frees + occupancy.
      */
     void
     checkInvariants(sim::InvariantChecker &chk) const
@@ -120,15 +126,19 @@ class MshrFile
         SIM_INVARIANT_MSG(chk, table.size() <= capacity,
                           "%zu entries exceed the %u-entry CAM",
                           table.size(), capacity);
-        // Audit-only, order-insensitive walk (baselined AF015).
-        for (const auto &[bn, entry] : table) {
-            // A BlockNum key cannot be misaligned by construction;
-            // the remaining invariant is that every entry has at
-            // least one waiter.
+        // A BlockNum cannot be misaligned by construction; what
+        // remains is one entry per line, each with at least one
+        // waiter.
+        for (std::size_t i = 0; i < table.size(); ++i) {
+            const Entry &entry = table[i];
             SIM_INVARIANT_MSG(chk, entry.waiters >= 1,
                               "entry %llx has no waiters",
                               static_cast<unsigned long long>(
-                                  blockAddr(bn, line)));
+                                  blockAddr(entry.block, line)));
+            SIM_INVARIANT_MSG(chk, indexOf(entry.block) == i,
+                              "line %llx holds two entries",
+                              static_cast<unsigned long long>(
+                                  blockAddr(entry.block, line)));
         }
         SIM_INVARIANT_MSG(
             chk,
@@ -153,14 +163,19 @@ class MshrFile
 
   private:
     struct Entry {
+        BlockNum block;
         std::uint32_t waiters = 0;
         sim::Ticks allocatedAt = 0;
     };
 
+    /** Index of the live entry for @p block, or table.size(). */
+    std::size_t indexOf(BlockNum block) const;
+
     std::string fileName;
     std::uint32_t capacity;
     std::uint64_t line;
-    std::unordered_map<BlockNum, Entry> table;
+    /** Live entries in no particular order; release() swaps and pops. */
+    std::vector<Entry> table;
     Stats statsData;
 };
 

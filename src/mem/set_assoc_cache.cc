@@ -9,9 +9,11 @@ namespace astriflash::mem {
 
 SetAssocCache::SetAssocCache(std::string name, std::uint64_t capacity,
                              std::uint64_t line_size, std::uint32_t ways,
-                             ReplacementPolicy policy, std::uint64_t seed)
+                             ReplacementPolicy policy, std::uint64_t seed,
+                             TagSlab *slab)
     : cacheName(std::move(name)), totalCapacity(capacity), line(line_size),
-      waysPerSet(ways), policy(policy), rng(seed)
+      waysPerSet(ways), policy(policy),
+      arr(LineAligned<std::uint32_t>(slab)), rng(seed)
 {
     if (!isPowerOfTwo(line_size))
         ASTRI_FATAL("%s: line size %llu not a power of two",
@@ -36,6 +38,18 @@ SetAssocCache::SetAssocCache(std::string name, std::uint64_t capacity,
     setShift = setsPow2 ? log2i(sets) : 0;
     arr.resize(sets * 2 * ways);
     flushAll();
+}
+
+std::size_t
+SetAssocCache::storageBytes(std::uint64_t capacity, std::uint64_t line_size,
+                            std::uint32_t ways)
+{
+    // The constructor's resize() allocates exactly one tag and one
+    // meta word per way.
+    const std::uint64_t way_bytes = std::uint64_t{ways} * line_size;
+    const std::uint64_t sets = way_bytes != 0 ? capacity / way_bytes : 0;
+    return TagSlab::spanBytes(static_cast<std::size_t>(
+        sets * 2 * ways * sizeof(std::uint32_t)));
 }
 
 SetAssocCache::Slot
@@ -93,11 +107,14 @@ SetAssocCache::setAt(SetIdx set)
 std::uint32_t
 SetAssocCache::findWay(const std::uint32_t *tags, std::uint32_t tag) const
 {
-    for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (tags[w] == tag)
-            return w;
-    }
-    return waysPerSet;
+    // A tag is in a set at most once and never equals an empty way's,
+    // so selecting every match, with no early exit, finds the same
+    // way; the compiler turns the select into a conditional move, and
+    // a hit's position cannot mispredict a branch.
+    std::uint32_t way = waysPerSet;
+    for (std::uint32_t w = 0; w < waysPerSet; ++w)
+        way = tags[w] == tag ? w : way;
+    return way;
 }
 
 void
@@ -179,19 +196,22 @@ SetAssocCache::contains(Addr addr) const
 std::uint32_t
 SetAssocCache::victimWay(SetRef set)
 {
-    // Prefer the first empty way. Otherwise LRU and FIFO both evict
-    // the smallest stamp: the stamps of valid ways are distinct, so
-    // the dirty bit below them never decides.
-    std::uint32_t oldest = 0;
-    for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (set.tags[w] == kInvalidTag)
-            return w;
-        if (set.meta[w] < set.meta[oldest])
-            oldest = w;
+    // One argmin over the meta words. An empty way's word is 0 and a
+    // valid way's at least 2 (stamp >= 1, checkInvariants()), so the
+    // first minimum is the first empty way when there is one.
+    // Otherwise LRU and FIFO both evict the smallest stamp: the stamps
+    // of valid ways are distinct, so the dirty bit below them never
+    // decides.
+    std::uint32_t way = 0;
+    std::uint32_t least = set.meta[0];
+    for (std::uint32_t w = 1; w < waysPerSet; ++w) {
+        const bool lower = set.meta[w] < least;
+        way = lower ? w : way;
+        least = lower ? set.meta[w] : least;
     }
-    if (policy == ReplacementPolicy::Random)
+    if (policy == ReplacementPolicy::Random && least != 0)
         return static_cast<std::uint32_t>(rng.uniformInt(waysPerSet));
-    return oldest;
+    return way;
 }
 
 std::optional<CacheLine>

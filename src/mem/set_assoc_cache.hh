@@ -24,6 +24,7 @@
 #include "sim/stats.hh"
 
 #include "address.hh"
+#include "tag_slab.hh"
 
 namespace astriflash::mem {
 
@@ -78,6 +79,9 @@ class SetAssocCache
      * @param ways        Associativity (>=1).
      * @param policy      Replacement policy.
      * @param seed        RNG seed for the Random policy.
+     * @param slab        Where the array lives, or null for its own
+     *                    line-aligned heap block. A slab must outlive
+     *                    the array.
      *
      * Tags are 32 bits wide: an address whose line number above the
      * set bits reaches 2^32 - 1 is fatal, never aliased. That bounds
@@ -88,7 +92,15 @@ class SetAssocCache
     SetAssocCache(std::string name, std::uint64_t capacity,
                   std::uint64_t line_size, std::uint32_t ways,
                   ReplacementPolicy policy = ReplacementPolicy::Lru,
-                  std::uint64_t seed = 1);
+                  std::uint64_t seed = 1, TagSlab *slab = nullptr);
+
+    /**
+     * Slab bytes an array of this geometry takes, so an owner can size
+     * a TagSlab exactly for the arrays it will hold.
+     */
+    static std::size_t storageBytes(std::uint64_t capacity,
+                                    std::uint64_t line_size,
+                                    std::uint32_t ways);
 
     /**
      * Look up @p addr, updating recency on a hit.
@@ -160,8 +172,9 @@ class SetAssocCache
     /**
      * Audit the array: the valid-line count matches the tag state,
      * every valid tag belongs to its set, empty ways hold no state,
-     * no stamp is ahead of the clock, and the fill/evict/invalidate
-     * traffic accounts for the live lines.
+     * every valid way holds a stamp of at least 1 and none ahead of
+     * the clock, and the fill/evict/invalidate traffic accounts for
+     * the live lines.
      */
     void
     checkInvariants(sim::InvariantChecker &chk) const
@@ -187,6 +200,12 @@ class SetAssocCache
                                   cacheName.c_str(),
                                   static_cast<unsigned long long>(a),
                                   static_cast<unsigned long long>(s));
+                // victimWay() finds an empty way as the least meta
+                // word, which needs every valid one above 0.
+                SIM_INVARIANT_MSG(chk, (meta[w] >> 1) >= 1,
+                                  "%s: line %llx holds stamp 0",
+                                  cacheName.c_str(),
+                                  static_cast<unsigned long long>(a));
                 SIM_INVARIANT_MSG(chk, (meta[w] >> 1) <= stamp,
                                   "%s: line %llx stamped in the future",
                                   cacheName.c_str(),
@@ -229,21 +248,28 @@ class SetAssocCache
     /**
      * Allocator starting the array on a 64-byte host cache line, so a
      * set of 8 or 16 ways spans one or two lines, not two or three.
+     * The line comes from @ref slab when one is given, else from the
+     * heap.
      */
     template <typename T>
     struct LineAligned {
         using value_type = T;
-        static constexpr std::align_val_t kAlign{64};
+        static constexpr std::align_val_t kAlign{TagSlab::kSpanAlign};
+
+        TagSlab *slab = nullptr;
 
         LineAligned() = default;
+        explicit LineAligned(TagSlab *from) : slab(from) {}
         template <typename U>
-        LineAligned(const LineAligned<U> &)
+        LineAligned(const LineAligned<U> &other) : slab(other.slab)
         {
         }
 
         T *
         allocate(std::size_t n)
         {
+            if (slab)
+                return static_cast<T *>(slab->allocate(n * sizeof(T)));
             return static_cast<T *>(
                 ::operator new(n * sizeof(T), kAlign));
         }
@@ -251,15 +277,17 @@ class SetAssocCache
         void
         deallocate(T *p, std::size_t)
         {
-            // The vector owning the array is the RAII owner here.
-            // aflint-allow-next-line(AF002)
-            ::operator delete(p, kAlign);
+            // A slab span lives as long as the slab. Otherwise the
+            // vector owning the array is the RAII owner here.
+            if (!slab)
+                // aflint-allow-next-line(AF002)
+                ::operator delete(p, kAlign);
         }
 
         friend bool
-        operator==(const LineAligned &, const LineAligned &)
+        operator==(const LineAligned &a, const LineAligned &b)
         {
-            return true;
+            return a.slab == b.slab;
         }
     };
 

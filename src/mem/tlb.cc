@@ -2,15 +2,26 @@
 
 namespace astriflash::mem {
 
-Tlb::Tlb(std::string name, const Config &config)
+Tlb::Tlb(std::string name, const Config &config, TagSlab *slab)
     : cfg(config),
       l1(name + ".l1", static_cast<std::uint64_t>(config.l1Entries) *
                            config.pageSize,
-         config.pageSize, config.l1Ways),
+         config.pageSize, config.l1Ways, ReplacementPolicy::Lru, 1, slab),
       l2(name + ".l2", static_cast<std::uint64_t>(config.l2Entries) *
                            config.pageSize,
-         config.pageSize, config.l2Ways)
+         config.pageSize, config.l2Ways, ReplacementPolicy::Lru, 1, slab)
 {
+}
+
+std::size_t
+Tlb::storageBytes(const Config &config)
+{
+    return SetAssocCache::storageBytes(
+               std::uint64_t{config.l1Entries} * config.pageSize,
+               config.pageSize, config.l1Ways) +
+           SetAssocCache::storageBytes(
+               std::uint64_t{config.l2Entries} * config.pageSize,
+               config.pageSize, config.l2Ways);
 }
 
 Tlb::Result

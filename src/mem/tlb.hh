@@ -13,6 +13,7 @@
 #ifndef ASTRIFLASH_MEM_TLB_HH
 #define ASTRIFLASH_MEM_TLB_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -44,7 +45,14 @@ class Tlb
         sim::Counter shootdowns;  ///< Invalidations from remote cores.
     };
 
-    Tlb(std::string name, const Config &config);
+    /**
+     * @param slab  Where both levels' tag arrays live, or null for the
+     *              heap; see SetAssocCache.
+     */
+    Tlb(std::string name, const Config &config, TagSlab *slab = nullptr);
+
+    /** Slab bytes both levels of a TLB of @p config take. */
+    static std::size_t storageBytes(const Config &config);
 
     /** Lookup result. */
     struct Result {

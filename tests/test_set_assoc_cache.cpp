@@ -234,6 +234,39 @@ INSTANTIATE_TEST_SUITE_P(
                                          ReplacementPolicy::Random)));
 
 /** Page-granularity instantiation used by the DRAM cache. */
+/**
+ * victimWay() takes an empty way as the least meta word, so the audit
+ * must find every valid way stamped at least 1 and every empty way
+ * holding 0, whatever mix of calls and policy left them.
+ */
+TEST(SetAssocCache, AuditHoldsUnderEveryCall)
+{
+    for (const ReplacementPolicy p :
+         {ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
+          ReplacementPolicy::Random}) {
+        SetAssocCache c("a", 8 * 4 * 64, 64, 4, p, 5);
+        astriflash::sim::Rng rng(17);
+        for (int i = 0; i < 4000; ++i) {
+            const Addr a = rng.uniformInt(8 * 4 * 3) * 64;
+            switch (rng.uniformInt(5)) {
+              case 0: c.access(a); break;
+              case 1: c.accessWrite(a); break;
+              case 2: c.fill(a, rng.uniformInt(2) == 0); break;
+              case 3: c.markDirty(a); break;
+              default: c.invalidate(a); break;
+            }
+            if (i % 97 == 0)
+                c.flushAll();
+            astriflash::sim::InvariantChecker chk;
+            c.checkInvariants(chk);
+            ASSERT_EQ(chk.failures(), 0u)
+                << "call " << i << ": "
+                << chk.violations().front().detail;
+        }
+        EXPECT_GT(c.stats().evictions.value(), 0u);
+    }
+}
+
 TEST(SetAssocCache, PageGranularity)
 {
     SetAssocCache c("pages", 16 * 8 * 4096, 4096, 8);
