@@ -3,8 +3,9 @@
  * google-benchmark micro suites for the load-bearing primitives:
  * event queue, histogram, Zipfian draws, set-associative lookup and
  * miss/fill, the three-level cache hierarchy's miss path (alone and
- * across 256 hierarchies, on the heap and in a tag slab), the on-chip
- * MSHR file, MSR operations, DRAM-cache hit path, ASO rename/store,
+ * across 256 hierarchies, on the heap and in a tag slab, and in bursts
+ * with a one-access look-ahead hint), the on-chip MSHR hold-time
+ * recorder, MSR operations, DRAM-cache hit path, ASO rename/store,
  * and real user-level thread switches (the artifact behind the
  * paper's 100 ns switch claim — here measured as host-machine
  * ucontext switches).
@@ -137,15 +138,18 @@ struct Farm {
     std::vector<mem::CacheHierarchy> hiers;
     sim::Rng rng{4};
     std::size_t next = 0;
+    std::size_t served = 0; ///< Accesses of the current burst so far.
+    /** The next access, drawn one ahead so a hint can see it. */
+    mem::Addr nextAddr = 0;
+    bool nextWrite = false;
 
     /** 256 hierarchies with their tag arrays in @p slab, or the heap. */
     explicit Farm(mem::TagSlab *slab)
     {
         hiers.reserve(256);
         for (int i = 0; i < 256; ++i)
-            hiers.emplace_back("h", mem::defaultHierarchyConfig(),
-                               mem::CacheHierarchy::kDefaultMshrEntries,
-                               slab);
+            hiers.emplace_back("h", mem::defaultHierarchyConfig(), slab);
+        draw();
         // Built and warmed once, as google-benchmark calls a benchmark
         // function several times to size its run: two LLC capacities
         // of accesses per hierarchy fill nearly every set, so misses
@@ -155,16 +159,46 @@ struct Farm {
     }
 
     void
-    step()
+    draw()
+    {
+        nextAddr = rng.uniformInt((64 << 20) / 64) * 64;
+        nextWrite = rng.uniformInt(4) == 0;
+    }
+
+    /**
+     * Serve one access, moving on to the next hierarchy after
+     * @p burst of them, as a core runs a few ops per event. With
+     * @p hint, first prefetch the sets of the access after it, as
+     * SimCore does one op ahead.
+     */
+    void
+    step(std::size_t burst = 1, bool hint = false)
     {
         mem::CacheHierarchy &h = hiers[next];
-        next = (next + 1) % hiers.size();
-        const mem::Addr a = rng.uniformInt((64 << 20) / 64) * 64;
-        const bool write = rng.uniformInt(4) == 0;
+        const mem::Addr a = nextAddr;
+        const bool write = nextWrite;
+        if (++served >= burst) {
+            served = 0;
+            next = (next + 1) % hiers.size();
+        }
+        draw();
+        if (hint)
+            hiers[next].prefetch(nextAddr);
         if (h.access(a, write).llcMiss)
             h.fillFromMemory(a, write);
     }
 };
+
+/** The farm with every tag array in one huge-page slab, built once. */
+Farm &
+slabFarm()
+{
+    static mem::TagSlab slab(
+        256 * mem::CacheHierarchy::storageBytes(
+                  mem::defaultHierarchyConfig()));
+    static Farm farm(&slab);
+    return farm;
+}
 
 } // namespace
 
@@ -182,32 +216,46 @@ BM_HierarchyMissFill256Slab(benchmark::State &state)
 {
     // The same stream with every tag array in one huge-page slab, as
     // a System lays out its cores' arrays.
-    static mem::TagSlab slab(
-        256 * mem::CacheHierarchy::storageBytes(
-                  mem::defaultHierarchyConfig()));
-    static Farm farm(&slab);
+    Farm &farm = slabFarm();
     for (auto _ : state)
         farm.step();
 }
 BENCHMARK(BM_HierarchyMissFill256Slab);
 
 static void
-BM_MshrAllocateRelease(benchmark::State &state)
+BM_HierarchyMissFill256SlabLookahead(benchmark::State &state)
 {
-    // One LLC miss's MSHR traffic as SimCore makes it: allocate, then
-    // release at the memory system's answer, on an otherwise empty
-    // file.
-    mem::MshrFile m("m", mem::CacheHierarchy::kDefaultMshrEntries);
-    sim::Rng rng(5);
+    // The slab farm in bursts of `burst` accesses per hierarchy, with
+    // (hint = 1) or without the one-access look-ahead prefetch.
+    // tatp_256c runs about two memory ops per core event.
+    Farm &farm = slabFarm();
+    const auto burst = static_cast<std::size_t>(state.range(0));
+    const bool hint = state.range(1) != 0;
+    for (auto _ : state)
+        farm.step(burst, hint);
+}
+BENCHMARK(BM_HierarchyMissFill256SlabLookahead)
+    ->ArgNames({"burst", "hint"})
+    ->Args({2, 0})
+    ->Args({2, 1})
+    ->Args({40, 0})
+    ->Args({40, 1});
+
+static void
+BM_MshrRecord(benchmark::State &state)
+{
+    // One LLC miss's MSHR traffic as SimCore makes it: hint the
+    // bucket, then record the hold until the memory system's answer.
+    mem::MshrFile m;
     sim::Ticks now = 0;
     for (auto _ : state) {
-        const mem::Addr a = rng.uniformInt((64 << 20) / 64) * 64;
-        benchmark::DoNotOptimize(m.allocate(a, now));
-        benchmark::DoNotOptimize(m.release(a, now + 700));
+        m.prefetch();
+        m.record(now, now + 700 + (now & 0xff));
         now += 1000;
     }
+    benchmark::DoNotOptimize(m.stats().heldTicks.value());
 }
-BENCHMARK(BM_MshrAllocateRelease);
+BENCHMARK(BM_MshrRecord);
 
 static void
 BM_MsrAllocateFree(benchmark::State &state)

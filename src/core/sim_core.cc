@@ -3,11 +3,42 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/prefetch.hh"
 #include "sim/trace_events.hh"
 
 #include "system.hh"
 
 namespace astriflash::core {
+
+namespace {
+
+/**
+ * Ops hintAccess() scans for a memory op. Jobs alternate compute and
+ * memory ops, so the next memory op is at most two ops on.
+ */
+constexpr std::size_t kHintScan = 4;
+
+/**
+ * Host prefetch hints for the first memory op of @p job at or after
+ * op @p from, if one is near: the TLB sets of its virtual address and
+ * the hierarchy sets of its physical one. Reads only (DESIGN.md §9.4).
+ */
+[[gnu::always_inline]] inline void
+hintAccess(const workload::Job &job, std::size_t from, const mem::Tlb &tlb,
+           const mem::CacheHierarchy &hier, const System &sys)
+{
+    const std::size_t end = std::min(job.ops.size(), from + kHintScan);
+    for (std::size_t i = from; i < end; ++i) {
+        const workload::Op &op = job.ops[i];
+        if (op.type != workload::Op::Type::Compute) {
+            tlb.prefetch(op.addr);
+            hier.prefetch(sys.dataPa(op.addr));
+            return;
+        }
+    }
+}
+
+} // namespace
 
 SimCore::SimCore(sim::EventQueue &eq, std::string name, std::uint32_t id,
                  System &system)
@@ -16,7 +47,7 @@ SimCore::SimCore(sim::EventQueue &eq, std::string name, std::uint32_t id,
       tlbModel(SimObject::name() + ".tlb", system.config().tlb,
                &system.tagSlab()),
       hier(SimObject::name(), mem::defaultHierarchyConfig(),
-           mem::CacheHierarchy::kDefaultMshrEntries, &system.tagSlab()),
+           &system.tagSlab()),
       asoEngine(system.config().core)
 {
     // The runtime installs the scheduler handler through the verified
@@ -28,7 +59,7 @@ void
 SimCore::start()
 {
     idle = false;
-    scheduleIn(0, [this] { run(); }, eventPrio(false));
+    scheduleRun(0);
 }
 
 void
@@ -36,8 +67,30 @@ SimCore::kick()
 {
     if (idle) {
         idle = false;
-        scheduleIn(0, [this] { run(); }, eventPrio(false));
+        scheduleRun(0);
     }
+}
+
+void
+SimCore::scheduleRun(sim::Ticks delta)
+{
+    scheduleIn(delta, [this] { run(); }, eventPrio(false),
+               {&SimCore::warm, this});
+}
+
+void
+SimCore::warm(void *self, unsigned distance)
+{
+    const auto *core = static_cast<const SimCore *>(self);
+    if (distance == 1) {
+        if (core->current)
+            hintAccess(*core->current, core->current->nextOp,
+                       core->tlbModel, core->hier, core->sys);
+        return;
+    }
+    // Two events ahead the job may still change, so warm only what
+    // address arithmetic reaches: the core's own lines.
+    sim::prefetchRange(core, sizeof(SimCore));
 }
 
 void
@@ -274,8 +327,7 @@ SimCore::run()
             statsData.busyTicks += t - burst_start;
             localCursor = t;
             const sim::Ticks now = curTick();
-            scheduleIn(t > now ? t - now : 0, [this] { run(); },
-                       eventPrio(false));
+            scheduleRun(t > now ? t - now : 0);
             return;
         }
 
@@ -303,6 +355,9 @@ SimCore::run()
         }
 
         const bool write = op.type == workload::Op::Type::Store;
+        // One op ahead: the next access's sets load while this one
+        // walks its own.
+        hintAccess(job, std::size_t{job.nextOp} + 1, tlbModel, hier, sys);
         // Register pressure model: roughly one renamed destination
         // per access interval (§IV-C4 sizes four per store).
         asoEngine.writeReg(
@@ -328,14 +383,14 @@ SimCore::run()
         for (mem::Addr wb : hier.writebacks())
             sys.noteLlcWriteback(wb);
 
-        // MSHR occupancy accounting around the memory access: the
-        // entry is logically held from the LLC miss until the memory
-        // system answers (data, or the AstriFlash miss response). The
-        // release declares that future tick immediately — the file
-        // never stalls the timing model, it measures hold times.
-        hier.mshrs().allocate(pa, t);
+        // MSHR hold time: the entry is logically held from the LLC
+        // miss until the memory system answers (data, or the
+        // AstriFlash miss response), a future tick recorded at once —
+        // the file never stalls the timing model. Its histogram
+        // bucket loads while the memory system works.
+        hier.mshrs().prefetch();
         const MemOutcome mo = memAccess(pa, write, t);
-        hier.mshrs().release(pa, mo.respondedAt);
+        hier.mshrs().record(t, mo.respondedAt);
         if (mo.kind == MemOutcome::Kind::Done) {
             hier.fillFromMemory(pa, write);
             for (mem::Addr wb : hier.writebacks())

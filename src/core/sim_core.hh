@@ -123,6 +123,16 @@ class SimCore : public sim::SimObject
     /** Main execution event: run the current job for up to a quantum. */
     void run();
 
+    /** Schedule run() @p delta ticks from now, with its warm hook. */
+    void scheduleRun(sim::Ticks delta);
+
+    /**
+     * Warm hook of the run() events (EventQueue::Warm, DESIGN.md
+     * §9.4). At distance 2 it prefetches the core's own lines; at
+     * distance 1 it hints the current job's next memory op.
+     */
+    static void warm(void *self, unsigned distance);
+
     /** Pick the next runnable job; returns false if the core idles. */
     bool pickJob(sim::Ticks now);
 

@@ -20,10 +20,8 @@ defaultHierarchyConfig()
 
 CacheHierarchy::CacheHierarchy(std::string name,
                                const std::vector<CacheLevelConfig> &cfgs,
-                               std::uint32_t mshr_entries,
                                TagSlab *slab)
-    : hierName(std::move(name)), mshrFile(hierName + ".mshr",
-                                          mshr_entries)
+    : hierName(std::move(name))
 {
     if (cfgs.empty())
         ASTRI_FATAL("%s: hierarchy needs at least one level",

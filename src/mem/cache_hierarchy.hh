@@ -11,8 +11,7 @@
  * A System keeps every core's level arrays in one TagSlab
  * (tag_slab.hh), sized by storageBytes(), so an LLC miss walks sets
  * on huge host pages; standalone hierarchies use the heap. The MSHR
- * file backing LLC misses is a short vector scanned linearly
- * (mshr.hh).
+ * file backing LLC misses records hold times only (mshr.hh).
  */
 
 #ifndef ASTRIFLASH_MEM_CACHE_HIERARCHY_HH
@@ -65,20 +64,12 @@ class CacheHierarchy
         sim::Counter llcWritebacks; ///< Dirty blocks pushed to memory.
     };
 
-    /** MSHR entries backing a hierarchy's LLC misses by default. */
-    static constexpr std::uint32_t kDefaultMshrEntries = 32;
-
     /**
-     * @param mshr_entries  On-chip MSHR file size backing LLC misses.
-     *        The file tracks occupancy/hold-time only (the timing
-     *        model never blocks on it): the paper's §IV-B comparison
-     *        is how long entries stay pinned, not a stall model.
      * @param slab  Where every level's tag array lives, or null for
      *        the heap; see SetAssocCache.
      */
     CacheHierarchy(std::string name,
                    const std::vector<CacheLevelConfig> &levels,
-                   std::uint32_t mshr_entries = kDefaultMshrEntries,
                    TagSlab *slab = nullptr);
 
     /** Slab bytes the tag arrays of a hierarchy of @p levels take. */
@@ -114,6 +105,17 @@ class CacheHierarchy
     /** Dirty block addresses displaced to memory by the last call. */
     const std::vector<Addr> &writebacks() const { return lastWritebacks; }
 
+    /**
+     * Host prefetch hint for the set @p addr maps to in every level;
+     * see SetAssocCache::prefetch().
+     */
+    [[gnu::always_inline]] void
+    prefetch(Addr addr) const
+    {
+        for (const auto &level : levels)
+            level->prefetch(addr);
+    }
+
     /** Total lookup latency when every level misses. */
     sim::Ticks fullMissLatency() const { return missLatency; }
 
@@ -122,7 +124,12 @@ class CacheHierarchy
     SetAssocCache &level(std::size_t i) { return *levels[i]; }
     const Stats &stats() const { return statsData; }
 
-    /** The on-chip MSHR file backing this hierarchy's LLC misses. */
+    /**
+     * The on-chip MSHR file backing this hierarchy's LLC misses. It
+     * records hold times only (the timing model never blocks on it):
+     * the paper's §IV-B comparison is how long entries stay pinned,
+     * not a stall model.
+     */
     MshrFile &mshrs() { return mshrFile; }
     const MshrFile &mshrs() const { return mshrFile; }
 

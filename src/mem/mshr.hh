@@ -6,46 +6,36 @@
  * is that these are too expensive to scale to the 100s of outstanding
  * DRAM-cache misses, which is why AstriFlash moves that bookkeeping into
  * the in-DRAM Miss Status Row (core/miss_status_row.hh). This model
- * provides the on-chip structure plus the occupancy statistics needed to
- * demonstrate the contrast.
+ * keeps the occupancy statistics needed to demonstrate the contrast.
  *
- * The file is a small vector searched linearly, the host's version of
- * the CAM: a core holds at most one entry at a time (SimCore
- * allocates and releases around each LLC miss), so a scan of the live
- * entries beats a hash table's node allocation and hashing.
+ * A core holds at most one entry at a time: SimCore takes it at the
+ * LLC miss and gives it back at the memory system's answer before the
+ * next access, so the file never merges and never fills. What is left
+ * to model is the hold time, so the file is a recorder of
+ * allocate-to-release intervals with no table and no block lookup. It
+ * keeps the stat names of the CAM it replaced; merges and full stalls
+ * stay 0.
  */
 
 #ifndef ASTRIFLASH_MEM_MSHR_HH
 #define ASTRIFLASH_MEM_MSHR_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "sim/invariant.hh"
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 
-#include "address.hh"
-
 namespace astriflash::mem {
 
-/** Outcome of an MSHR allocation attempt. */
-enum class MshrAlloc {
-    New,    ///< A fresh entry was allocated for this line.
-    Merged, ///< An entry for this line existed; request was merged.
-    Full,   ///< No free entry; the cache must block.
-};
-
-/** Fixed-capacity MSHR file keyed by line (block) number. */
+/** Hold-time recorder of one core's on-chip MSHR file. */
 class MshrFile
 {
   public:
     struct Stats {
         sim::Counter allocations;
-        sim::Counter merges;
-        sim::Counter fullStalls;
+        sim::Counter merges;     ///< Always 0: one miss per core.
+        sim::Counter fullStalls; ///< Always 0: one miss per core.
         sim::Counter frees;
         sim::Counter heldTicks;  ///< Total entry-hold time.
         sim::Histogram holdTime; ///< Per-entry allocate-to-release.
@@ -53,47 +43,35 @@ class MshrFile
     };
 
     /**
-     * @param name     Instance name.
-     * @param entries  Number of MSHR entries (CAM size).
-     * @param line_size Granularity of request coalescing.
+     * Record one entry held from @p from to @p to. The release tick
+     * may be a declared future tick (the miss response), and one
+     * before @p from charges zero, never an underflowed duration. The
+     * paper's argument (§IV-B) is exactly this interval: a miss
+     * *response* frees the entry in nanoseconds, while holding it to
+     * fill completion pins it for the whole flash access.
      */
-    MshrFile(std::string name, std::uint32_t entries,
-             std::uint64_t line_size = kBlockSize);
-
-    /**
-     * Try to allocate (or merge into) an entry for @p addr.
-     * @param now  Allocation tick; a fresh entry records it so the
-     *             release can account the hold time. The paper's
-     *             argument (§IV-B) is exactly this interval: a miss
-     *             *response* frees the entry in nanoseconds, while
-     *             holding it to fill completion pins it for the whole
-     *             flash access.
-     */
-    MshrAlloc allocate(Addr addr, sim::Ticks now = 0);
-
-    /**
-     * Release the entry for @p addr.
-     * @param now  Release tick (may be a declared future tick: the
-     *             miss-response time); hold-time stats cover
-     *             now - allocation tick.
-     * @return Number of merged requests that were waiting (>=1), or 0
-     *         if no entry existed.
-     */
-    std::uint32_t release(Addr addr, sim::Ticks now = 0);
-
-    /** True if an entry for @p addr is outstanding. */
-    bool contains(Addr addr) const;
-
-    /** Current number of live entries. */
-    std::uint32_t occupancy() const
+    void
+    record(sim::Ticks from, sim::Ticks to)
     {
-        return static_cast<std::uint32_t>(table.size());
+        lastHeld = to > from ? to - from : 0;
+        statsData.allocations.inc();
+        statsData.frees.inc();
+        statsData.heldTicks.inc(lastHeld);
+        statsData.holdTime.sample(lastHeld);
+        statsData.peakOccupancy = 1;
     }
 
-    /** True when every entry is in use. */
-    bool full() const { return table.size() >= capacity; }
+    /**
+     * Host prefetch hint for the hold-time bucket of the last
+     * recorded interval, where a core's next, similar one most likely
+     * lands; see sim::Histogram::prefetch().
+     */
+    [[gnu::always_inline]] void
+    prefetch() const
+    {
+        statsData.holdTime.prefetch(lastHeld);
+    }
 
-    std::uint32_t entries() const { return capacity; }
     const Stats &stats() const { return statsData; }
 
     /** Register this MSHR file's stats into @p reg. */
@@ -117,40 +95,18 @@ class MshrFile
     }
 
     /**
-     * Audit the CAM: bounded occupancy, one entry per line with at
-     * least one waiter each, and allocations == frees + occupancy.
+     * Audit the recorder: every allocation was freed and sampled once,
+     * and nothing ever merged, stalled or overlapped.
      */
     void
     checkInvariants(sim::InvariantChecker &chk) const
     {
-        SIM_INVARIANT_MSG(chk, table.size() <= capacity,
-                          "%zu entries exceed the %u-entry CAM",
-                          table.size(), capacity);
-        // A BlockNum cannot be misaligned by construction; what
-        // remains is one entry per line, each with at least one
-        // waiter.
-        for (std::size_t i = 0; i < table.size(); ++i) {
-            const Entry &entry = table[i];
-            SIM_INVARIANT_MSG(chk, entry.waiters >= 1,
-                              "entry %llx has no waiters",
-                              static_cast<unsigned long long>(
-                                  blockAddr(entry.block, line)));
-            SIM_INVARIANT_MSG(chk, indexOf(entry.block) == i,
-                              "line %llx holds two entries",
-                              static_cast<unsigned long long>(
-                                  blockAddr(entry.block, line)));
-        }
         SIM_INVARIANT_MSG(
-            chk,
-            statsData.allocations.value() ==
-                statsData.frees.value() + table.size(),
-            "MSHR conservation: %llu allocs != %llu frees + %zu live",
+            chk, statsData.allocations.value() == statsData.frees.value(),
+            "MSHR conservation: %llu allocs != %llu frees",
             static_cast<unsigned long long>(
                 statsData.allocations.value()),
-            static_cast<unsigned long long>(statsData.frees.value()),
-            table.size());
-        SIM_INVARIANT(chk, statsData.peakOccupancy >= table.size());
-        // Every free samples the hold-time histogram exactly once.
+            static_cast<unsigned long long>(statsData.frees.value()));
         SIM_INVARIANT_MSG(chk,
                           statsData.holdTime.count() ==
                               statsData.frees.value(),
@@ -159,23 +115,14 @@ class MshrFile
                               statsData.frees.value()),
                           static_cast<unsigned long long>(
                               statsData.holdTime.count()));
+        SIM_INVARIANT(chk, statsData.merges.value() == 0);
+        SIM_INVARIANT(chk, statsData.fullStalls.value() == 0);
+        SIM_INVARIANT(chk, statsData.peakOccupancy ==
+                               (statsData.frees.value() != 0 ? 1u : 0u));
     }
 
   private:
-    struct Entry {
-        BlockNum block;
-        std::uint32_t waiters = 0;
-        sim::Ticks allocatedAt = 0;
-    };
-
-    /** Index of the live entry for @p block, or table.size(). */
-    std::size_t indexOf(BlockNum block) const;
-
-    std::string fileName;
-    std::uint32_t capacity;
-    std::uint64_t line;
-    /** Live entries in no particular order; release() swaps and pops. */
-    std::vector<Entry> table;
+    sim::Ticks lastHeld = 0;
     Stats statsData;
 };
 

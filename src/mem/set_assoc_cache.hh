@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "sim/invariant.hh"
+#include "sim/prefetch.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -116,6 +117,25 @@ class SetAssocCache
 
     /** Probe without touching recency or stats. */
     bool contains(Addr addr) const;
+
+    /**
+     * Host prefetch hint for the set @p addr maps to: touches every
+     * host line of its tag and meta words, ways x 8 bytes. The set
+     * comes from the geometry alone, never from locate(), so any
+     * address is safe, even one whose tag would not fit; no state
+     * changes. Always inlined: GCC 12 at -O2 drops the prefetches of
+     * a helper it keeps out of line (DESIGN.md §9.4).
+     */
+    [[gnu::always_inline]] void
+    prefetch(Addr addr) const
+    {
+        const std::uint64_t lineNum = addr >> lineShift;
+        const std::uint64_t set =
+            setsPow2 ? lineNum & (sets - 1) : lineNum % sets;
+        sim::prefetchRange(arr.data() + set * 2 * waysPerSet,
+                           2 * std::size_t{waysPerSet} *
+                               sizeof(std::uint32_t));
+    }
 
     /**
      * Insert @p addr (aligned internally), evicting a victim if the set

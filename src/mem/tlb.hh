@@ -63,6 +63,17 @@ class Tlb
     /** Translate the page containing @p vaddr. */
     Result lookup(Addr vaddr);
 
+    /**
+     * Host prefetch hint for both levels' sets of the page holding
+     * @p vaddr; see SetAssocCache::prefetch().
+     */
+    [[gnu::always_inline]] void
+    prefetch(Addr vaddr) const
+    {
+        l1.prefetch(vaddr);
+        l2.prefetch(vaddr);
+    }
+
     /** Install a translation after a walk. */
     void fill(Addr vaddr);
 

@@ -34,7 +34,8 @@ EventQueue::setTiePerturbation(std::uint64_t seed)
 }
 
 EventId
-EventQueue::schedule(Ticks when, Callback fn, EventPriority prio)
+EventQueue::schedule(Ticks when, Callback fn, EventPriority prio,
+                     Warm warm)
 {
     ASTRI_ASSERT_MSG(when >= now,
                      "scheduling into the past: when=%llu now=%llu",
@@ -52,6 +53,7 @@ EventQueue::schedule(Ticks when, Callback fn, EventPriority prio)
     }
     Slot &s = slots[slot];
     s.fn = std::move(fn);
+    s.warm = warm;
     s.busy = true;
     s.cancelled = false;
     const std::uint64_t seq = (nextSeq)++;
@@ -81,6 +83,7 @@ EventQueue::deschedule(EventId id)
         return false;
     s.cancelled = true;
     s.fn.reset(); // release captured resources eagerly
+    s.warm = {};
     ++cancelledCount;
     if (wantCompaction())
         compact();
@@ -116,11 +119,30 @@ EventQueue::releaseSlot(std::uint32_t slot)
 {
     Slot &s = slots[slot];
     s.fn.reset();
+    s.warm = {};
     s.busy = false;
     s.cancelled = false;
     if (++s.gen == 0) // generation 0 is reserved for kInvalidEventId
         s.gen = 1;
     freeSlots.push_back(slot);
+}
+
+void
+EventQueue::warmNext() const
+{
+    // The head runs next. The second-next is the better of the head's
+    // children unless the event about to run schedules ahead of it.
+    const std::size_t size = heap.size();
+    if (size == 0)
+        return;
+    if (const Warm &w = slots[heap[0].slot].warm; w.fn)
+        w.fn(w.arg, 1);
+    if (size == 1)
+        return;
+    const Node &second =
+        size > 2 && later(heap[1], heap[2]) ? heap[2] : heap[1];
+    if (const Warm &w = slots[second.slot].warm; w.fn)
+        w.fn(w.arg, 2);
 }
 
 void
@@ -166,6 +188,7 @@ EventQueue::runUntil(Ticks limit)
         // reference.
         Callback fn = std::move(slots[node.slot].fn);
         releaseSlot(node.slot);
+        warmNext();
         ++executedCount;
         fn();
         ++n;
@@ -192,6 +215,7 @@ EventQueue::runSteps(std::uint64_t max_events)
         now = node.when;
         Callback fn = std::move(slots[node.slot].fn);
         releaseSlot(node.slot);
+        warmNext();
         ++executedCount;
         fn();
         ++n;

@@ -19,6 +19,9 @@
  *   discarded when it surfaces. When cancelled nodes exceed a fixed
  *   fraction of the heap, the heap is compacted in one O(n) pass, so
  *   tombstones cannot grow without bound.
+ * - An event may carry a warm hook that the queue calls while the one
+ *   or two events before it run, so its owner can prefetch the host
+ *   lines its callback will touch (DESIGN.md §9.4).
  */
 
 #ifndef ASTRIFLASH_SIM_EVENT_QUEUE_HH
@@ -70,6 +73,20 @@ class EventQueue
   public:
     using Callback = InlineFunction<48>;
 
+    /**
+     * Host prefetch hook of a pending event. Each time runSteps() or
+     * runUntil() pops an event, before running it, the queue calls
+     * the hook of the new head with distance 1, then that of the
+     * second-next event (the better child of the head) with distance
+     * 2. A hook may only read simulator state and issue host prefetch
+     * hints: nothing it does can move a result. A descheduled event's
+     * hook never fires. Warm{} is no hook.
+     */
+    struct Warm {
+        void (*fn)(void *arg, unsigned distance);
+        void *arg;
+    };
+
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -83,17 +100,20 @@ class EventQueue
      * @param when  Absolute tick; must be >= curTick().
      * @param fn    Callable invoked when the event fires.
      * @param prio  Tie-break priority at equal ticks.
+     * @param warm  Host prefetch hook; see Warm.
      * @return Handle usable with deschedule().
      */
     EventId schedule(Ticks when, Callback fn,
-                     EventPriority prio = EventPriority::Default);
+                     EventPriority prio = EventPriority::Default,
+                     Warm warm = {});
 
     /** Schedule @p fn to run @p delta ticks from now. */
     EventId
     scheduleIn(Ticks delta, Callback fn,
-               EventPriority prio = EventPriority::Default)
+               EventPriority prio = EventPriority::Default,
+               Warm warm = {})
     {
-        return schedule(now + delta, std::move(fn), prio);
+        return schedule(now + delta, std::move(fn), prio, warm);
     }
 
     /**
@@ -200,6 +220,7 @@ class EventQueue
     /** Callback owner + liveness state for one in-flight event. */
     struct Slot {
         Callback fn;
+        Warm warm{};           ///< Cleared on cancel and release.
         std::uint32_t gen = 1; ///< Bumped on release; 0 is never used.
         bool busy = false;      ///< Scheduled and not yet fired/reaped.
         bool cancelled = false; ///< deschedule() seen; reap on surface.
@@ -234,6 +255,9 @@ class EventQueue
 
     /** Return @p slot to the free list and invalidate its handles. */
     void releaseSlot(std::uint32_t slot);
+
+    /** Call the warm hooks of the next two events (see Warm). */
+    void warmNext() const;
 
     /** Drop every cancelled node in one pass and re-heapify. */
     void compact();

@@ -46,12 +46,16 @@ class SimObject
     EventQueue &eventQueue() { return eq; }
 
   protected:
-    /** Schedule a member callback @p delta ticks from now. */
+    /**
+     * Schedule a member callback @p delta ticks from now, with an
+     * optional host prefetch hook (EventQueue::Warm).
+     */
     EventId
     scheduleIn(Ticks delta, EventQueue::Callback fn,
-               EventPriority prio = EventPriority::Default)
+               EventPriority prio = EventPriority::Default,
+               EventQueue::Warm warm = {})
     {
-        return eq.scheduleIn(delta, std::move(fn), prio);
+        return eq.scheduleIn(delta, std::move(fn), prio, warm);
     }
 
   private:

@@ -1,7 +1,6 @@
 #include "stats.hh"
 
 #include <algorithm>
-#include <bit>
 #include <iterator>
 #include <sstream>
 
@@ -58,23 +57,6 @@ Histogram::reserveFor(std::uint64_t max_value)
     const std::uint32_t idx = bucketIndex(max_value);
     if (idx >= buckets.size())
         growTo(idx);
-}
-
-std::uint32_t
-Histogram::bucketIndex(std::uint64_t v)
-{
-    if (v < kSubBuckets)
-        return static_cast<std::uint32_t>(v);
-    // Octave = index of the highest set bit beyond the unit region.
-    const int msb = 63 - std::countl_zero(v);
-    const std::uint32_t octave =
-        static_cast<std::uint32_t>(msb) - kSubBucketBits;
-    // Linear sub-bucket within the octave.
-    const std::uint64_t sub =
-        (v >> (msb - static_cast<int>(kSubBucketBits))) - kSubBuckets;
-    return static_cast<std::uint32_t>(kSubBuckets) +
-           octave * static_cast<std::uint32_t>(kSubBuckets) +
-           static_cast<std::uint32_t>(sub);
 }
 
 std::uint64_t

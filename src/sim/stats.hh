@@ -19,6 +19,7 @@
 #ifndef ASTRIFLASH_SIM_STATS_HH
 #define ASTRIFLASH_SIM_STATS_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -152,11 +153,39 @@ class Histogram
     /** Merge another histogram's samples into this one. */
     void merge(const Histogram &other);
 
+    /**
+     * Host prefetch hint for the bucket a sample of @p v would land
+     * in, if that bucket exists yet; changes nothing. Always inlined,
+     * like SetAssocCache::prefetch().
+     */
+    [[gnu::always_inline]] void
+    prefetch(std::uint64_t v) const
+    {
+        const std::uint32_t idx = bucketIndex(v);
+        if (idx < buckets.size())
+            __builtin_prefetch(buckets.data() + idx);
+    }
+
   private:
     static constexpr std::uint32_t kSubBucketBits = 6;
     static constexpr std::uint64_t kSubBuckets = 1ull << kSubBucketBits;
 
-    static std::uint32_t bucketIndex(std::uint64_t v);
+    static std::uint32_t
+    bucketIndex(std::uint64_t v)
+    {
+        if (v < kSubBuckets)
+            return static_cast<std::uint32_t>(v);
+        // Octave = index of the highest set bit beyond the unit region.
+        const int msb = 63 - std::countl_zero(v);
+        const std::uint32_t octave =
+            static_cast<std::uint32_t>(msb) - kSubBucketBits;
+        // Linear sub-bucket within the octave.
+        const std::uint64_t sub =
+            (v >> (msb - static_cast<int>(kSubBucketBits))) - kSubBuckets;
+        return static_cast<std::uint32_t>(kSubBuckets) +
+               octave * static_cast<std::uint32_t>(kSubBuckets) +
+               static_cast<std::uint32_t>(sub);
+    }
     static std::uint64_t bucketUpperBound(std::uint32_t idx);
 
     /** Grow the bucket array to make @p idx addressable. */

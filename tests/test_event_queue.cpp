@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -471,4 +474,143 @@ TEST(EventQueuePerturbationDeath, NonzeroSeedFatalWhenCompiledOut)
     EventQueue eq;
     EXPECT_EXIT(eq.setTiePerturbation(1),
                 ::testing::ExitedWithCode(1), "compiled out");
+}
+
+namespace {
+
+/** Warm hook calls seen: (event label, distance), in call order. */
+struct WarmLog {
+    std::vector<std::pair<int, unsigned>> calls;
+};
+
+/** A hook whose argument names its event, for WarmLog. */
+struct Labelled {
+    WarmLog *log;
+    int label;
+
+    static void
+    hook(void *arg, unsigned distance)
+    {
+        const auto *self = static_cast<const Labelled *>(arg);
+        self->log->calls.emplace_back(self->label, distance);
+    }
+
+    EventQueue::Warm
+    warm()
+    {
+        return {&Labelled::hook, this};
+    }
+};
+
+} // namespace
+
+TEST(EventQueueWarm, HeadGetsDistanceOneAndSecondNextDistanceTwo)
+{
+    EventQueue eq;
+    WarmLog log;
+    std::vector<Labelled> labels;
+    labels.reserve(4);
+    for (int i = 0; i < 4; ++i)
+        labels.push_back({&log, i});
+    // Events 0..3 at ticks 10..40, scheduled out of order.
+    for (const int i : {2, 0, 3, 1})
+        eq.schedule(10 * Ticks(i + 1), [] {}, EventPriority::Default,
+                    labels[i].warm());
+
+    eq.runSteps(1); // pops 0: warms 1 (head) and 2 (second-next)
+    EXPECT_EQ(log.calls, (std::vector<std::pair<int, unsigned>>{
+                             {1, 1}, {2, 2}}));
+    log.calls.clear();
+    eq.runSteps(2); // pops 1: warms 2, 3; pops 2: warms 3
+    EXPECT_EQ(log.calls, (std::vector<std::pair<int, unsigned>>{
+                             {2, 1}, {3, 2}, {3, 1}}));
+    log.calls.clear();
+    eq.runUntil(kTickNever); // pops 3 into an empty heap
+    EXPECT_TRUE(log.calls.empty());
+}
+
+TEST(EventQueueWarm, HookSeesStateBeforeItsPredecessorRuns)
+{
+    // The hooks run after the pop and before the popped callback.
+    EventQueue eq;
+    WarmLog log;
+    Labelled second{&log, 1};
+    eq.schedule(1, [&log] { log.calls.emplace_back(0, 0); });
+    eq.schedule(2, [] {}, EventPriority::Default, second.warm());
+    eq.runSteps(1);
+    EXPECT_EQ(log.calls, (std::vector<std::pair<int, unsigned>>{
+                             {1, 1}, {0, 0}}));
+}
+
+TEST(EventQueueWarm, DescheduledHookNeverFires)
+{
+    EventQueue eq;
+    WarmLog log;
+    std::vector<Labelled> labels;
+    labels.reserve(64);
+    std::vector<EventId> ids;
+    for (int i = 0; i < 64; ++i) {
+        labels.push_back({&log, i});
+        ids.push_back(eq.schedule(Ticks(i + 1), [] {},
+                                  EventPriority::Default,
+                                  labels.back().warm()));
+    }
+    // Cancel the odd events, some of them while they sit next in line.
+    for (int i = 1; i < 64; i += 2)
+        EXPECT_TRUE(eq.deschedule(ids[i]));
+    eq.run();
+    EXPECT_EQ(eq.executed(), 32u);
+    for (const auto &[label, distance] : log.calls)
+        EXPECT_EQ(label % 2, 0) << "cancelled event " << label
+                                << " warmed at distance " << distance;
+    EXPECT_FALSE(log.calls.empty());
+}
+
+TEST(EventQueueWarm, HooksChangeNeitherOrderNorCount)
+{
+    // The same seeded schedule/cancel/reschedule stream with and
+    // without hooks must execute the same events in the same order.
+    auto drive = [](bool hooks) {
+        EventQueue eq;
+        WarmLog log;
+        Labelled label{&log, 0};
+        const EventQueue::Warm warm =
+            hooks ? label.warm() : EventQueue::Warm{};
+        std::vector<int> order;
+        std::vector<EventId> ids;
+        std::uint64_t x = 12345;
+        auto rnd = [&x](std::uint64_t n) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            return (x >> 33) % n;
+        };
+        int next = 0;
+        std::function<void()> spawn = [&] {
+            const int id = next++;
+            ids.push_back(eq.scheduleIn(
+                rnd(20),
+                [&, id] {
+                    order.push_back(id);
+                    if (next < 3000)
+                        spawn();
+                    if (next < 3000 && rnd(3) == 0)
+                        spawn();
+                    if (rnd(5) == 0)
+                        eq.deschedule(ids[rnd(ids.size())]);
+                },
+                static_cast<EventPriority>(rnd(3)), warm));
+        };
+        for (int i = 0; i < 16; ++i)
+            spawn();
+        while (!eq.empty())
+            eq.runSteps(7);
+        if (hooks) {
+            EXPECT_GT(log.calls.size(), 1000u);
+        }
+        return std::make_pair(order, eq.executed());
+    };
+    const auto plain = drive(false);
+    const auto warmed = drive(true);
+    EXPECT_EQ(plain.first, warmed.first);
+    EXPECT_EQ(plain.second, warmed.second);
+    EXPECT_GT(plain.second, 1000u);
 }

@@ -68,8 +68,7 @@ TEST(TagSlab, SlabBackedHierarchyMatchesHeapBacked)
     const auto levels = mem::defaultHierarchyConfig();
     TagSlab slab(mem::CacheHierarchy::storageBytes(levels));
     mem::CacheHierarchy heap("h", levels);
-    mem::CacheHierarchy slabbed(
-        "h", levels, mem::CacheHierarchy::kDefaultMshrEntries, &slab);
+    mem::CacheHierarchy slabbed("h", levels, &slab);
     EXPECT_EQ(slab.used(), slab.size());
 
     sim::Rng rng(9);
