@@ -12,42 +12,47 @@ constexpr std::uint32_t kNoCore =
 
 namespace astriflash::core {
 
+// The lookahead manifest (DESIGN.md §14), in BC operations: the
+// consumer of a fc_to_bc request or bc_to_fc install notice spends at
+// least one op before acting on it; bc_to_flash commands go to the
+// device the moment the window accepts them, so that seam declares
+// zero. fc_to_bc and bc_to_flash are fed at skewed core-local clocks
+// through the FC's synchronous probe, so only bc_to_fc — pushed
+// exclusively by the arrival event handler — declares monotone push
+// ticks.
 BacksideController::BacksideController(
-    sim::EventQueue &eq, std::string name,
-    const DramCacheConfig &config, const mem::AddressMap &amap,
-    flash::Backend &flash_dev, mem::Dram &dram,
-    mem::SetAssocCache &tags, FootprintState &footprint,
-    sim::BoundedChannel<MissRequest> &in_channel,
-    sim::BoundedChannel<FlashCmdMsg> &to_flash,
-    sim::BoundedChannel<InstallComplete> &to_fc,
-    std::uint32_t msr_sets, std::uint32_t msr_entries_per_set,
-    std::uint32_t evict_entries)
-    : sim::SimObject(eq, std::move(name)), cfg(config), addrMap(amap),
-      flashDev(flash_dev), dramModel(dram), pageTags(tags),
-      fp(footprint), inbox(in_channel), toFlash(to_flash), toFc(to_fc),
+    sim::EventQueue &eq, const std::string &cache_name,
+    const std::string &shard_tag, const DramCacheConfig &config,
+    const mem::AddressMap &amap, flash::Backend &flash_dev,
+    mem::Dram &dram, mem::SetAssocCache &tags,
+    FootprintState &footprint, const PageReadyFn &page_ready,
+    sim::CausalityAuditor *auditor, std::uint32_t msr_sets,
+    std::uint32_t msr_entries_per_set, std::uint32_t evict_entries)
+    : sim::SimObject(eq, cache_name + ".bc" + shard_tag), cfg(config),
+      addrMap(amap), flashDev(flash_dev), dramModel(dram),
+      pageTags(tags), fp(footprint), pageReady(page_ready),
+      bcOpTicks(sim::ClockDomain(config.controllerFreqHz)
+                    .cycles(config.bc.cyclesPerOp)),
+      flashReadEstimate(flash_dev.readEstimate()),
+      inbox(cache_name + ".fc_to_bc" + shard_tag,
+            config.channels.fcToBcDepth,
+            sim::ChannelContract{bcOpTicks, false}, auditor),
+      toFlash(cache_name + ".bc_to_flash" + shard_tag,
+              config.channels.bcToFlashDepth,
+              sim::ChannelContract{0, false}, auditor),
+      toFc(cache_name + ".bc_to_fc" + shard_tag, kInstallWindowSlots,
+           sim::ChannelContract{bcOpTicks, true}, auditor),
       msrTable(SimObject::name() + ".msr", msr_sets,
                msr_entries_per_set),
-      evictBuf(SimObject::name() + ".evictbuf", evict_entries),
-      flashReadEstimate(flash_dev.readEstimate())
+      evictBuf(SimObject::name() + ".evictbuf", evict_entries)
 {
-    const sim::ClockDomain clk(cfg.controllerFreqHz);
-    bcOpTicks = clk.cycles(cfg.bc.cyclesPerOp);
-}
-
-void
-BacksideController::bindChannels()
-{
-    // Commands drain inside the push that queued them, so startMiss's
-    // issued-assertions can rely on it and the seam honestly declares
-    // zero lookahead.
-    toFlash.setDrainHook([this] { pumpFlash(); });
 }
 
 BcReply
 BacksideController::request(const MissRequest &req, sim::Ticks now)
 {
     BcReply rep;
-    rep.accepted = inbox.push(req, now);
+    rep.accepted = inbox.push(now);
 
     if (!req.subPage && evictBuf.contains(req.page)) {
         // The page is parked in the evict buffer awaiting writeback;
@@ -55,7 +60,7 @@ BacksideController::request(const MissRequest &req, sim::Ticks now)
         // target a resident page, which cannot be parked here.)
         rep.kind = BcReply::Kind::EvictBufferHit;
         rep.ready = rep.accepted + bcOp();
-        inbox.dropFront(rep.ready);
+        inbox.pop(rep.ready, rep.ready);
         return rep;
     }
 
@@ -70,9 +75,8 @@ BacksideController::request(const MissRequest &req, sim::Ticks now)
     // the BC's outstanding-transaction window. Either way the BC
     // consumes the request after its dequeue + MSR-search ops.
     const sim::Ticks consumed = rep.accepted + 2 * bcOp();
-    inbox.dropFront(consumed, rep.merged
-                                  ? consumed
-                                  : pending[req.page].dataReady);
+    inbox.pop(consumed,
+              rep.merged ? consumed : pending[req.page].dataReady);
     return rep;
 }
 
@@ -129,26 +133,8 @@ BacksideController::startMiss(const MissRequest &req, sim::Ticks now)
       case MsrAlloc::New: {
         sim::traceEvent(sim::TracePoint::MsrInsert, bc_start, kNoCore,
                         pageByteAddr(page), msrTable.occupancy());
-        const std::uint64_t fetch_bytes =
-            static_cast<std::uint64_t>(
-                std::popcount(miss.fetchMask)) * mem::kBlockSize;
         pending.emplace(page, std::move(miss));
-        // The command channel's drain submits the read and reports
-        // back through flashReadIssued(), which stamps dataReady and
-        // schedules the arrival.
-        toFlash.push(
-            FlashCmdMsg{
-                flash::FlashCommand{flash::FlashCommand::Op::Read,
-                                    addrMap.flashPage(
-                                        pageByteAddr(page)),
-                                    mem::Bytes(fetch_bytes)},
-                page},
-            bc_start);
-        ASTRI_ASSERT_MSG(pending[page].issued,
-                         "flash read for %llx was not issued by the "
-                         "command channel drain",
-                         static_cast<unsigned long long>(
-                             pageByteAddr(page)));
+        issueRead(page, bc_start);
         break;
       }
     }
@@ -157,44 +143,40 @@ BacksideController::startMiss(const MissRequest &req, sim::Ticks now)
     return pending[page].dataReady;
 }
 
-void
-BacksideController::pumpFlash()
+std::pair<sim::Ticks, sim::Ticks>
+BacksideController::submitFlash(const flash::FlashCommand &cmd,
+                                sim::Ticks now)
 {
-    while (!toFlash.empty()) {
-        auto &st = toFlash.front();
-        const FlashCmdMsg msg = st.msg;
-        const sim::Ticks issued = st.acceptedAt;
-        const flash::FlashCommandResult res =
-            flashDev.submit(msg.cmd, issued);
-        // The slot drains when the device finishes the read or
-        // accepts the write, so the depth models the device command
-        // queue; the declared zero lookahead matches the synchronous
-        // submit.
-        toFlash.dropFront(issued, res.complete);
-        if (msg.cmd.op == flash::FlashCommand::Op::Read)
-            flashReadIssued(msg.page, issued, res.complete);
-    }
+    const sim::Ticks accept = toFlash.push(now);
+    const sim::Ticks complete = flashDev.submit(cmd, accept).complete;
+    // Consumed at the accept tick: the declared zero lookahead
+    // matches the synchronous submit.
+    toFlash.pop(accept, complete);
+    return {accept, complete};
 }
 
 void
-BacksideController::flashReadIssued(mem::PageNum page,
-                                    sim::Ticks issued_at,
-                                    sim::Ticks complete_at)
+BacksideController::issueRead(mem::PageNum page, sim::Ticks now)
 {
     auto it = pending.find(page);
     ASTRI_ASSERT_MSG(it != pending.end() && !it->second.issued,
-                     "read completion for %llx without an un-issued "
+                     "flash read for %llx without an un-issued "
                      "pending miss",
                      static_cast<unsigned long long>(
                          pageByteAddr(page)));
     const std::uint64_t fetch_bytes =
         static_cast<std::uint64_t>(
             std::popcount(it->second.fetchMask)) * mem::kBlockSize;
-    sim::traceEvent(sim::TracePoint::FlashReadIssue, issued_at,
-                    kNoCore, pageByteAddr(page), fetch_bytes);
+    const auto [issued, complete] = submitFlash(
+        flash::FlashCommand{flash::FlashCommand::Op::Read,
+                            addrMap.flashPage(pageByteAddr(page)),
+                            mem::Bytes(fetch_bytes)},
+        now);
+    sim::traceEvent(sim::TracePoint::FlashReadIssue, issued, kNoCore,
+                    pageByteAddr(page), fetch_bytes);
     it->second.issued = true;
-    it->second.dataReady = complete_at + bcOp() + installEstimate();
-    scheduleIn(complete_at > curTick() ? complete_at - curTick() : 0,
+    it->second.dataReady = complete + bcOp() + installEstimate();
+    scheduleIn(complete > curTick() ? complete - curTick() : 0,
                [this, page] { pageArrived(page); });
 }
 
@@ -279,9 +261,16 @@ BacksideController::pageArrived(mem::PageNum page)
     msrTable.free(page);
     retryMsrStalled(now);
 
-    auto waiters = std::move(pit->second.waiters);
+    const std::vector<WaiterCookie> waiters =
+        std::move(pit->second.waiters);
     pending.erase(pit);
-    toFc.push(InstallComplete{page, ready, std::move(waiters)}, now);
+    // The notice's slot recycles once it lands; the waiters wake at
+    // the install's ready tick either way.
+    const sim::Ticks accept = toFc.push(now);
+    const sim::Ticks landed = ready > accept ? ready : accept;
+    toFc.pop(landed, landed);
+    if (pageReady)
+        pageReady(page, ready, waiters);
 }
 
 void
@@ -303,18 +292,7 @@ BacksideController::retryMsrStalled(sim::Ticks now)
         sim::traceEvent(sim::TracePoint::MsrInsert, now + bcOp(),
                         kNoCore, pageByteAddr(page),
                         msrTable.occupancy());
-        const std::uint64_t fetch_bytes =
-            static_cast<std::uint64_t>(
-                std::popcount(pit->second.fetchMask)) * mem::kBlockSize;
-        toFlash.push(
-            FlashCmdMsg{
-                flash::FlashCommand{flash::FlashCommand::Op::Read,
-                                    addrMap.flashPage(
-                                        pageByteAddr(page)),
-                                    mem::Bytes(fetch_bytes)},
-                page},
-            now + bcOp());
-        ASTRI_ASSERT(pit->second.issued);
+        issueRead(page, now + bcOp());
         it = msrStalled.erase(it);
     }
 }
@@ -328,13 +306,10 @@ BacksideController::drainEvictBuffer(sim::Ticks now)
     sim::traceEvent(sim::TracePoint::EvictDrain, now, kNoCore,
                     pageByteAddr(e.page), e.dirty ? 1 : 0);
     if (e.dirty) {
-        toFlash.push(
-            FlashCmdMsg{
-                flash::FlashCommand{flash::FlashCommand::Op::Write,
-                                    addrMap.flashPage(
-                                        pageByteAddr(e.page)),
-                                    mem::Bytes{0}},
-                e.page},
+        submitFlash(
+            flash::FlashCommand{flash::FlashCommand::Op::Write,
+                                addrMap.flashPage(pageByteAddr(e.page)),
+                                mem::Bytes{0}},
             now);
         statsData.dirtyWritebacks.inc();
     }

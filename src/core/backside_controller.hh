@@ -3,20 +3,22 @@
  * Backside controller (BC) of the DRAM cache (§IV-B, Fig. 5).
  *
  * The BC is the programmable (slower per operation) half of the
- * controller pair: it services the MissRequests the facade pushes onto
- * its FC→BC channel, deduplicates them through the in-DRAM Miss Status
- * Row, issues 4 KB flash reads through its own flash::Backend submit
- * path, installs each arrived page (tag fill, footprint masks, DRAM
- * write), parks victims in the evict buffer, and writes dirty victims
- * back to flash off the critical path.
+ * controller pair: it services the MissRequests the facade hands it,
+ * deduplicates them through the in-DRAM Miss Status Row, issues 4 KB
+ * flash reads through its own flash::Backend submit path, installs
+ * each arrived page (tag fill, footprint masks, DRAM write), parks
+ * victims in the evict buffer, and writes dirty victims back to flash
+ * off the critical path.
  *
- * The BC owns the MSR, the evict buffer, the pending-miss table, and
- * the flash submit path; it shares the tag array, the DRAM device
- * model, and the footprint masks with the frontside, as both
- * controllers address the same DRAM rows. It never names the frontside
- * controller or a concrete flash device (aflint AF013/AF014): its
- * replies go back to the facade as return values, and its page-ready
- * notices leave through the BC→FC install channel.
+ * The BC owns the MSR, the evict buffer, the pending-miss table, the
+ * flash submit path, and the shard's three slot windows (fc_to_bc,
+ * bc_to_flash, bc_to_fc), which give the hardware queues their timing
+ * while every hand-off is a plain call. It shares the tag array, the
+ * DRAM device model, and the footprint masks with the frontside, as
+ * both controllers address the same DRAM rows. It never names the
+ * frontside controller or a concrete flash device (aflint
+ * AF013/AF014): its replies go back to the facade as return values,
+ * and its page-ready notices go to the facade's PageReadyFn.
  */
 
 #ifndef ASTRIFLASH_CORE_BACKSIDE_CONTROLLER_HH
@@ -26,6 +28,7 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "flash/backend.hh"
@@ -33,6 +36,7 @@
 #include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
 #include "sim/bounded_channel.hh"
+#include "sim/causality.hh"
 #include "sim/invariant.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
@@ -66,31 +70,32 @@ class BacksideController : public sim::SimObject
      *        conservative read estimate from it.
      * @param dram / @p tags / @p footprint the cache-wide DRAM device,
      *        tag array, and footprint masks the facade holds.
+     * @param page_ready the facade's page-arrival hook (may be empty).
+     * @param auditor causality auditor for the shard's windows, or
+     *        null.
+     *
+     * The BC is named "<cache_name>.bc<shard_tag>" and its windows
+     * "<cache_name>.{fc_to_bc,bc_to_flash,bc_to_fc}<shard_tag>".
      */
-    BacksideController(sim::EventQueue &eq, std::string name,
+    BacksideController(sim::EventQueue &eq,
+                       const std::string &cache_name,
+                       const std::string &shard_tag,
                        const DramCacheConfig &config,
                        const mem::AddressMap &amap,
                        flash::Backend &flash_dev, mem::Dram &dram,
                        mem::SetAssocCache &tags,
                        FootprintState &footprint,
-                       sim::BoundedChannel<MissRequest> &inbox,
-                       sim::BoundedChannel<FlashCmdMsg> &to_flash,
-                       sim::BoundedChannel<InstallComplete> &to_fc,
+                       const PageReadyFn &page_ready,
+                       sim::CausalityAuditor *auditor,
                        std::uint32_t msr_sets,
                        std::uint32_t msr_entries_per_set,
                        std::uint32_t evict_entries);
 
     /**
-     * Install the synchronous drain hook on the BC→flash channel: the
-     * command queue submits through the BC's own flash::Backend.
-     */
-    void bindChannels();
-
-    /**
-     * Push @p req onto the FC→BC channel at @p now and service it:
+     * Open an fc_to_bc slot for @p req at @p now and service it:
      * evict-buffer short-circuit, MSR dedup/alloc, flash issue. The
      * slot is released at the transaction's completion tick.
-     * @return the reply, including the channel's accept tick.
+     * @return the reply, including the window's accept tick.
      */
     BcReply request(const MissRequest &req, sim::Ticks now);
 
@@ -117,6 +122,9 @@ class BacksideController : public sim::SimObject
     const Stats &stats() const { return statsData; }
     const MissStatusRow &msr() const { return msrTable; }
     const EvictBuffer &evictBuffer() const { return evictBuf; }
+    const sim::BoundedChannel &missChannel() const { return inbox; }
+    const sim::BoundedChannel &flashChannel() const { return toFlash; }
+    const sim::BoundedChannel &installChannel() const { return toFc; }
 
   private:
     struct PendingMiss {
@@ -141,8 +149,19 @@ class BacksideController : public sim::SimObject
         return mem::pageAddr(pn, cfg.pageBytes);
     }
 
-    /** Submit queued flash commands; reads schedule their arrival. */
-    void pumpFlash();
+    /**
+     * Pass @p cmd through the bc_to_flash window at @p now and submit
+     * it at the accept tick. The slot drains when the device finishes
+     * the read or accepts the write, so the depth models the device
+     * command queue.
+     * @return {accept tick, device completion tick}.
+     */
+    std::pair<sim::Ticks, sim::Ticks>
+    submitFlash(const flash::FlashCommand &cmd, sim::Ticks now);
+
+    /** Read @p page's pending miss from flash at @p now: stamp its
+     *  data-ready tick and schedule the arrival. */
+    void issueRead(mem::PageNum page, sim::Ticks now);
 
     /**
      * Miss handling: MSR dedup/alloc, flash read, arrival event.
@@ -152,10 +171,6 @@ class BacksideController : public sim::SimObject
 
     /** Expected cost of installing one page into its frame. */
     sim::Ticks installEstimate() const;
-
-    /** A read completed: stamp the miss, schedule the arrival. */
-    void flashReadIssued(mem::PageNum page, sim::Ticks issued_at,
-                         sim::Ticks complete_at);
 
     /**
      * A fetched page arrived: fill the tag array, update the footprint
@@ -172,21 +187,29 @@ class BacksideController : public sim::SimObject
 
     sim::Ticks bcOp() const { return bcOpTicks; }
 
+    /**
+     * bc_to_fc slots. Its accept tick never reaches simulated time
+     * (waiters wake at the install's ready tick), so its depth is a
+     * constant, not a knob.
+     */
+    static constexpr std::uint32_t kInstallWindowSlots = 65536;
+
     const DramCacheConfig &cfg;
     const mem::AddressMap &addrMap;
     flash::Backend &flashDev;
     mem::Dram &dramModel;
     mem::SetAssocCache &pageTags;
     FootprintState &fp;
-    sim::BoundedChannel<MissRequest> &inbox;
-    sim::BoundedChannel<FlashCmdMsg> &toFlash;
-    sim::BoundedChannel<InstallComplete> &toFc;
+    const PageReadyFn &pageReady;
+    const sim::Ticks bcOpTicks;
+    const sim::Ticks flashReadEstimate;
+    sim::BoundedChannel inbox;   ///< fc_to_bc: transaction queue.
+    sim::BoundedChannel toFlash; ///< bc_to_flash: command queue.
+    sim::BoundedChannel toFc;    ///< bc_to_fc: install notices.
     MissStatusRow msrTable;
     EvictBuffer evictBuf;
     std::unordered_map<mem::PageNum, PendingMiss> pending;
     std::deque<mem::PageNum> msrStalled; ///< Waiting for MSR space.
-    sim::Ticks bcOpTicks;
-    sim::Ticks flashReadEstimate;
     Stats statsData;
 };
 

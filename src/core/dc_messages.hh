@@ -1,30 +1,30 @@
 /**
  * @file
- * Message schemas for the DRAM-cache channels (§IV-B).
+ * Request and reply schemas for the DRAM-cache miss path (§IV-B).
  *
  * The frontside and backside controllers never name each other
- * (aflint AF013); the DramCache facade composes them. Three bounded
- * channels exist per BC shard:
+ * (aflint AF013); the DramCache facade composes them. A frontside
+ * miss becomes a MissRequest, which the facade hands to the page's
+ * BC shard as a plain call; the BC returns a BcReply. The BC's flash
+ * commands and page-ready notices are plain calls too. What survives
+ * of the hardware queues is their timing: each BC shard owns three
+ * sim::BoundedChannel slot windows,
  *
- *   FC --MissRequest-->     BC   (fc_to_bc: the BC's transaction
- *                                 queue; the facade pushes the FC's
- *                                 miss and hands the BcReply back)
- *   BC --FlashCmdMsg-->     BC   (bc_to_flash: the device command
- *                                 queue, submitted through
- *                                 flash::Backend in the BC's drain)
- *   BC --InstallComplete--> FC   (bc_to_fc: wake the merged waiters)
+ *   fc_to_bc     the BC's transaction queue (one slot per miss, held
+ *                until the page installs)
+ *   bc_to_flash  the device command queue (held until the device
+ *                completes the read or accepts the write)
+ *   bc_to_fc     install notices (held until the waiters are woken)
  *
  * See DESIGN.md §11 for slot-lifetime rules and §14 for the
- * per-channel lookahead manifest.
+ * per-window lookahead manifest.
  */
 
 #ifndef ASTRIFLASH_CORE_DC_MESSAGES_HH
 #define ASTRIFLASH_CORE_DC_MESSAGES_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "flash/flash_command.hh"
 #include "mem/address.hh"
 #include "sim/ticks.hh"
 
@@ -34,8 +34,8 @@ namespace astriflash::core {
 
 /**
  * FC→BC: one LLC-missing access handed across the controller split.
- * The channel slot is held for the whole miss transaction (until the
- * install completes), so the miss-channel depth is the BC's
+ * Its fc_to_bc slot is held for the whole miss transaction (until the
+ * install completes), so the fc_to_bc depth is the BC's
  * outstanding-transaction window.
  */
 struct MissRequest {
@@ -65,28 +65,6 @@ struct BcReply {
     sim::Ticks ready = 0;
     /** Miss-channel accept tick (after any full-queue stall). */
     sim::Ticks accepted = 0;
-};
-
-/**
- * BC→flash: one device command. The BC's own drain pops and submits
- * through flash::Backend::submit(); the slot drains when the device
- * finishes (reads) or accepts the page (writes), so the depth models
- * the device command queue.
- */
-struct FlashCmdMsg {
-    flash::FlashCommand cmd;
-    /** Read fills: key into the BC's pending-miss table. */
-    mem::PageNum page{0};
-};
-
-/**
- * BC→FC: a page finished installing; the FC fires the page-ready
- * callback so switch-on-miss cores wake every merged waiter.
- */
-struct InstallComplete {
-    mem::PageNum page{0};
-    sim::Ticks ready = 0;
-    std::vector<WaiterCookie> waiters;
 };
 
 } // namespace astriflash::core

@@ -7,13 +7,14 @@ namespace astriflash::core {
 DramCache::DramCache(sim::EventQueue &eq, std::string name,
                      const DramCacheConfig &config,
                      flash::Backend &flash,
-                     const mem::AddressMap &amap)
+                     const mem::AddressMap &amap,
+                     sim::CausalityAuditor *auditor)
     : sim::SimObject(eq, std::move(name)), cfg(config),
       dramModel(SimObject::name() + ".dram", config.dram),
       pageTags(SimObject::name() + ".tags", config.capacityBytes,
                config.pageBytes, config.ways),
       fcCtl(SimObject::name() + ".fc", cfg, dramModel, pageTags,
-            footprint, bcToFc)
+            footprint)
 {
     // Bad user configuration, not an invariant: SIM_CHECK compiles
     // out in plain Release, so both checks are always-on. shards=0
@@ -51,52 +52,15 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
                   static_cast<unsigned long long>(evict_sum),
                   cfg.bc.msrSets, cfg.bc.evictBufferEntries);
 
-    fcToBc.reserve(shards);
-    bcToFlash.reserve(shards);
-    bcToFc.reserve(shards);
     bcCtls.reserve(shards);
-    // The lookahead manifest (DESIGN.md §14), in BC operations: the
-    // consumer of a fc_to_bc request or bc_to_fc install completion
-    // spends at least one op before acting on it; bc_to_flash commands
-    // go to the device the moment the channel accepts them, so that
-    // seam declares zero. fc_to_bc and bc_to_flash are fed at skewed
-    // core-local clocks through the FC's synchronous probe, so only
-    // bc_to_fc — pushed exclusively by the arrival event handler —
-    // declares monotone push ticks.
-    const sim::ClockDomain clk(cfg.controllerFreqHz);
-    const sim::Ticks op = clk.cycles(cfg.bc.cyclesPerOp);
-    const sim::ChannelContract miss_contract{op, false};
-    const sim::ChannelContract flash_contract{0, false};
-    const sim::ChannelContract install_contract{op, true};
-    for (std::uint32_t i = 0; i < shards; ++i) {
-        const std::string tag = shardTag(i);
-        fcToBc.push_back(
-            std::make_unique<sim::BoundedChannel<MissRequest>>(
-                SimObject::name() + ".fc_to_bc" + tag,
-                cfg.channels.fcToBcDepth, miss_contract));
-        bcToFlash.push_back(
-            std::make_unique<sim::BoundedChannel<FlashCmdMsg>>(
-                SimObject::name() + ".bc_to_flash" + tag,
-                cfg.channels.bcToFlashDepth, flash_contract));
-        bcToFc.push_back(
-            std::make_unique<sim::BoundedChannel<InstallComplete>>(
-                SimObject::name() + ".bc_to_fc" + tag,
-                cfg.channels.bcToFcDepth, install_contract));
-    }
     for (std::uint32_t i = 0; i < shards; ++i) {
         bcCtls.push_back(std::make_unique<BacksideController>(
-            eq,
-            SimObject::name() + ".bc" + shardTag(i), cfg, amap, flash,
-            dramModel, pageTags, footprint, *fcToBc[i], *bcToFlash[i],
-            *bcToFc[i], shardSlice(cfg.bc.msrSets, shards, i),
+            eq, SimObject::name(), shardTag(i), cfg, amap, flash,
+            dramModel, pageTags, footprint, onReady, auditor,
+            shardSlice(cfg.bc.msrSets, shards, i),
             cfg.bc.msrEntriesPerSet,
             shardSlice(cfg.bc.evictBufferEntries, shards, i)));
     }
-
-    // The BC drains its command queue, the FC its install channels.
-    for (auto &bc : bcCtls)
-        bc->bindChannels();
-    fcCtl.bindChannels();
 }
 
 std::string
@@ -185,9 +149,10 @@ DramCache::regStats(sim::StatRegistry &reg) const
     pageTags.regStats(reg.subRegistry("tags"));
     for (std::uint32_t i = 0; i < shardCount(); ++i) {
         const std::string tag = shardTag(i);
-        fcToBc[i]->regStats(reg.subRegistry("fc_to_bc" + tag));
-        bcToFlash[i]->regStats(reg.subRegistry("bc_to_flash" + tag));
-        bcToFc[i]->regStats(reg.subRegistry("bc_to_fc" + tag));
+        const BacksideController &bc = *bcCtls[i];
+        bc.missChannel().regStats(reg.subRegistry("fc_to_bc" + tag));
+        bc.flashChannel().regStats(reg.subRegistry("bc_to_flash" + tag));
+        bc.installChannel().regStats(reg.subRegistry("bc_to_fc" + tag));
     }
 }
 

@@ -4,34 +4,35 @@
  *
  * The cache is a fast FSM frontside controller
  * (frontside_controller.hh) and N page-interleaved backside-controller
- * shards (backside_controller.hh), joined by bounded, tick-stamped
- * channels — three per shard:
+ * shards (backside_controller.hh). Every hand-off is a plain call;
+ * each shard owns three sim::BoundedChannel slot windows that give
+ * the hardware queues their timing:
  *
- *   FC --MissRequest-->     BC<i>   (fc_to_bc<i>, the shard's queue)
- *   BC<i> --FlashCmdMsg-->  BC<i>   (bc_to_flash<i>, command queue;
- *                                    the shard submits through its
- *                                    abstract flash::Backend)
- *   BC<i> --InstallComplete--> FC   (bc_to_fc<i>, waiter wakeups)
+ *   fc_to_bc<i>     the shard's transaction queue (FC miss → BC)
+ *   bc_to_flash<i>  the device command queue (the shard submits
+ *                   through its abstract flash::Backend)
+ *   bc_to_fc<i>     install notices (BC → the page-ready hook)
  *
  * The facade composes one access, in the shape lookup → request →
  * reply: the FC's tag probe serves hits; a miss goes to the page's
- * shard (BacksideController::request pushes it onto fc_to_bc<i> and
+ * shard (BacksideController::request opens an fc_to_bc<i> slot and
  * services it), and the BcReply comes back to the FC as a plain
  * return value. The BC installs arrived pages itself (tag fill,
- * footprint masks, DRAM write, victim), as in the paper.
+ * footprint masks, DRAM write, victim) and calls the page-ready hook,
+ * as in the paper.
  *
  * A page's shard is mem::pageInterleave(page, shards); each shard owns
  * an equal slice of the cache-wide MSR and evict-buffer capacity
  * (shardSlice(), checked at construction to sum exactly to the
  * configured totals). The facade holds the structures both
  * controllers address (DRAM device, tag array, footprint masks),
- * constructs the channels and the controllers on the system's one
- * event queue, and is the single allowlisted place (aflint AF013)
+ * constructs the controllers on the system's one event queue, and
+ * is the single allowlisted place (aflint AF013)
  * where both controllers are visible at once. The flash back-end it
  * hands each shard is only ever the abstract flash::Backend (aflint
  * AF014 keeps the concrete device types out of src/core entirely).
  *
- * With one shard the channel, controller, and stat names collapse to
+ * With one shard the window, controller, and stat names collapse to
  * the pre-sharding spellings ("bc", "fc_to_bc", ...) and the facade is
  * cycle-for-cycle identical to the unsharded cache — the property the
  * golden-stats byte-identity tests pin. With several, shard-scoped
@@ -56,6 +57,7 @@
 #include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
 #include "sim/bounded_channel.hh"
+#include "sim/causality.hh"
 #include "sim/invariant.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
@@ -69,12 +71,10 @@
 
 namespace astriflash::core {
 
-/** The AstriFlash DRAM cache: FC + sharded BCs over bounded channels. */
+/** The AstriFlash DRAM cache: FC + sharded BCs with slot windows. */
 class DramCache : public sim::SimObject
 {
   public:
-    using PageReadyFn = FrontsideController::PageReadyFn;
-
     /** Cache-wide backside totals summed across shards. */
     struct BcTotals {
         std::uint64_t fills = 0;
@@ -86,17 +86,15 @@ class DramCache : public sim::SimObject
     };
 
     /** Build the facade; the FC and every BC shard schedule on
-     *  @p eq, the system's one event queue. */
+     *  @p eq, the system's one event queue, and every shard's windows
+     *  register with @p auditor (null: unaudited). */
     DramCache(sim::EventQueue &eq, std::string name,
               const DramCacheConfig &config, flash::Backend &flash,
-              const mem::AddressMap &amap);
+              const mem::AddressMap &amap,
+              sim::CausalityAuditor *auditor);
 
     /** Register the page-arrival notification hook. */
-    void
-    setPageReadyCallback(PageReadyFn fn)
-    {
-        fcCtl.setPageReadyCallback(std::move(fn));
-    }
+    void setPageReadyCallback(PageReadyFn fn) { onReady = std::move(fn); }
 
     /**
      * Frontside access from the LLC miss path.
@@ -187,13 +185,13 @@ class DramCache : public sim::SimObject
      * "fc" (frontside: hit/miss accounting), one backside registry per
      * shard ("bc" unsharded, "bc<i>" sharded) with "msr"/"evictbuf"
      * children, the "dram" device and the "tags" array, plus each
-     * shard's channels ("fc_to_bc[<i>]", "bc_to_flash[<i>]",
+     * shard's windows ("fc_to_bc[<i>]", "bc_to_flash[<i>]",
      * "bc_to_fc[<i>]").
      */
     void regStats(sim::StatRegistry &reg) const;
 
     /** Audit the FC and every BC shard. The MSRs, evict buffers, tag
-     *  array, and channels register their own invariant entries (see
+     *  array, and windows register their own invariant entries (see
      *  System::registerInvariants). */
     void checkInvariants(sim::InvariantChecker &chk) const;
 
@@ -240,22 +238,22 @@ class DramCache : public sim::SimObject
     const mem::Dram &dram() const { return dramModel; }
     const DramCacheConfig &config() const { return cfg; }
 
-    const sim::BoundedChannel<MissRequest> &
+    const sim::BoundedChannel &
     missChannel(std::uint32_t shard = 0) const
     {
-        return *fcToBc[shard];
+        return bcCtls[shard]->missChannel();
     }
 
-    const sim::BoundedChannel<FlashCmdMsg> &
+    const sim::BoundedChannel &
     flashChannel(std::uint32_t shard = 0) const
     {
-        return *bcToFlash[shard];
+        return bcCtls[shard]->flashChannel();
     }
 
-    const sim::BoundedChannel<InstallComplete> &
+    const sim::BoundedChannel &
     installChannel(std::uint32_t shard = 0) const
     {
-        return *bcToFc[shard];
+        return bcCtls[shard]->installChannel();
     }
 
   private:
@@ -266,12 +264,7 @@ class DramCache : public sim::SimObject
     mem::Dram dramModel;
     mem::SetAssocCache pageTags;
     FootprintState footprint;
-    std::vector<std::unique_ptr<sim::BoundedChannel<MissRequest>>>
-        fcToBc;
-    std::vector<std::unique_ptr<sim::BoundedChannel<FlashCmdMsg>>>
-        bcToFlash;
-    std::vector<std::unique_ptr<sim::BoundedChannel<InstallComplete>>>
-        bcToFc;
+    PageReadyFn onReady; ///< Every shard's page-arrival hook.
     FrontsideController fcCtl;
     std::vector<std::unique_ptr<BacksideController>> bcCtls;
 };

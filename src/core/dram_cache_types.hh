@@ -9,8 +9,10 @@
 #define ASTRIFLASH_CORE_DRAM_CACHE_TYPES_HH
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "flash/backend.hh"
 #include "mem/address.hh"
@@ -21,6 +23,11 @@ namespace astriflash::core {
 
 /** Opaque identifier for whoever is waiting on a missing page. */
 using WaiterCookie = std::uint64_t;
+
+/** Page-arrival notice: carries every waiter merged onto the miss. */
+using PageReadyFn = std::function<void(
+    mem::PageNum page, sim::Ticks when,
+    const std::vector<WaiterCookie> &waiters)>;
 
 /** Frontside-controller parameters (the 1-cycle-per-op FSM, §V-A). */
 struct FcConfig {
@@ -44,18 +51,18 @@ struct BcConfig {
 };
 
 /**
- * Depths of the three controller channels (FC→BC miss requests,
- * BC→flash commands, BC→FC install completions), per BC shard. A slot
- * is held for the lifetime of the transaction the message carries, so
- * the miss-channel depth is effectively the BC's transaction window.
- * The defaults are effectively unbounded — the decomposition is
- * timing-neutral — while small depths turn backpressure into
- * measured stall ticks (bench/ablation_astriflash sweeps this).
+ * Depths of the two controller windows whose backpressure reaches
+ * simulated time (FC→BC miss requests, BC→flash commands), per BC
+ * shard. A slot is held for the lifetime of the transaction it
+ * carries, so the miss-window depth is effectively the BC's
+ * transaction window. The defaults are effectively unbounded — the
+ * decomposition is timing-neutral — while small depths turn
+ * backpressure into measured stall ticks (bench/ablation_astriflash
+ * sweeps this).
  */
 struct ChannelConfig {
     std::uint32_t fcToBcDepth = 65536;
     std::uint32_t bcToFlashDepth = 65536;
-    std::uint32_t bcToFcDepth = 65536;
 };
 
 /** DRAM cache parameters. */

@@ -1,26 +1,19 @@
 #include "frontside_controller.hh"
 
+#include <utility>
+
 namespace astriflash::core {
 
-FrontsideController::FrontsideController(
-    std::string name, const DramCacheConfig &config, mem::Dram &dram,
-    mem::SetAssocCache &tags, FootprintState &footprint,
-    std::vector<std::unique_ptr<sim::BoundedChannel<InstallComplete>>>
-        &from_bc)
+FrontsideController::FrontsideController(std::string name,
+                                         const DramCacheConfig &config,
+                                         mem::Dram &dram,
+                                         mem::SetAssocCache &tags,
+                                         FootprintState &footprint)
     : fcName(std::move(name)), cfg(config), dramModel(dram),
-      pageTags(tags), fp(footprint), fromBc(from_bc)
+      pageTags(tags), fp(footprint)
 {
     const sim::ClockDomain clk(cfg.controllerFreqHz);
     fcOpTicks = clk.cycles(cfg.fc.cyclesPerOp);
-}
-
-void
-FrontsideController::bindChannels()
-{
-    // Install completions wake waiters inside the backside's push.
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(fromBc.size()); ++i)
-        fromBc[i]->setDrainHook([this, i] { pumpInstalls(i); });
 }
 
 FrontsideController::Probe
@@ -107,23 +100,6 @@ FrontsideController::finishSyncMiss(const Probe &p, const BcReply &rep)
         fp.touched[p.miss.page] |= p.bit; // the block will be used
     // The requester spins until the page is installed, then reads it.
     return rep.ready + cfg.dram.tCas + cfg.dram.tBurst;
-}
-
-void
-FrontsideController::pumpInstalls(std::uint32_t shard)
-{
-    auto &channel = *fromBc[shard];
-    while (!channel.empty()) {
-        auto &st = channel.front();
-        const mem::PageNum page = st.msg.page;
-        const sim::Ticks ready = st.msg.ready;
-        std::vector<WaiterCookie> waiters = std::move(st.msg.waiters);
-        // The slot recycles once the notification lands.
-        channel.dropFront(ready > st.acceptedAt ? ready
-                                                : st.acceptedAt);
-        if (onReady)
-            onReady(page, ready, waiters);
-    }
 }
 
 void

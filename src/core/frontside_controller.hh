@@ -4,33 +4,28 @@
  *
  * The FC extends a conventional DRAM controller: it RASes the set's
  * row, CASes the tag column, compares tags, and either CASes the data
- * (hit) or hands a MissRequest to the DramCache facade, which pushes
- * it onto the shard's FC→BC channel and returns the backside's reply
- * to finishMiss()/finishSyncMiss(); the miss response goes out as soon
- * as the channel accepts, so the on-chip MSHRs can be reclaimed. It is
- * a 1-cycle-per-op FSM; everything slower (MSR dedup, flash issue,
- * page install) lives in the backside controller.
+ * (hit) or hands a MissRequest to the DramCache facade, which passes
+ * it to the page's BC shard and returns the backside's reply to
+ * finishMiss()/finishSyncMiss(); the miss response goes out as soon
+ * as the shard's fc_to_bc window accepts, so the on-chip MSHRs can be
+ * reclaimed. It is a 1-cycle-per-op FSM; everything slower (MSR dedup,
+ * flash issue, page install, waking the waiters) lives in the
+ * backside controller.
  *
  * The FC shares the tag array, the DRAM device model, and the
  * footprint masks with the backside, as both controllers address the
  * same DRAM rows. It never names the backside controller, the MSR,
- * the evict buffer, or the flash device (aflint AF013); its one
- * inbound channel per shard is bc_to_fc, whose drain wakes waiters.
+ * the evict buffer, or the flash device (aflint AF013).
  */
 
 #ifndef ASTRIFLASH_CORE_FRONTSIDE_CONTROLLER_HH
 #define ASTRIFLASH_CORE_FRONTSIDE_CONTROLLER_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
-#include "sim/bounded_channel.hh"
 #include "sim/invariant.hh"
 #include "sim/stats.hh"
 
@@ -43,10 +38,6 @@ namespace astriflash::core {
 class FrontsideController
 {
   public:
-    using PageReadyFn = std::function<void(
-        mem::PageNum page, sim::Ticks when,
-        const std::vector<WaiterCookie> &waiters)>;
-
     struct Stats {
         sim::Counter hits;
         sim::Counter misses;
@@ -78,22 +69,9 @@ class FrontsideController
         MissRequest miss;
     };
 
-    FrontsideController(
-        std::string name, const DramCacheConfig &config,
-        mem::Dram &dram, mem::SetAssocCache &tags,
-        FootprintState &footprint,
-        std::vector<
-            std::unique_ptr<sim::BoundedChannel<InstallComplete>>>
-            &from_bc);
-
-    /** Register the page-arrival notification hook. */
-    void setPageReadyCallback(PageReadyFn fn) { onReady = std::move(fn); }
-
-    /**
-     * Install the synchronous drain hook on every shard's install
-     * channel; the facade calls it after channel construction.
-     */
-    void bindChannels();
+    FrontsideController(std::string name, const DramCacheConfig &config,
+                        mem::Dram &dram, mem::SetAssocCache &tags,
+                        FootprintState &footprint);
 
     /**
      * Tag probe shared by both access paths; hits complete here.
@@ -124,9 +102,6 @@ class FrontsideController
     const std::string &name() const { return fcName; }
 
   private:
-    /** Drain the completions off shard @p shard's install channel. */
-    void pumpInstalls(std::uint32_t shard);
-
     sim::Ticks fcOp() const { return fcOpTicks; }
 
     std::string fcName;
@@ -134,9 +109,6 @@ class FrontsideController
     mem::Dram &dramModel;
     mem::SetAssocCache &pageTags;
     FootprintState &fp;
-    std::vector<std::unique_ptr<sim::BoundedChannel<InstallComplete>>>
-        &fromBc;
-    PageReadyFn onReady;
     sim::Ticks fcOpTicks;
     Stats statsData;
 };

@@ -31,12 +31,7 @@ System::System(const SystemConfig &config)
     // exact production order, and nonzero seeds are fatal unless the
     // hook is compiled in.
     eq.setTiePerturbation(cfg.tieBreakSeed);
-    {
-        // Channels built anywhere below self-register with this
-        // system's auditor.
-        sim::CausalityAuditor::Scope audit_scope(auditor);
-        buildMemorySystem();
-    }
+    buildMemorySystem();
 
     for (std::uint32_t c = 0; c < cfg.cores; ++c) {
         workload::WorkloadConfig wc = cfg.workload;
@@ -286,7 +281,7 @@ System::buildMemorySystem()
         dc.ways * dc.pageBytes);
     cfg.dramCache = dc;
     dcache = std::make_unique<DramCache>(eq, "dramcache", dc, *flashDev,
-                                         *amap);
+                                         *amap, &auditor);
 }
 
 mem::Addr

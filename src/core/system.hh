@@ -122,8 +122,8 @@ class System
     sim::InvariantRegistry &invariantRegistry() { return invariants; }
 
     /**
-     * Causality auditor certifying the channel lookahead manifest
-     * and FIFO/monotonicity contracts (DESIGN.md §14). Armed with
+     * Causality auditor certifying the window lookahead manifest
+     * and monotonicity contracts (DESIGN.md §14). Armed with
      * the checks gate; registered as the "causality" invariant
      * component.
      */

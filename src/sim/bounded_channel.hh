@@ -1,26 +1,30 @@
 /**
  * @file
- * Bounded, tick-stamped, FIFO message channel between components.
+ * Bounded slot window between components: the timing of a finite
+ * hardware queue, with no messages in it.
  *
  * The simulator is call-driven rather than port-driven: a producer
- * pushes a message and the consumer services it inside the same
- * synchronous call chain (directly, or through the channel's drain
- * hook). Instantaneous queue depth is therefore always ~0; what a
- * finite hardware queue actually bounds is the number of messages
- * whose *transactions* are still in flight. The channel models this
- * with time-based occupancy: pop() declares the tick at which the
- * message's slot is recycled (e.g. when the miss it carried finishes
- * installing), and push() counts every slot whose release tick is
- * still in the future. When the count reaches capacity the push
- * stalls — the accept tick moves out to the point where enough slots
- * have drained — and the stall is charged to the producer's timing
- * and to the channel's stall statistics. At effectively-unbounded
- * depth the accept tick always equals the push tick, so the channel
- * layer is timing-neutral by construction.
+ * hands its request to the consumer as a plain call, and the consumer
+ * acts on it inside the same call chain. Instantaneous queue depth is
+ * therefore always ~0; what a finite hardware queue actually bounds is
+ * the number of requests whose *transactions* are still in flight.
+ * The window models exactly that with time-based occupancy: push()
+ * opens a slot and returns its accept tick, and pop() closes it,
+ * declaring the tick the consumer acted on the request and the tick
+ * the slot is recycled (e.g. when the miss it carried finishes
+ * installing). push() counts every slot whose release tick is still
+ * in the future; when the count reaches capacity the push stalls — the
+ * accept tick moves out to the point where enough slots have drained —
+ * and the stall is charged to the producer's timing and to the
+ * window's stall statistics. At effectively-unbounded depth the accept
+ * tick always equals the push tick, so the window is timing-neutral by
+ * construction.
  *
- * Producers on different cores run with skewed local clocks, so push
- * ticks are NOT monotonic; the channel stays FIFO in push order and
- * prunes released slots against each push's own timestamp.
+ * At most one push is open at a time: every push is popped before the
+ * next, and a second push first is a checked failure. Producers on
+ * different cores run with skewed local clocks, so push ticks are NOT
+ * monotonic; released slots are pruned against each push's own
+ * timestamp.
  */
 
 #ifndef ASTRIFLASH_SIM_BOUNDED_CHANNEL_HH
@@ -28,8 +32,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,50 +44,36 @@
 
 namespace astriflash::sim {
 
-/** Fixed-capacity FIFO channel carrying messages of type @p Msg. */
-template <typename Msg>
+/** Fixed-capacity slot window over one hardware queue. */
 class BoundedChannel
 {
   public:
-    /** A queued message with its enqueue timestamps. */
-    struct Stamped {
-        Msg msg;
-        Ticks pushedAt = 0;   ///< Producer's request tick.
-        Ticks acceptedAt = 0; ///< After any full-queue stall.
-        std::uint64_t seq = 0; ///< Push order, 1-based (audit key).
-    };
-
     struct Stats {
         Counter pushes;
         Counter pops;
-        Counter fullStalls; ///< Pushes that found the channel full.
+        Counter fullStalls; ///< Pushes that found the window full.
         Counter stallTicks; ///< Total backpressure delay charged.
         Average occupancy;  ///< In-flight slots sampled at each push.
         std::uint64_t peakOccupancy = 0;
     };
 
-    /** Invoked after every push; consumers drain synchronously. */
-    using DrainHook = std::function<void()>;
-
     /**
      * @param name      Instance name (stats, audit reports).
      * @param capacity  Slot count; >= 1.
      * @param contract  Declared determinism contract (lookahead +
-     *                  push monotonicity). Channels inside src/ must
-     *                  declare it explicitly (aflint rule AF018); the
-     *                  default is the vacuous contract for tests.
+     *                  push monotonicity).
+     * @param auditor   Causality auditor to register with, or null.
      */
     BoundedChannel(std::string name, std::uint32_t capacity,
-                   ChannelContract contract = {})
+                   ChannelContract contract, CausalityAuditor *auditor)
         : chName(std::move(name)), cap(capacity),
-          channelContract(contract)
+          channelContract(contract), audit(auditor)
     {
         if (capacity == 0)
             ASTRI_FATAL("%s: channel needs capacity >= 1",
                         chName.c_str());
-        if ((auditor = CausalityAuditor::current()) != nullptr)
-            auditId = auditor->registerChannel(chName,
-                                              channelContract);
+        if (audit)
+            auditId = audit->registerChannel(chName, channelContract);
     }
 
     BoundedChannel(const BoundedChannel &) = delete;
@@ -94,20 +82,14 @@ class BoundedChannel
     /** Instance name (stat/invariant registration). */
     const std::string &name() const { return chName; }
 
-    /** Configured slot count. */
-    std::uint32_t capacity() const { return cap; }
-
     /** Declared determinism contract. */
     const ChannelContract &contract() const { return channelContract; }
-
-    /** Messages pushed but not yet popped. */
-    bool empty() const { return waiting.empty(); }
 
     /** Slots still owned by in-flight transactions at @p now. */
     std::uint32_t
     inFlight(Ticks now) const
     {
-        std::size_t busy = waiting.size();
+        std::size_t busy = open ? 1 : 0;
         for (const Ticks t : busyUntil) {
             if (t > now)
                 ++busy;
@@ -116,28 +98,26 @@ class BoundedChannel
     }
 
     /**
-     * Enqueue @p msg at @p now.
+     * Open a slot at @p now.
      *
      * @return the accept tick: @p now if a slot is free, else the tick
      *         at which enough in-flight slots drain. The producer must
-     *         treat the accept tick as when the message actually
-     *         entered the channel.
+     *         treat the accept tick as when its request actually
+     *         entered the queue.
      */
     Ticks
-    push(Msg msg, Ticks now)
+    push(Ticks now)
     {
+        ASTRI_ASSERT_MSG(!open,
+                         "%s: second push with an un-drained push "
+                         "open (pushed at %llu)",
+                         chName.c_str(),
+                         static_cast<unsigned long long>(openPushedAt));
         Ticks accept = now;
         prune(now);
-        const std::size_t occ = busyUntil.size() + waiting.size();
-        if (occ >= cap) {
-            // Need (occ - cap + 1) slots back. Only popped slots have
-            // known release ticks; un-popped ones would deadlock the
-            // producer, which the synchronous pump discipline (every
-            // push is drained before the next) makes impossible.
-            const std::size_t k = occ - cap + 1;
-            SIM_CHECK_MSG(k <= busyUntil.size(),
-                          "%s: full with %zu un-drained messages",
-                          chName.c_str(), waiting.size());
+        if (busyUntil.size() >= cap) {
+            // Wait for the (occ - cap + 1)-th earliest release.
+            const std::size_t k = busyUntil.size() - cap + 1;
             std::nth_element(busyUntil.begin(),
                              busyUntil.begin() +
                                  static_cast<std::ptrdiff_t>(k - 1),
@@ -149,85 +129,42 @@ class BoundedChannel
             prune(accept);
         }
         statsData.pushes.inc();
-        const std::size_t live = busyUntil.size() + waiting.size() + 1;
+        const std::size_t live = busyUntil.size() + 1;
         statsData.occupancy.sample(static_cast<double>(live));
         if (live > statsData.peakOccupancy)
             statsData.peakOccupancy = live;
-        const std::uint64_t seq = ++lastSeq;
-        waiting.push_back(Stamped{std::move(msg), now, accept, seq});
-        if (auditor)
-            auditor->onPush(auditId, seq, now, accept);
-        // The consumer drains synchronously; the hook re-enters this
-        // channel.
-        if (drainHook)
-            drainHook();
+        open = true;
+        openPushedAt = now;
+        openAcceptedAt = accept;
+        if (audit)
+            audit->onPush(auditId, now, accept);
         return accept;
     }
 
-    /** Oldest un-popped message. Caller checks !empty(). */
-    Stamped &
-    front()
-    {
-        ASTRI_ASSERT_MSG(!waiting.empty(), "%s: front() on empty",
-                         chName.c_str());
-        return waiting.front();
-    }
-
-    const Stamped &
-    front() const
-    {
-        ASTRI_ASSERT_MSG(!waiting.empty(), "%s: front() on empty",
-                         chName.c_str());
-        return waiting.front();
-    }
-
     /**
-     * Dequeue the front message. @p consumed_at is the tick the
-     * consumer acts on the message (the delivery tick the causality
-     * auditor certifies against the declared lookahead); the slot
-     * stays occupied until @p release_at (the tick the carried
-     * transaction completes and the hardware queue entry is
-     * recycled).
+     * Close the open slot. @p consumed_at is the tick the consumer
+     * acts on the request (the delivery tick the causality auditor
+     * certifies against the declared lookahead); the slot stays
+     * occupied until @p release_at (the tick the carried transaction
+     * completes and the hardware queue entry is recycled).
      */
     void
-    dropFront(Ticks consumed_at, Ticks release_at)
+    pop(Ticks consumed_at, Ticks release_at)
     {
-        ASTRI_ASSERT_MSG(!waiting.empty(), "%s: dropFront() on empty",
+        ASTRI_ASSERT_MSG(open, "%s: pop() with no open push",
                          chName.c_str());
-        if (auditor) {
-            const Stamped &s = waiting.front();
-            auditor->onDeliver(auditId, s.seq, s.pushedAt,
-                               s.acceptedAt, consumed_at);
+        if (audit) {
+            audit->onDeliver(auditId, openPushedAt, openAcceptedAt,
+                             consumed_at);
         }
-        waiting.pop_front();
+        open = false;
         statsData.pops.inc();
         busyUntil.push_back(release_at);
     }
 
-    /** dropFront() where consumption and slot release coincide. */
-    void dropFront(Ticks release_at)
-    {
-        dropFront(release_at, release_at);
-    }
-
-    /** Convenience: move the front message out and drop it. */
-    Msg
-    pop(Ticks consumed_at, Ticks release_at)
-    {
-        Msg m = std::move(front().msg);
-        dropFront(consumed_at, release_at);
-        return m;
-    }
-
-    /** pop() where consumption and slot release coincide. */
-    Msg pop(Ticks release_at) { return pop(release_at, release_at); }
-
-    /** Install the consumer's synchronous drain hook. */
-    void setDrainHook(DrainHook hook) { drainHook = std::move(hook); }
-
     const Stats &stats() const { return statsData; }
 
-    /** Register channel stats into @p reg. */
+    /** Register window stats into @p reg. */
     void
     regStats(StatRegistry &reg) const
     {
@@ -246,52 +183,40 @@ class BoundedChannel
     }
 
     /**
-     * Audit the channel: conservation (pushes == pops + un-popped),
-     * stamp sanity (no message accepted before it was pushed), stall
-     * accounting (stall ticks imply full stalls), and the peak bound.
+     * Audit the window: conservation (pushes == pops + the open
+     * push), stamp sanity (no push accepted before it was made),
+     * stall accounting (stall ticks imply full stalls), and the peak
+     * bound.
      */
     void
     checkInvariants(InvariantChecker &chk) const
     {
+        const std::uint64_t pending = open ? 1 : 0;
         SIM_INVARIANT_MSG(chk,
                           statsData.pushes.value() ==
-                              statsData.pops.value() + waiting.size(),
+                              statsData.pops.value() + pending,
                           "%s conservation: %llu pushes != %llu pops "
-                          "+ %zu queued",
+                          "+ %llu open",
                           chName.c_str(),
                           static_cast<unsigned long long>(
                               statsData.pushes.value()),
                           static_cast<unsigned long long>(
                               statsData.pops.value()),
-                          waiting.size());
-        std::uint64_t prev_seq = 0;
-        for (const Stamped &s : waiting) {
-            SIM_INVARIANT_MSG(chk, s.acceptedAt >= s.pushedAt,
-                              "%s: message accepted at %llu before "
-                              "its push at %llu",
-                              chName.c_str(),
-                              static_cast<unsigned long long>(
-                                  s.acceptedAt),
-                              static_cast<unsigned long long>(
-                                  s.pushedAt));
-            SIM_INVARIANT_MSG(chk,
-                              s.seq > prev_seq && s.seq <= lastSeq,
-                              "%s: queue order breaks push order "
-                              "(seq %llu after %llu)",
-                              chName.c_str(),
-                              static_cast<unsigned long long>(s.seq),
-                              static_cast<unsigned long long>(
-                                  prev_seq));
-            prev_seq = s.seq;
-        }
-        SIM_INVARIANT(chk, waiting.size() <= cap);
+                          static_cast<unsigned long long>(pending));
+        SIM_INVARIANT_MSG(chk, !open || openAcceptedAt >= openPushedAt,
+                          "%s: push accepted at %llu before it was "
+                          "made at %llu",
+                          chName.c_str(),
+                          static_cast<unsigned long long>(
+                              openAcceptedAt),
+                          static_cast<unsigned long long>(
+                              openPushedAt));
         SIM_INVARIANT_MSG(chk,
                           statsData.stallTicks.value() == 0 ||
                               statsData.fullStalls.value() > 0,
                           "%s: stall ticks without a full stall",
                           chName.c_str());
-        SIM_INVARIANT(chk,
-                      statsData.peakOccupancy >= waiting.size());
+        SIM_INVARIANT(chk, statsData.peakOccupancy >= pending);
         SIM_INVARIANT(chk,
                       statsData.peakOccupancy <=
                           statsData.pushes.value());
@@ -309,12 +234,12 @@ class BoundedChannel
     std::string chName;
     std::uint32_t cap;
     ChannelContract channelContract;
-    CausalityAuditor *auditor = nullptr;
+    CausalityAuditor *audit;
     std::uint32_t auditId = 0;
-    std::uint64_t lastSeq = 0;
-    std::deque<Stamped> waiting;    ///< Pushed, not yet popped.
-    std::vector<Ticks> busyUntil;   ///< Popped slots' release ticks.
-    DrainHook drainHook;
+    bool open = false;          ///< A push awaits its pop.
+    Ticks openPushedAt = 0;     ///< Open push: producer's tick.
+    Ticks openAcceptedAt = 0;   ///< Open push: after any stall.
+    std::vector<Ticks> busyUntil; ///< Popped slots' release ticks.
     Stats statsData;
 };
 

@@ -4,31 +4,6 @@
 
 namespace astriflash::sim {
 
-namespace {
-// Construction-time attach point; SweepRunner builds one System per
-// worker thread, so thread-local scoping keeps auditors disjoint.
-// The attach scope is the sanctioned pattern for threading the
-// per-system auditor through deep construction chains (baselined
-// AF017).
-thread_local CausalityAuditor *g_current = nullptr;
-} // namespace
-
-CausalityAuditor *
-CausalityAuditor::current()
-{
-    return g_current;
-}
-
-CausalityAuditor::Scope::Scope(CausalityAuditor &a) : prev(g_current)
-{
-    g_current = &a;
-}
-
-CausalityAuditor::Scope::~Scope()
-{
-    g_current = prev;
-}
-
 std::uint32_t
 CausalityAuditor::registerChannel(std::string name,
                                   ChannelContract contract)
@@ -62,8 +37,8 @@ CausalityAuditor::violation(const std::string &channel,
 }
 
 void
-CausalityAuditor::onPush(std::uint32_t ch, std::uint64_t seq,
-                         Ticks pushed_at, Ticks accepted_at)
+CausalityAuditor::onPush(std::uint32_t ch, Ticks pushed_at,
+                         Ticks accepted_at)
 {
     if (!checksEnabled())
         return;
@@ -72,9 +47,10 @@ CausalityAuditor::onPush(std::uint32_t ch, std::uint64_t seq,
     ++sendsAuditedCount;
     if (accepted_at < pushed_at) {
         violation(st.name,
-                  detail::format("message %llu accepted at %llu "
-                                 "before its push at %llu",
-                                 static_cast<unsigned long long>(seq),
+                  detail::format("push %llu accepted at %llu "
+                                 "before its push tick %llu",
+                                 static_cast<unsigned long long>(
+                                     st.sends),
                                  static_cast<unsigned long long>(
                                      accepted_at),
                                  static_cast<unsigned long long>(
@@ -104,30 +80,21 @@ CausalityAuditor::onPush(std::uint32_t ch, std::uint64_t seq,
 }
 
 void
-CausalityAuditor::onDeliver(std::uint32_t ch, std::uint64_t seq,
-                            Ticks pushed_at, Ticks accepted_at,
-                            Ticks consumed_at)
+CausalityAuditor::onDeliver(std::uint32_t ch, Ticks pushed_at,
+                            Ticks accepted_at, Ticks consumed_at)
 {
     if (!checksEnabled())
         return;
     ChannelState &st = channels[ch];
     ++st.deliveries;
     ++deliveriesAuditedCount;
-    if (seq != st.nextDeliverSeq) {
-        violation(st.name,
-                  detail::format("message %llu consumed out of FIFO "
-                                 "order (expected %llu)",
-                                 static_cast<unsigned long long>(seq),
-                                 static_cast<unsigned long long>(
-                                     st.nextDeliverSeq)),
-                  consumed_at);
-    }
-    st.nextDeliverSeq = seq + 1;
+    // A window holds one open push, so delivery n consumes push n.
+    const auto seq = static_cast<unsigned long long>(st.deliveries);
     if (consumed_at < accepted_at) {
         violation(st.name,
-                  detail::format("message %llu consumed at %llu "
+                  detail::format("push %llu consumed at %llu "
                                  "before its accept at %llu",
-                                 static_cast<unsigned long long>(seq),
+                                 seq,
                                  static_cast<unsigned long long>(
                                      consumed_at),
                                  static_cast<unsigned long long>(
@@ -141,10 +108,10 @@ CausalityAuditor::onDeliver(std::uint32_t ch, std::uint64_t seq,
     if (consumed_at < horizon) {
         violation(st.name,
                   detail::format(
-                      "message %llu consumed at %llu inside the "
+                      "push %llu consumed at %llu inside the "
                       "declared lookahead (push %llu + minLatency "
                       "%llu = %llu)",
-                      static_cast<unsigned long long>(seq),
+                      seq,
                       static_cast<unsigned long long>(consumed_at),
                       static_cast<unsigned long long>(pushed_at),
                       static_cast<unsigned long long>(

@@ -3,13 +3,13 @@
  * Causality auditor: makes the determinism contract a checked
  * property (DESIGN.md §14).
  *
- * Every sim::BoundedChannel declares a ChannelContract — its
- * conservative lookahead (`minLatency`: no message may be consumed
+ * Every sim::BoundedChannel slot window declares a ChannelContract —
+ * its conservative lookahead (`minLatency`: no push may be consumed
  * sooner than its push tick plus the declared latency) and whether
- * its producers push with monotone timestamps. The auditor hooks the
- * channels and the event queue and certifies, on every message:
+ * its producers push with monotone timestamps. Each window is handed
+ * its auditor at construction; the auditor hooks the windows and the
+ * event queue and certifies, on every push/pop pair:
  *
- *  - FIFO delivery: messages are consumed in push order.
  *  - Stamp sanity: accept >= push, consume >= accept.
  *  - Lookahead: consume >= push + minLatency, the declared minimum
  *    latency of the modeled hardware queue.
@@ -40,9 +40,9 @@
 namespace astriflash::sim {
 
 /**
- * Per-channel determinism contract, declared at construction (the
- * lookahead manifest lives in core::ChannelConfig and is converted
- * to ticks by whoever builds the channels).
+ * Per-channel determinism contract, a required constructor argument
+ * of every window (the lookahead manifest lives in the
+ * core::BacksideController constructor, in BC operations).
  */
 struct ChannelContract {
     /** Conservative lookahead: consume tick >= push tick + this. */
@@ -53,9 +53,9 @@ struct ChannelContract {
 
 /**
  * Records and enforces the causality contract across all channels of
- * one simulated system. One auditor per System; channels find it via
- * the thread-local attach scope during construction, so SweepRunner's
- * per-thread Systems never share one.
+ * one simulated system. One auditor per System, passed explicitly to
+ * every window it audits, so SweepRunner's per-thread Systems never
+ * share one.
  */
 class CausalityAuditor
 {
@@ -73,7 +73,6 @@ class CausalityAuditor
         ChannelContract contract;
         std::uint64_t sends = 0;
         std::uint64_t deliveries = 0;
-        std::uint64_t nextDeliverSeq = 1;
         Ticks lastPushTick = 0;
         /** Largest backwards push-tick jump seen (skew telemetry on
          *  channels that do not declare monotonePush). */
@@ -97,14 +96,12 @@ class CausalityAuditor
     std::uint32_t registerChannel(std::string name,
                                   ChannelContract contract);
 
-    /** A message entered channel @p ch (gated on checksEnabled()). */
-    void onPush(std::uint32_t ch, std::uint64_t seq, Ticks pushed_at,
-                Ticks accepted_at);
+    /** Channel @p ch opened a slot (gated on checksEnabled()). */
+    void onPush(std::uint32_t ch, Ticks pushed_at, Ticks accepted_at);
 
-    /** The front message of @p ch was consumed. */
-    void onDeliver(std::uint32_t ch, std::uint64_t seq,
-                   Ticks pushed_at, Ticks accepted_at,
-                   Ticks consumed_at);
+    /** The open push of @p ch was consumed. */
+    void onDeliver(std::uint32_t ch, Ticks pushed_at,
+                   Ticks accepted_at, Ticks consumed_at);
 
     /** The event queue fired an event at @p when (queue was at now). */
     void
@@ -145,25 +142,6 @@ class CausalityAuditor
      * @p chk and cross-checks the per-channel audit accounting.
      */
     void checkInvariants(InvariantChecker &chk) const;
-
-    /** Auditor channels attach to during construction (or null). */
-    static CausalityAuditor *current();
-
-    /**
-     * Installs @p a as the construction-time attach point for the
-     * current thread; restores the previous one on destruction.
-     */
-    class Scope
-    {
-      public:
-        explicit Scope(CausalityAuditor &a);
-        ~Scope();
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        CausalityAuditor *prev;
-    };
 
   private:
     void violation(const std::string &channel, std::string detail,

@@ -1,19 +1,17 @@
 /**
  * @file
- * Unit tests for sim::BoundedChannel: FIFO order with non-monotonic
- * producer clocks, time-based occupancy and backpressure (accept tick
- * pushed out to the k-th slot release), stall-cycle accounting, the
- * drain-hook discipline, and the channel's invariant audit.
+ * Unit tests for sim::BoundedChannel, the slot window: time-based
+ * occupancy and backpressure (accept tick pushed out to the k-th slot
+ * release), stall-cycle accounting, the one-open-push discipline, and
+ * the window's invariant audit.
  *
  * Separate binary (test_channel_suite): the misuse tests are death
- * tests and one arms the global checks gate, so they must not share a
- * process with timing suites.
+ * tests, so they must not share a process with timing suites.
  */
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
+#include <cstdint>
 
 #include "sim/bounded_channel.hh"
 #include "sim/invariant.hh"
@@ -22,27 +20,17 @@ using namespace astriflash;
 
 namespace {
 
-/** Arm (or disarm) simulator checks for one test, restoring after. */
-class ScopedChecks
+/** An unaudited window with the vacuous contract. */
+sim::BoundedChannel
+window(std::uint32_t capacity)
 {
-  public:
-    explicit ScopedChecks(bool on) : prev(sim::checksEnabled())
-    {
-        sim::setChecksEnabled(on);
-    }
-    ~ScopedChecks() { sim::setChecksEnabled(prev); }
-
-    ScopedChecks(const ScopedChecks &) = delete;
-    ScopedChecks &operator=(const ScopedChecks &) = delete;
-
-  private:
-    bool prev;
-};
+    return sim::BoundedChannel("ch", capacity, sim::ChannelContract{},
+                               nullptr);
+}
 
 /** Audit @p ch through a throwaway checker; @return failure count. */
-template <typename Msg>
 std::uint64_t
-auditFailures(const sim::BoundedChannel<Msg> &ch)
+auditFailures(const sim::BoundedChannel &ch)
 {
     sim::InvariantChecker chk;
     ch.checkInvariants(chk);
@@ -51,46 +39,16 @@ auditFailures(const sim::BoundedChannel<Msg> &ch)
 
 } // namespace
 
-// --------------------------------------------------------------------
-// FIFO order and timestamping.
-// --------------------------------------------------------------------
-
-TEST(BoundedChannel, FifoOrderWithSkewedProducerClocks)
-{
-    sim::BoundedChannel<int> ch("ch", 64);
-
-    // Producers on different cores push with skewed local clocks; the
-    // channel stays FIFO in push order, not tick order.
-    EXPECT_EQ(ch.push(1, 100), 100u);
-    EXPECT_EQ(ch.push(2, 40), 40u);
-    EXPECT_EQ(ch.push(3, 250), 250u);
-
-    ASSERT_FALSE(ch.empty());
-    EXPECT_EQ(ch.front().msg, 1);
-    EXPECT_EQ(ch.front().pushedAt, 100u);
-    EXPECT_EQ(ch.front().acceptedAt, 100u);
-
-    EXPECT_EQ(ch.pop(110), 1);
-    EXPECT_EQ(ch.pop(60), 2);
-    EXPECT_EQ(ch.pop(260), 3);
-    EXPECT_TRUE(ch.empty());
-
-    EXPECT_EQ(ch.stats().pushes.value(), 3u);
-    EXPECT_EQ(ch.stats().pops.value(), 3u);
-    EXPECT_EQ(ch.stats().fullStalls.value(), 0u);
-    EXPECT_EQ(ch.stats().stallTicks.value(), 0u);
-}
-
 TEST(BoundedChannel, AcceptEqualsPushAtUnboundedDepth)
 {
     // The timing-neutrality contract the FC/BC split relies on: at
     // effectively-unbounded depth the accept tick always equals the
     // push tick, whatever the pop/release history looks like.
-    sim::BoundedChannel<int> ch("ch", 65536);
+    sim::BoundedChannel ch = window(65536);
     for (int i = 0; i < 100; ++i) {
         const sim::Ticks t = static_cast<sim::Ticks>(i * 37 % 1000);
-        EXPECT_EQ(ch.push(i, t), t);
-        ch.dropFront(t + 5000); // slot held far into the future
+        EXPECT_EQ(ch.push(t), t);
+        ch.pop(t + 5000, t + 5000); // slot held far into the future
     }
     EXPECT_EQ(ch.stats().fullStalls.value(), 0u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 0u);
@@ -103,13 +61,13 @@ TEST(BoundedChannel, AcceptEqualsPushAtUnboundedDepth)
 
 TEST(BoundedChannel, FullChannelDelaysAcceptToSlotRelease)
 {
-    sim::BoundedChannel<int> ch("ch", 2);
+    sim::BoundedChannel ch = window(2);
 
     // Two transactions occupy both slots until ticks 100 and 200.
-    EXPECT_EQ(ch.push(1, 0), 0u);
-    ch.dropFront(100);
-    EXPECT_EQ(ch.push(2, 0), 0u);
-    ch.dropFront(200);
+    EXPECT_EQ(ch.push(0), 0u);
+    ch.pop(100, 100);
+    EXPECT_EQ(ch.push(0), 0u);
+    ch.pop(200, 200);
 
     EXPECT_EQ(ch.inFlight(10), 2u);
     EXPECT_EQ(ch.inFlight(150), 1u);
@@ -117,56 +75,40 @@ TEST(BoundedChannel, FullChannelDelaysAcceptToSlotRelease)
     // A push at t=10 finds every slot in flight: the accept tick moves
     // out to the earliest release (100) and the 90-tick stall is
     // charged to the channel.
-    EXPECT_EQ(ch.push(3, 10), 100u);
+    EXPECT_EQ(ch.push(10), 100u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 90u);
-    EXPECT_EQ(ch.front().pushedAt, 10u);
-    EXPECT_EQ(ch.front().acceptedAt, 100u);
+    EXPECT_EQ(ch.inFlight(100), 2u); // the open push holds a slot
 
     // After the slot-200 transaction also completes, pushes flow
     // freely again.
-    EXPECT_EQ(ch.pop(120), 3);
-    EXPECT_EQ(ch.push(4, 250), 250u);
+    ch.pop(120, 120);
+    EXPECT_EQ(ch.push(250), 250u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().peakOccupancy, 2u);
 }
 
 TEST(BoundedChannel, ConsecutiveStallsWalkSuccessiveReleases)
 {
-    sim::BoundedChannel<int> ch("ch", 3);
+    sim::BoundedChannel ch = window(3);
 
     // Three popped slots busy until ticks 100/200/300.
-    ch.push(1, 0);
-    ch.dropFront(100);
-    ch.push(2, 0);
-    ch.dropFront(200);
-    ch.push(3, 0);
-    ch.dropFront(300);
+    ch.push(0);
+    ch.pop(100, 100);
+    ch.push(0);
+    ch.pop(200, 200);
+    ch.push(0);
+    ch.pop(300, 300);
 
     // Full at t=0: the first extra push waits for the earliest release
-    // (tick 100); that message stays un-popped, so the next push can
-    // only reclaim the tick-200 slot. Each stall is charged in full
-    // against the producer's own push tick.
-    EXPECT_EQ(ch.push(4, 0), 100u);
-    EXPECT_EQ(ch.push(5, 0), 200u);
+    // (tick 100); its own transaction then holds that slot far out,
+    // so the next push can only reclaim the tick-200 slot. Each stall
+    // is charged in full against the producer's own push tick.
+    EXPECT_EQ(ch.push(0), 100u);
+    ch.pop(100, 1000);
+    EXPECT_EQ(ch.push(0), 200u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 2u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 300u);
-}
-
-TEST(BoundedChannel, DrainHookFiresOnEveryPush)
-{
-    sim::BoundedChannel<int> ch("ch", 8);
-    std::vector<int> drained;
-    ch.setDrainHook([&] {
-        while (!ch.empty())
-            drained.push_back(ch.pop(ch.front().acceptedAt + 10));
-    });
-
-    ch.push(7, 0);
-    ch.push(8, 5);
-    EXPECT_EQ(drained, (std::vector<int>{7, 8}));
-    EXPECT_TRUE(ch.empty());
-    EXPECT_EQ(ch.stats().pops.value(), 2u);
 }
 
 // --------------------------------------------------------------------
@@ -175,19 +117,19 @@ TEST(BoundedChannel, DrainHookFiresOnEveryPush)
 
 TEST(BoundedChannel, InvariantAuditPassesThroughLifecycle)
 {
-    sim::BoundedChannel<int> ch("ch", 2);
+    sim::BoundedChannel ch = window(2);
     EXPECT_EQ(auditFailures(ch), 0u);
 
-    ch.push(1, 0);
-    EXPECT_EQ(auditFailures(ch), 0u); // one message queued
+    ch.push(0);
+    EXPECT_EQ(auditFailures(ch), 0u); // one push open
 
-    ch.dropFront(100);
-    ch.push(2, 0);
-    ch.dropFront(200);
-    ch.push(3, 10); // stalls to tick 100
+    ch.pop(100, 100);
+    ch.push(0);
+    ch.pop(200, 200);
+    ch.push(10); // stalls to tick 100
     EXPECT_EQ(auditFailures(ch), 0u);
 
-    ch.pop(150);
+    ch.pop(150, 150);
     EXPECT_EQ(auditFailures(ch), 0u);
 }
 
@@ -195,8 +137,9 @@ TEST(BoundedChannel, InvariantAuditIsRegistryCompatible)
 {
     // The System registers each channel as its own invariant
     // component; verify the hook composes with the registry driver.
-    sim::BoundedChannel<int> ch("dcache.fc_to_bc", 4);
-    ch.push(11, 3);
+    sim::BoundedChannel ch("dcache.fc_to_bc", 4, sim::ChannelContract{},
+                           nullptr);
+    ch.push(3);
 
     sim::InvariantRegistry reg;
     reg.setFailFast(false);
@@ -212,25 +155,32 @@ TEST(BoundedChannel, InvariantAuditIsRegistryCompatible)
 
 TEST(BoundedChannelDeath, ZeroCapacityIsFatal)
 {
-    EXPECT_EXIT(sim::BoundedChannel<int>("bad", 0),
-                ::testing::ExitedWithCode(1), "capacity >= 1");
+    EXPECT_EXIT(window(0), ::testing::ExitedWithCode(1),
+                "capacity >= 1");
 }
 
-TEST(BoundedChannelDeath, FrontOnEmptyPanics)
+TEST(BoundedChannelDeath, PopWithoutPushPanics)
 {
-    sim::BoundedChannel<int> ch("ch", 2);
-    EXPECT_DEATH(ch.front(), "front\\(\\) on empty");
+    sim::BoundedChannel ch = window(2);
+    EXPECT_DEATH(ch.pop(0, 0), "no open push");
 }
 
 TEST(BoundedChannelDeath, FullWithUndrainedMessagesPanics)
 {
-    // The synchronous pump discipline guarantees pushed messages are
-    // drained before the next push; violating it on a full channel has
-    // no defined accept tick and must panic (when checks are armed).
-    ScopedChecks armed(true);
-    sim::BoundedChannel<int> ch("ch", 1);
-    ch.push(1, 0); // occupies the only slot, never popped
-    EXPECT_DEATH(ch.push(2, 0), "un-drained");
+    // Every push is popped before the next; a full depth-1 window
+    // with its only slot still open has no defined accept tick.
+    sim::BoundedChannel ch = window(1);
+    ch.push(0); // occupies the only slot, never popped
+    EXPECT_DEATH(ch.push(0), "un-drained");
+}
+
+TEST(BoundedChannelDeath, SecondPushBeforePopPanics)
+{
+    // Free slots do not excuse the discipline: a roomy window still
+    // holds at most one open push.
+    sim::BoundedChannel ch = window(8);
+    ch.push(0);
+    EXPECT_DEATH(ch.push(5), "un-drained");
 }
 
 // --------------------------------------------------------------------
@@ -240,20 +190,20 @@ TEST(BoundedChannelDeath, FullWithUndrainedMessagesPanics)
 
 TEST(BoundedChannel, DepthOneSerializesEveryTransaction)
 {
-    sim::BoundedChannel<int> ch("ch", 1);
+    sim::BoundedChannel ch = window(1);
 
-    // The single slot round-trips each message: with the slot held to
-    // tick 50, the next push stalls to exactly that release.
-    EXPECT_EQ(ch.push(1, 0), 0u);
-    ch.dropFront(50);
-    EXPECT_EQ(ch.push(2, 10), 50u);
+    // The single slot round-trips each transaction: with the slot held
+    // to tick 50, the next push stalls to exactly that release.
+    EXPECT_EQ(ch.push(0), 0u);
+    ch.pop(50, 50);
+    EXPECT_EQ(ch.push(10), 50u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 40u);
-    ch.dropFront(120);
+    ch.pop(120, 120);
 
     // A push after the release flows without a stall.
-    EXPECT_EQ(ch.push(3, 130), 130u);
-    ch.dropFront(130);
+    EXPECT_EQ(ch.push(130), 130u);
+    ch.pop(130, 130);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().peakOccupancy, 1u);
     EXPECT_EQ(auditFailures(ch), 0u);
@@ -261,15 +211,13 @@ TEST(BoundedChannel, DepthOneSerializesEveryTransaction)
 
 TEST(BoundedChannel, SameTickSendAndReceive)
 {
-    sim::BoundedChannel<int> ch("ch", 4);
+    sim::BoundedChannel ch = window(4);
 
     // Push and consume at the identical tick: legal (a zero-lookahead
     // channel), stamps all equal, nothing charged as a stall.
-    EXPECT_EQ(ch.push(1, 42), 42u);
-    EXPECT_EQ(ch.front().pushedAt, 42u);
-    EXPECT_EQ(ch.front().acceptedAt, 42u);
-    EXPECT_EQ(ch.pop(42), 1);
-    EXPECT_TRUE(ch.empty());
+    EXPECT_EQ(ch.push(42), 42u);
+    ch.pop(42, 42);
+    EXPECT_EQ(ch.stats().pushes.value(), ch.stats().pops.value());
     // A slot released at tick 42 is already free to a tick-42 push.
     EXPECT_EQ(ch.inFlight(42), 0u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 0u);
@@ -279,25 +227,25 @@ TEST(BoundedChannel, SameTickSendAndReceive)
 
 TEST(BoundedChannel, BackpressureExactlyAtFullOccupancy)
 {
-    sim::BoundedChannel<int> ch("ch", 2);
+    sim::BoundedChannel ch = window(2);
 
     // One of two slots in flight: one below capacity, no backpressure.
-    ch.push(1, 0);
-    ch.dropFront(100);
+    ch.push(0);
+    ch.pop(100, 100);
     EXPECT_EQ(ch.inFlight(10), 1u);
 
     // Exactly at capacity: the boundary push must stall, and must be
     // accepted exactly at the earliest release tick, not one later.
-    ch.push(2, 0);
-    ch.dropFront(200);
+    ch.push(0);
+    ch.pop(200, 200);
     EXPECT_EQ(ch.inFlight(10), 2u);
-    EXPECT_EQ(ch.push(3, 10), 100u);
+    EXPECT_EQ(ch.push(10), 100u);
     EXPECT_EQ(ch.stats().fullStalls.value(), 1u);
     EXPECT_EQ(ch.stats().stallTicks.value(), 90u);
 
     // At the release tick itself the freed slot is usable: occupancy
     // is back below capacity from the consumer's viewpoint.
-    ch.dropFront(300);
+    ch.pop(300, 300);
     EXPECT_EQ(ch.inFlight(200), 1u);
     EXPECT_EQ(auditFailures(ch), 0u);
 }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the causality auditor (DESIGN.md §14): channel contracts
- * are registered through the thread-local attach scope, clean traffic
- * is certified with zero violations, and deliberate contract breaches
+ * Tests for the causality auditor (DESIGN.md §14): a window registers
+ * its contract with the auditor it is handed, clean traffic is
+ * certified with zero violations, and deliberate contract breaches
  * — a time-travelling send consumed before its declared lookahead, a
  * backwards push on a monotone channel, an event fired behind the
  * queue clock — are caught, both recorded and fail-fast.
@@ -53,33 +53,18 @@ class ScopedChecks
 } // namespace
 
 // --------------------------------------------------------------------
-// Attach scope and registration.
+// Registration.
 // --------------------------------------------------------------------
 
-TEST(CausalityAuditor, ScopeInstallsAndRestoresNested)
-{
-    EXPECT_EQ(sim::CausalityAuditor::current(), nullptr);
-    sim::CausalityAuditor outer;
-    {
-        sim::CausalityAuditor::Scope s1(outer);
-        EXPECT_EQ(sim::CausalityAuditor::current(), &outer);
-        sim::CausalityAuditor inner;
-        {
-            sim::CausalityAuditor::Scope s2(inner);
-            EXPECT_EQ(sim::CausalityAuditor::current(), &inner);
-        }
-        EXPECT_EQ(sim::CausalityAuditor::current(), &outer);
-    }
-    EXPECT_EQ(sim::CausalityAuditor::current(), nullptr);
-}
-
-TEST(CausalityAuditor, ChannelSelfRegistersInsideScope)
+TEST(CausalityAuditor, ChannelRegistersWithItsAuditor)
 {
     ScopedChecks armed(true);
     sim::CausalityAuditor auditor;
-    sim::CausalityAuditor::Scope scope(auditor);
-    sim::BoundedChannel<int> ch(
-        "audited.ch", 8, sim::ChannelContract{25, true});
+    sim::BoundedChannel ch("audited.ch", 8,
+                           sim::ChannelContract{25, true}, &auditor);
+    sim::BoundedChannel unaudited("free.ch", 8,
+                                  sim::ChannelContract{25, true},
+                                  nullptr);
 
     ASSERT_EQ(auditor.channelCount(), 1u);
     EXPECT_EQ(auditor.channel(0).name, "audited.ch");
@@ -97,14 +82,13 @@ TEST(CausalityAuditor, CleanTrafficHasZeroViolations)
     ScopedChecks armed(true);
     sim::CausalityAuditor auditor;
     auditor.setFailFast(false);
-    sim::CausalityAuditor::Scope scope(auditor);
-    sim::BoundedChannel<int> ch(
-        "ch", 8, sim::ChannelContract{100, true});
+    sim::BoundedChannel ch("ch", 8, sim::ChannelContract{100, true},
+                           &auditor);
 
-    ch.push(1, 0);
-    ch.dropFront(100, 250); // consumed exactly at push + lookahead
-    ch.push(2, 40);
-    ch.dropFront(500, 600);
+    ch.push(0);
+    ch.pop(100, 250); // consumed exactly at push + lookahead
+    ch.push(40);
+    ch.pop(500, 600);
     EXPECT_EQ(auditor.violationCount(), 0u);
     EXPECT_EQ(auditor.sendsAudited(), 2u);
     EXPECT_EQ(auditor.deliveriesAudited(), 2u);
@@ -124,11 +108,11 @@ TEST(CausalityAuditor, TimeTravellingSendIsCaught)
     ScopedChecks armed(true);
     sim::CausalityAuditor auditor;
     auditor.setFailFast(false);
-    sim::CausalityAuditor::Scope scope(auditor);
-    sim::BoundedChannel<int> ch("ch", 8, sim::ChannelContract{100});
+    sim::BoundedChannel ch("ch", 8, sim::ChannelContract{100},
+                           &auditor);
 
-    ch.push(7, 50);
-    ch.dropFront(90, 200); // consumed at 90 < 50 + 100
+    ch.push(50);
+    ch.pop(90, 200); // consumed at 90 < 50 + 100
     ASSERT_EQ(auditor.violationCount(), 1u);
     EXPECT_EQ(auditor.violations()[0].channel, "ch");
     EXPECT_NE(auditor.violations()[0].detail.find("lookahead"),
@@ -145,12 +129,12 @@ TEST(CausalityAuditor, BackwardsPushOnMonotoneChannelIsCaught)
     ScopedChecks armed(true);
     sim::CausalityAuditor auditor;
     auditor.setFailFast(false);
-    sim::CausalityAuditor::Scope scope(auditor);
-    sim::BoundedChannel<int> ch(
-        "ch", 8, sim::ChannelContract{0, true});
+    sim::BoundedChannel ch("ch", 8, sim::ChannelContract{0, true},
+                           &auditor);
 
-    ch.push(1, 100);
-    ch.push(2, 60); // producer clock ran backwards on a monotone channel
+    ch.push(100);
+    ch.pop(100, 100);
+    ch.push(60); // producer clock ran backwards on a monotone channel
     EXPECT_EQ(auditor.violationCount(), 1u);
     EXPECT_NE(auditor.violations()[0].detail.find("monotone"),
               std::string::npos);
@@ -163,11 +147,11 @@ TEST(CausalityAuditor, SkewIsTelemetryOnNonMonotoneChannels)
     ScopedChecks armed(true);
     sim::CausalityAuditor auditor;
     auditor.setFailFast(false);
-    sim::CausalityAuditor::Scope scope(auditor);
-    sim::BoundedChannel<int> ch("ch", 8, sim::ChannelContract{});
+    sim::BoundedChannel ch("ch", 8, sim::ChannelContract{}, &auditor);
 
-    ch.push(1, 100);
-    ch.push(2, 60);
+    ch.push(100);
+    ch.pop(100, 100);
+    ch.push(60);
     EXPECT_EQ(auditor.violationCount(), 0u);
     EXPECT_EQ(auditor.channel(0).maxObservedSkew, 40u);
 }
@@ -191,10 +175,10 @@ TEST(CausalityAuditor, HooksDisarmWithChecksGate)
     // for certification.
     ScopedChecks disarmed(false);
     sim::CausalityAuditor auditor;
-    sim::CausalityAuditor::Scope scope(auditor);
-    sim::BoundedChannel<int> ch("ch", 8, sim::ChannelContract{100});
-    ch.push(7, 50);
-    ch.dropFront(90, 200); // would violate the lookahead if armed
+    sim::BoundedChannel ch("ch", 8, sim::ChannelContract{100},
+                           &auditor);
+    ch.push(50);
+    ch.pop(90, 200); // would violate the lookahead if armed
     EXPECT_EQ(auditor.violationCount(), 0u);
     EXPECT_EQ(auditor.sendsAudited(), 0u);
     EXPECT_EQ(auditor.deliveriesAudited(), 0u);
@@ -208,10 +192,10 @@ TEST(CausalityAuditorDeath, TimeTravellingSendPanicsFailFast)
 {
     ScopedChecks armed(true);
     sim::CausalityAuditor auditor; // fail-fast is the default
-    sim::CausalityAuditor::Scope scope(auditor);
-    sim::BoundedChannel<int> ch("ch", 8, sim::ChannelContract{100});
-    ch.push(7, 50);
-    EXPECT_DEATH(ch.dropFront(90, 200), "causality violation");
+    sim::BoundedChannel ch("ch", 8, sim::ChannelContract{100},
+                           &auditor);
+    ch.push(50);
+    EXPECT_DEATH(ch.pop(90, 200), "causality violation");
 }
 
 // --------------------------------------------------------------------
@@ -230,13 +214,13 @@ TEST(CausalitySystem, GoldenConfigCertifiesCleanUnderAudit)
         << (auditor.violations().empty()
                 ? std::string()
                 : auditor.violations()[0].detail);
-    // Exactly the three controller channels per BC shard (fc_to_bc,
+    // Exactly the three controller windows per BC shard (fc_to_bc,
     // bc_to_flash, bc_to_fc); the certificate is vacuous unless real
-    // traffic was audited.
+    // traffic was audited. Every push was popped.
     EXPECT_EQ(auditor.channelCount(), 3u * gc.shards);
     EXPECT_GT(auditor.sendsAudited(), 0u);
     EXPECT_GT(auditor.deliveriesAudited(), 0u);
-    EXPECT_GE(auditor.sendsAudited(), auditor.deliveriesAudited());
+    EXPECT_EQ(auditor.sendsAudited(), auditor.deliveriesAudited());
     EXPECT_GT(auditor.eventsAudited(), 0u);
 }
 

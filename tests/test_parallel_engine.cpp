@@ -178,7 +178,6 @@ TEST(ParallelSystem, DepthOneChannelsStayByteIdentical)
     SystemConfig cfg = smallCfg();
     cfg.dramCache.channels.fcToBcDepth = 1;
     cfg.dramCache.channels.bcToFlashDepth = 1;
-    cfg.dramCache.channels.bcToFcDepth = 1;
     const std::string one = statsAt(cfg, 1);
     EXPECT_EQ(statsAt(cfg, 2), one);
 }

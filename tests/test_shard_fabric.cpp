@@ -81,7 +81,8 @@ struct ShardRig {
         DramCacheConfig cfg;
         cfg.capacityBytes = 2 << 20; // 512 page frames
         cfg.bc.shards = shards;
-        dc = std::make_unique<DramCache>(eq, "dc", cfg, *flash, amap);
+        dc = std::make_unique<DramCache>(eq, "dc", cfg, *flash, amap,
+                                         nullptr);
         dc->setPageReadyCallback(
             [this](mem::PageNum page, Ticks,
                    const std::vector<WaiterCookie> &w) {

@@ -63,10 +63,6 @@
  *          break SweepRunner's isolated-replica byte-identity. The
  *          reviewed owners (checks arming flag, tracer, uthread
  *          current pointer) are allowlisted in kStateOwners.
- *   AF018  sim::BoundedChannel constructed without a declared
- *          ChannelContract: every channel must state its minimum
- *          push-to-consume latency (the lookahead manifest) so the
- *          causality auditor can certify it.
  *
  * Comments and string literals are stripped (newlines preserved)
  * before matching, so prose never trips a rule. Intentional
@@ -1237,63 +1233,6 @@ checkMutableStaticState(const std::vector<Token> &all_toks,
     }
 }
 
-/**
- * AF018: every sim::BoundedChannel construction must declare its
- * ChannelContract (the lookahead manifest): a two-argument
- * construction takes the default contract of zero minimum latency,
- * which certifies nothing and would stall a conservative parallel
- * engine. Matches direct `BoundedChannel<T>(...)` constructions and
- * `make_unique<...BoundedChannel<T>>(...)`.
- */
-void
-checkChannelContractDeclared(const std::vector<Token> &toks,
-                             const std::string &file,
-                             const Suppressions &sup,
-                             std::vector<Finding> &out)
-{
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (!tokIs(toks, i, "BoundedChannel") ||
-            !tokIs(toks, i + 1, "<"))
-            continue;
-        std::size_t k = skipAngles(toks, i + 1);
-        // Close any enclosing template (make_unique<...>) before the
-        // call parens; a declaration or parameter never follows its
-        // '>' with '('.
-        while (tokIs(toks, k, ">"))
-            ++k;
-        if (!tokIs(toks, k, "("))
-            continue;
-        int depth = 0, commas = 0;
-        bool any = false, closed = false;
-        for (std::size_t p = k; p < toks.size(); ++p) {
-            const std::string &x = toks[p].text;
-            if (x == "(") {
-                ++depth;
-            } else if (x == ")") {
-                if (--depth == 0) {
-                    closed = true;
-                    break;
-                }
-            } else if (x == "," && depth == 1) {
-                ++commas;
-            } else {
-                any = true;
-            }
-        }
-        const int nargs = any ? commas + 1 : 0;
-        const int line = toks[i].line;
-        if (closed && nargs >= 1 && nargs < 3 &&
-            !sup.allows(line, "AF018")) {
-            out.push_back(
-                {file, line, "AF018",
-                 "BoundedChannel constructed without a declared "
-                 "ChannelContract; state the channel's minimum "
-                 "push-to-consume latency (lookahead manifest, "
-                 "DESIGN.md §14)"});
-        }
-    }
-}
-
 void
 scanFile(const fs::path &path, const std::string &rel,
          std::vector<Finding> &out)
@@ -1343,7 +1282,6 @@ scanFile(const fs::path &path, const std::string &rel,
         collectUnorderedIteration(toks, rel, sup);
         checkPointerKeyedContainers(toks, rel, sup, out);
         checkMutableStaticState(toks, lines, rel, sup, out);
-        checkChannelContractDeclared(toks, rel, sup, out);
     }
 }
 

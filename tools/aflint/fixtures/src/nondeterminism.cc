@@ -2,14 +2,12 @@
  * @file
  * Deliberately nondeterministic source for the aflint v3 negative
  * tests: each construct below violates one of the determinism rules
- * AF015-AF018, so the per-rule fixture tests must report them. Never
+ * AF015-AF017, so the per-rule fixture tests must report them. Never
  * compiled.
  */
 
 #include <cstdint>
-#include <memory>
 #include <set>
-#include <string>
 #include <unordered_map>
 
 namespace fixture {
@@ -44,16 +42,5 @@ struct Tracker {
         return retired;
     }
 };
-
-template <typename T> struct BoundedChannel {
-    BoundedChannel(std::string name, std::uint32_t capacity);
-};
-
-std::unique_ptr<BoundedChannel<Job>>
-makeUncertifiedChannel()
-{
-    // AF018: no ChannelContract — the channel declares no lookahead.
-    return std::make_unique<BoundedChannel<Job>>("fixture.chan", 64u);
-}
 
 } // namespace fixture

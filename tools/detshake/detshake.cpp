@@ -89,7 +89,6 @@ renderRun(const GoldenCase &gc, std::uint64_t tie_seed,
         ChannelConfig &ch = cfg.dramCache.channels;
         ch.fcToBcDepth = jitterDepth(jitter_seed * 3 + 0);
         ch.bcToFlashDepth = jitterDepth(jitter_seed * 3 + 1);
-        ch.bcToFcDepth = jitterDepth(jitter_seed * 3 + 2);
     }
     System sys(cfg);
     const RunResults r = sys.run();
