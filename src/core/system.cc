@@ -33,11 +33,19 @@ System::System(const SystemConfig &config)
     eq.setTiePerturbation(cfg.tieBreakSeed);
     buildMemorySystem();
 
+    // Every core's generator has the same shape; only the seed of its
+    // independent streams differs. Core 0's is built, the others are
+    // reseeded copies of it, so the Zipf normaliser is summed once.
     for (std::uint32_t c = 0; c < cfg.cores; ++c) {
-        workload::WorkloadConfig wc = cfg.workload;
-        wc.seed = cfg.seed * 1000003 + c; // independent streams
-        gens.push_back(
-            workload::makeWorkload(cfg.workloadKind, wc));
+        const std::uint64_t seed = cfg.seed * 1000003 + c;
+        if (c == 0) {
+            workload::WorkloadConfig wc = cfg.workload;
+            wc.seed = seed;
+            gens.push_back(workload::makeWorkload(cfg.workloadKind, wc));
+        } else {
+            gens.push_back(std::make_unique<workload::Workload>(
+                gens.front()->reseeded(seed)));
+        }
         cores.push_back(std::make_unique<SimCore>(
             eq, "core" + std::to_string(c), c, *this));
     }
