@@ -3,9 +3,10 @@
  * google-benchmark micro suites for the load-bearing primitives:
  * event queue, histogram, Zipfian draws, workload job generation and
  * the per-core generator build a System does, set-associative lookup
- * and miss/fill, DRAM bank access, the three-level cache hierarchy's
- * miss path (alone and across 256 hierarchies, on the heap and in a
- * tag slab, and in bursts with a one-access look-ahead hint), the
+ * and miss/fill, the two-level TLB's miss path, DRAM bank access, the
+ * three-level cache hierarchy's miss path (alone and across 256
+ * hierarchies, on the heap and in a tag slab, and in bursts with a
+ * one-access look-ahead hint), the
  * on-chip MSHR hold-time recorder, MSR operations, DRAM-cache hit
  * path, ASO rename/store,
  * and real user-level thread switches (the artifact behind the
@@ -29,6 +30,7 @@
 #include "mem/mshr.hh"
 #include "mem/set_assoc_cache.hh"
 #include "mem/tag_slab.hh"
+#include "mem/tlb.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -182,6 +184,23 @@ BM_HierarchyAccessMiss(benchmark::State &state)
     }
 }
 BENCHMARK(BM_HierarchyAccessMiss);
+
+static void
+BM_TlbLookupMiss(benchmark::State &state)
+{
+    // The default two-level TLB under uniform pages of 64 MB, 16 384
+    // pages against 1 280 L2 entries, so most lookups miss both
+    // levels and the walk's fill follows, as in SimCore.
+    mem::Tlb tlb("tlb", mem::Tlb::Config{});
+    sim::Rng rng(6);
+    for (auto _ : state) {
+        const mem::Addr va =
+            rng.uniformInt((64 << 20) / mem::kPageSize) * mem::kPageSize;
+        if (tlb.lookup(va).miss)
+            tlb.fill(va);
+    }
+}
+BENCHMARK(BM_TlbLookupMiss);
 
 static void
 BM_DramAccess(benchmark::State &state)

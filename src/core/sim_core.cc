@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
-#include "sim/prefetch.hh"
 #include "sim/trace_events.hh"
 
 #include "system.hh"
@@ -79,18 +78,12 @@ SimCore::scheduleRun(sim::Ticks delta)
 }
 
 void
-SimCore::warm(void *self, unsigned distance)
+SimCore::warm(void *self)
 {
     const auto *core = static_cast<const SimCore *>(self);
-    if (distance == 1) {
-        if (core->current)
-            hintAccess(*core->current, core->current->nextOp,
-                       core->tlbModel, core->hier, core->sys);
-        return;
-    }
-    // Two events ahead the job may still change, so warm only what
-    // address arithmetic reaches: the core's own lines.
-    sim::prefetchRange(core, sizeof(SimCore));
+    if (core->current)
+        hintAccess(*core->current, core->current->nextOp, core->tlbModel,
+                   core->hier, core->sys);
 }
 
 void

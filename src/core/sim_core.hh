@@ -128,10 +128,9 @@ class SimCore : public sim::SimObject
 
     /**
      * Warm hook of the run() events (EventQueue::Warm, DESIGN.md
-     * §9.4). At distance 2 it prefetches the core's own lines; at
-     * distance 1 it hints the current job's next memory op.
+     * §9.4): hints the current job's next memory op.
      */
-    static void warm(void *self, unsigned distance);
+    static void warm(void *self);
 
     /** Pick the next runnable job; returns false if the core idles. */
     bool pickJob(sim::Ticks now);

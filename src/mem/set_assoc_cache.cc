@@ -3,9 +3,82 @@
 #include <algorithm>
 #include <utility>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#endif
+
 #include "sim/logging.hh"
 
 namespace astriflash::mem {
+
+namespace {
+
+#ifdef __SSE2__
+
+/** Four words of @p words from index @p w on, unaligned. */
+[[gnu::always_inline]] inline __m128i
+load4(const std::uint32_t *words, std::uint32_t w)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(words + w));
+}
+
+/**
+ * Index of the first of @p n words equal to @p value, or @p n. The
+ * hit mask of each block of 64 words is built whole, four words per
+ * compare, so a hit's position cannot mispredict a branch; words past
+ * the last group of four are compared one at a time, so nothing past
+ * word n - 1 is read.
+ */
+[[gnu::always_inline]] inline std::uint32_t
+firstEqual(const std::uint32_t *words, std::uint32_t n, std::uint32_t value)
+{
+    const __m128i key = _mm_set1_epi32(static_cast<int>(value));
+    for (std::uint32_t base = 0; base < n; base += 64) {
+        const std::uint32_t end = n - base > 64 ? base + 64 : n;
+        std::uint64_t hits = 0;
+        std::uint32_t w = base;
+        for (; w + 4 <= end; w += 4) {
+            const __m128i eq = _mm_cmpeq_epi32(load4(words, w), key);
+            hits |= std::uint64_t(_mm_movemask_ps(_mm_castsi128_ps(eq)))
+                << (w - base);
+        }
+        for (; w < end; ++w)
+            hits |= std::uint64_t{words[w] == value} << (w - base);
+        if (hits != 0)
+            return base + static_cast<std::uint32_t>(__builtin_ctzll(hits));
+    }
+    return n;
+}
+
+/**
+ * Least of @p n words, as unsigned integers. SSE2 compares only
+ * signed lanes, so each word is biased by 2^31 first, which maps
+ * unsigned order onto signed order.
+ */
+[[gnu::always_inline]] inline std::uint32_t
+leastWord(const std::uint32_t *words, std::uint32_t n)
+{
+    const __m128i bias = _mm_set1_epi32(INT32_MIN);
+    __m128i least = _mm_set1_epi32(INT32_MAX); // biased 2^32 - 1
+    std::uint32_t w = 0;
+    const auto lower = [](__m128i a, __m128i b) {
+        const __m128i lt = _mm_cmplt_epi32(a, b);
+        return _mm_or_si128(_mm_and_si128(lt, a), _mm_andnot_si128(lt, b));
+    };
+    for (; w + 4 <= n; w += 4)
+        least = lower(_mm_xor_si128(load4(words, w), bias), least);
+    least = lower(least, _mm_shuffle_epi32(least, _MM_SHUFFLE(1, 0, 3, 2)));
+    least = lower(least, _mm_shuffle_epi32(least, _MM_SHUFFLE(2, 3, 0, 1)));
+    std::uint32_t out = static_cast<std::uint32_t>(_mm_cvtsi128_si32(least)) ^
+        0x80000000u;
+    for (; w < n; ++w)
+        out = std::min(out, words[w]);
+    return out;
+}
+
+#endif // __SSE2__
+
+} // namespace
 
 SetAssocCache::SetAssocCache(std::string name, std::uint64_t capacity,
                              std::uint64_t line_size, std::uint32_t ways,
@@ -104,9 +177,12 @@ SetAssocCache::setAt(SetIdx set)
 }
 
 /** Way holding @p tag in the set at @p tags, or waysPerSet. */
-std::uint32_t
+[[gnu::always_inline]] inline std::uint32_t
 SetAssocCache::findWay(const std::uint32_t *tags, std::uint32_t tag) const
 {
+#ifdef __SSE2__
+    return firstEqual(tags, waysPerSet, tag);
+#else
     // A tag is in a set at most once and never equals an empty way's,
     // so selecting every match, with no early exit, finds the same
     // way; the compiler turns the select into a conditional move, and
@@ -115,6 +191,7 @@ SetAssocCache::findWay(const std::uint32_t *tags, std::uint32_t tag) const
     for (std::uint32_t w = 0; w < waysPerSet; ++w)
         way = tags[w] == tag ? w : way;
     return way;
+#endif
 }
 
 void
@@ -165,6 +242,7 @@ SetAssocCache::lookup(Addr addr, bool write)
     const SetRef set = setAt(slot.set);
     const std::uint32_t w = findWay(set.tags, slot.tag);
     if (w == waysPerSet) {
+        rememberMiss(addr, slot);
         statsData.misses.inc();
         return false;
     }
@@ -193,15 +271,19 @@ SetAssocCache::contains(Addr addr) const
 }
 
 /** Way to fill in @p set. */
-std::uint32_t
+[[gnu::always_inline]] inline std::uint32_t
 SetAssocCache::victimWay(SetRef set)
 {
-    // One argmin over the meta words. An empty way's word is 0 and a
-    // valid way's at least 2 (stamp >= 1, checkInvariants()), so the
-    // first minimum is the first empty way when there is one.
-    // Otherwise LRU and FIFO both evict the smallest stamp: the stamps
-    // of valid ways are distinct, so the dirty bit below them never
-    // decides.
+    // The first way holding the least meta word. An empty way's word
+    // is 0 and a valid way's at least 2 (stamp >= 1,
+    // checkInvariants()), so that is the first empty way when there
+    // is one. Otherwise LRU and FIFO both evict the smallest stamp:
+    // the stamps of valid ways are distinct, so the dirty bit below
+    // them never decides.
+#ifdef __SSE2__
+    const std::uint32_t least = leastWord(set.meta, waysPerSet);
+    const std::uint32_t way = firstEqual(set.meta, waysPerSet, least);
+#else
     std::uint32_t way = 0;
     std::uint32_t least = set.meta[0];
     for (std::uint32_t w = 1; w < waysPerSet; ++w) {
@@ -209,6 +291,7 @@ SetAssocCache::victimWay(SetRef set)
         way = lower ? w : way;
         least = lower ? set.meta[w] : least;
     }
+#endif
     if (policy == ReplacementPolicy::Random && least != 0)
         return static_cast<std::uint32_t>(rng.uniformInt(waysPerSet));
     return way;
@@ -217,11 +300,16 @@ SetAssocCache::victimWay(SetRef set)
 std::optional<CacheLine>
 SetAssocCache::fill(Addr addr, bool dirty)
 {
-    const Slot slot = locate(addr);
+    // The line that missed last, unfilled since, is absent: its slot
+    // is known and no way holds its tag.
+    const bool remembered = addr >> lineShift == missLine;
+    const Slot slot = remembered ? missSlot : locate(addr);
     tick();
     const SetRef set = setAt(slot.set);
-    if (const std::uint32_t w = findWay(set.tags, slot.tag);
-        w != waysPerSet) {
+    if (remembered) {
+        missLine = kNoLine;
+    } else if (const std::uint32_t w = findWay(set.tags, slot.tag);
+               w != waysPerSet) {
         // Refill of a resident line refreshes recency and dirtiness.
         touch(set.meta[w], dirty);
         return std::nullopt;
@@ -266,8 +354,10 @@ SetAssocCache::markDirty(Addr addr)
     const Slot slot = locate(addr);
     const SetRef set = setAt(slot.set);
     const std::uint32_t w = findWay(set.tags, slot.tag);
-    if (w == waysPerSet)
+    if (w == waysPerSet) {
+        rememberMiss(addr, slot);
         return false;
+    }
     set.meta[w] |= kDirtyBit;
     return true;
 }

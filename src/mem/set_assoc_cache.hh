@@ -202,8 +202,8 @@ class SetAssocCache
      * Audit the array: the valid-line count matches the tag state,
      * every valid tag belongs to its set, empty ways hold no state,
      * every valid way holds a stamp of at least 1 and none ahead of
-     * the clock, and the fill/evict/invalidate traffic accounts for
-     * the live lines.
+     * the clock, the fill/evict/invalidate traffic accounts for the
+     * live lines, and the remembered missed line is absent.
      */
     void
     checkInvariants(sim::InvariantChecker &chk) const
@@ -255,6 +255,18 @@ class SetAssocCache
                       statsData.evictions.value() +
                               statsData.invalidations.value() <=
                           statsData.fills.value() + validCount);
+        if (missLine != kNoLine) {
+            const Addr a = addrOf(missSlot.tag, missSlot.set);
+            SIM_INVARIANT_MSG(chk, (a >> lineShift) == missLine,
+                              "%s: remembered slot names line %llx, "
+                              "not the missed one",
+                              cacheName.c_str(),
+                              static_cast<unsigned long long>(a));
+            SIM_INVARIANT_MSG(chk, !contains(a),
+                              "%s: remembered miss %llx is resident",
+                              cacheName.c_str(),
+                              static_cast<unsigned long long>(a));
+        }
     }
 
   private:
@@ -267,6 +279,11 @@ class SetAssocCache
      * or below it.
      */
     static constexpr std::uint32_t kMaxStamp = ~std::uint32_t{0} >> 1;
+    /**
+     * missLine when no miss is remembered; a line number is at most
+     * 2^63 - 1 since lines are at least 2 bytes.
+     */
+    static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
 
     /** Where an address lives: its set and its tag word there. */
     struct Slot {
@@ -343,6 +360,13 @@ class SetAssocCache
     /** Record a hit on the way whose meta word is @p meta. */
     void touch(std::uint32_t &meta, bool dirty) const;
     bool lookup(Addr addr, bool write);
+    /** Remember that the line of @p addr, at @p slot, just missed. */
+    void
+    rememberMiss(Addr addr, Slot slot)
+    {
+        missLine = addr >> lineShift;
+        missSlot = slot;
+    }
 
     std::string cacheName;
     std::uint64_t totalCapacity;
@@ -364,6 +388,14 @@ class SetAssocCache
     std::vector<std::uint32_t, LineAligned<std::uint32_t>> arr;
     std::uint32_t stamp = 0;
     std::uint64_t validCount = 0;
+    /**
+     * Line number and slot of the last line a lookup or markDirty()
+     * found absent, or kNoLine. Only fill() makes a line resident,
+     * and a fill of this line forgets it, so while it is set the line
+     * is absent and fill() may skip locate() and the tag scan.
+     */
+    std::uint64_t missLine = kNoLine;
+    Slot missSlot{};
     sim::Rng rng;
     Stats statsData;
 };

@@ -130,19 +130,12 @@ EventQueue::releaseSlot(std::uint32_t slot)
 void
 EventQueue::warmNext() const
 {
-    // The head runs next. The second-next is the better of the head's
-    // children unless the event about to run schedules ahead of it.
-    const std::size_t size = heap.size();
-    if (size == 0)
+    // The head runs next, unless the event about to run schedules
+    // ahead of it.
+    if (heap.empty())
         return;
     if (const Warm &w = slots[heap[0].slot].warm; w.fn)
-        w.fn(w.arg, 1);
-    if (size == 1)
-        return;
-    const Node &second =
-        size > 2 && later(heap[1], heap[2]) ? heap[2] : heap[1];
-    if (const Warm &w = slots[second.slot].warm; w.fn)
-        w.fn(w.arg, 2);
+        w.fn(w.arg);
 }
 
 void

@@ -19,9 +19,9 @@
  *   discarded when it surfaces. When cancelled nodes exceed a fixed
  *   fraction of the heap, the heap is compacted in one O(n) pass, so
  *   tombstones cannot grow without bound.
- * - An event may carry a warm hook that the queue calls while the one
- *   or two events before it run, so its owner can prefetch the host
- *   lines its callback will touch (DESIGN.md §9.4).
+ * - An event may carry a warm hook that the queue calls while the
+ *   event before it runs, so its owner can prefetch the host lines
+ *   its callback will touch (DESIGN.md §9.4).
  */
 
 #ifndef ASTRIFLASH_SIM_EVENT_QUEUE_HH
@@ -76,14 +76,13 @@ class EventQueue
     /**
      * Host prefetch hook of a pending event. Each time runSteps() or
      * runUntil() pops an event, before running it, the queue calls
-     * the hook of the new head with distance 1, then that of the
-     * second-next event (the better child of the head) with distance
-     * 2. A hook may only read simulator state and issue host prefetch
-     * hints: nothing it does can move a result. A descheduled event's
-     * hook never fires. Warm{} is no hook.
+     * the hook of the new head. A hook may only read simulator state
+     * and issue host prefetch hints: nothing it does can move a
+     * result. A descheduled event's hook never fires. Warm{} is no
+     * hook.
      */
     struct Warm {
-        void (*fn)(void *arg, unsigned distance);
+        void (*fn)(void *arg);
         void *arg;
     };
 
@@ -256,7 +255,7 @@ class EventQueue
     /** Return @p slot to the free list and invalidate its handles. */
     void releaseSlot(std::uint32_t slot);
 
-    /** Call the warm hooks of the next two events (see Warm). */
+    /** Call the warm hook of the next event (see Warm). */
     void warmNext() const;
 
     /** Drop every cancelled node in one pass and re-heapify. */

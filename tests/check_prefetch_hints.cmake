@@ -15,7 +15,7 @@ endif()
 
 foreach(symbol
         _ZN10astriflash4core7SimCore3runEv
-        _ZN10astriflash4core7SimCore4warmEPvj)
+        _ZN10astriflash4core7SimCore4warmEPv)
     execute_process(
         COMMAND "${OBJDUMP}" -d "--disassemble=${symbol}" "${OBJECT}"
         RESULT_VARIABLE rc

@@ -478,9 +478,9 @@ TEST(EventQueuePerturbationDeath, NonzeroSeedFatalWhenCompiledOut)
 
 namespace {
 
-/** Warm hook calls seen: (event label, distance), in call order. */
+/** Labels of the warm hooks called, in call order. */
 struct WarmLog {
-    std::vector<std::pair<int, unsigned>> calls;
+    std::vector<int> calls;
 };
 
 /** A hook whose argument names its event, for WarmLog. */
@@ -489,10 +489,10 @@ struct Labelled {
     int label;
 
     static void
-    hook(void *arg, unsigned distance)
+    hook(void *arg)
     {
         const auto *self = static_cast<const Labelled *>(arg);
-        self->log->calls.emplace_back(self->label, distance);
+        self->log->calls.push_back(self->label);
     }
 
     EventQueue::Warm
@@ -504,7 +504,7 @@ struct Labelled {
 
 } // namespace
 
-TEST(EventQueueWarm, HeadGetsDistanceOneAndSecondNextDistanceTwo)
+TEST(EventQueueWarm, HeadIsWarmedAfterEachPop)
 {
     EventQueue eq;
     WarmLog log;
@@ -517,13 +517,11 @@ TEST(EventQueueWarm, HeadGetsDistanceOneAndSecondNextDistanceTwo)
         eq.schedule(10 * Ticks(i + 1), [] {}, EventPriority::Default,
                     labels[i].warm());
 
-    eq.runSteps(1); // pops 0: warms 1 (head) and 2 (second-next)
-    EXPECT_EQ(log.calls, (std::vector<std::pair<int, unsigned>>{
-                             {1, 1}, {2, 2}}));
+    eq.runSteps(1); // pops 0: warms 1, the new head
+    EXPECT_EQ(log.calls, std::vector<int>{1});
     log.calls.clear();
-    eq.runSteps(2); // pops 1: warms 2, 3; pops 2: warms 3
-    EXPECT_EQ(log.calls, (std::vector<std::pair<int, unsigned>>{
-                             {2, 1}, {3, 2}, {3, 1}}));
+    eq.runSteps(2); // pops 1: warms 2; pops 2: warms 3
+    EXPECT_EQ(log.calls, (std::vector<int>{2, 3}));
     log.calls.clear();
     eq.runUntil(kTickNever); // pops 3 into an empty heap
     EXPECT_TRUE(log.calls.empty());
@@ -535,11 +533,10 @@ TEST(EventQueueWarm, HookSeesStateBeforeItsPredecessorRuns)
     EventQueue eq;
     WarmLog log;
     Labelled second{&log, 1};
-    eq.schedule(1, [&log] { log.calls.emplace_back(0, 0); });
+    eq.schedule(1, [&log] { log.calls.push_back(0); });
     eq.schedule(2, [] {}, EventPriority::Default, second.warm());
     eq.runSteps(1);
-    EXPECT_EQ(log.calls, (std::vector<std::pair<int, unsigned>>{
-                             {1, 1}, {0, 0}}));
+    EXPECT_EQ(log.calls, (std::vector<int>{1, 0}));
 }
 
 TEST(EventQueueWarm, DescheduledHookNeverFires)
@@ -555,14 +552,15 @@ TEST(EventQueueWarm, DescheduledHookNeverFires)
                                   EventPriority::Default,
                                   labels.back().warm()));
     }
-    // Cancel the odd events, some of them while they sit next in line.
-    for (int i = 1; i < 64; i += 2)
+    // Cancel every third event; each sits next in line when the
+    // event before it pops.
+    for (int i = 1; i < 64; i += 3)
         EXPECT_TRUE(eq.deschedule(ids[i]));
     eq.run();
-    EXPECT_EQ(eq.executed(), 32u);
-    for (const auto &[label, distance] : log.calls)
-        EXPECT_EQ(label % 2, 0) << "cancelled event " << label
-                                << " warmed at distance " << distance;
+    EXPECT_EQ(eq.executed(), 43u);
+    for (const int label : log.calls)
+        EXPECT_NE(label % 3, 1) << "cancelled event " << label
+                                << " warmed";
     EXPECT_FALSE(log.calls.empty());
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <ostream>
@@ -524,12 +525,16 @@ class Lockstep
 /**
  * A random address over three lines per frame of @p g, which keeps
  * hits, misses and evictions all common; the high bits and in-line
- * offsets exercise the tag bits above the set index.
+ * offsets exercise the tag bits above the set index. The high bits
+ * start at bit 40, or lower where the 32-bit tag would not hold them
+ * (one set of small lines).
  */
 Addr
 randomAddr(const Geometry &g, astriflash::sim::Rng &rng)
 {
-    return (rng.uniformInt(4) << 40) +
+    const unsigned setBits = isPowerOfTwo(g.sets) ? log2i(g.sets) : 0;
+    const unsigned high = std::min(40u, 30 + log2i(g.line) + setBits);
+    return (rng.uniformInt(4) << high) +
         rng.uniformInt(g.sets * g.ways * 3) * g.line +
         rng.uniformInt(g.line);
 }
@@ -585,7 +590,9 @@ TEST_P(CacheDifferential, MatchesReferenceModel)
  * The hierarchy's shapes: a missing access or markDirty followed by
  * the fill of the same line (CacheHierarchy::fillFromMemory and
  * cascadeVictim), sometimes with an access, an invalidate, a
- * markDirty or a flushAll in between, or a fill of another line.
+ * markDirty or a flushAll in between, a fill of another line, or a
+ * fill of the missed line at another offset within it, after which
+ * the fill of the missed address is a refill.
  */
 TEST_P(CacheDifferential, MissThenFillMatchesReferenceModel)
 {
@@ -613,6 +620,7 @@ TEST_P(CacheDifferential, MissThenFillMatchesReferenceModel)
                 if (rng.uniformInt(50) == 0)
                     rig.flushAll();
                 break;
+              case 8: rig.fill(a ^ (g.line - 1), !write); break;
               default: break;
             }
             rig.fill(a, write);
@@ -629,7 +637,10 @@ INSTANTIATE_TEST_SUITE_P(
                           Geometry{256, 4, 64},     // L1D
                           Geometry{1024, 8, 64},    // L2
                           Geometry{1024, 16, 64},   // LLC
-                          Geometry{983, 8, 4096}),  // DRAM-cache pages
+                          Geometry{983, 8, 4096},   // DRAM-cache pages
+                          Geometry{1, 1, 64},       // one way
+                          Geometry{64, 3, 64},      // ways % 4 != 0
+                          Geometry{1, 96, 4096}),   // two 64-way blocks
         ::testing::Values(ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
                           ReplacementPolicy::Random)));
 
