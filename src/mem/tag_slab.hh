@@ -2,7 +2,7 @@
  * @file
  * One host block for many tag arrays.
  *
- * A 256-core System holds about 55 MB of per-core L1/L2/LLC and TLB
+ * A 256-core System holds about 46 MB of per-core L1/L2/LLC and TLB
  * tag arrays. Allocated one by one they spread over thousands of 4 KiB
  * host pages, so nearly every set walk also misses the host's TLB. A
  * TagSlab is one block, sized exactly for the arrays it will hold and
