@@ -7,8 +7,8 @@
  * DRAM bank access, the three-level cache hierarchy's miss path
  * (alone and across 256 hierarchies, on the heap and in a tag slab,
  * and in bursts with a one-access look-ahead hint), the on-chip MSHR
- * hold-time recorder, MSR operations, DRAM-cache hit path, ASO
- * rename/store, and real user-level thread switches (the artifact
+ * hold-time recorder, MSR operations, DRAM-cache hit path, and
+ * real user-level thread switches (the artifact
  * behind the paper's 100 ns switch claim — here measured as
  * host-machine ucontext switches).
  */
@@ -21,7 +21,6 @@
 
 #include "core/dram_cache.hh"
 #include "core/miss_status_row.hh"
-#include "cpu/aso_engine.hh"
 #include "flash/flash_device.hh"
 #include "mem/address_map.hh"
 #include "mem/cache_hierarchy.hh"
@@ -422,21 +421,6 @@ BM_DramCacheHitPath(benchmark::State &state)
     }
 }
 BENCHMARK(BM_DramCacheHitPath);
-
-static void
-BM_AsoRenameStoreComplete(benchmark::State &state)
-{
-    cpu::OoOConfig cfg;
-    cpu::AsoEngine engine(cfg);
-    std::uint32_t reg = 0;
-    for (auto _ : state) {
-        engine.dispatchStore(reg);
-        engine.writeReg(reg % cfg.archRegs);
-        engine.completeOldestStore();
-        ++reg;
-    }
-}
-BENCHMARK(BM_AsoRenameStoreComplete);
 
 static void
 BM_UthreadSwitch(benchmark::State &state)

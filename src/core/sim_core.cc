@@ -17,6 +17,9 @@ namespace {
  */
 constexpr std::size_t kHintScan = 4;
 
+/** Backs the "aso" leaves that are 0 by construction. */
+const sim::Counter kNeverCounted;
+
 /**
  * Host prefetch hints for the first memory op of @p job at or after
  * op @p from, if one is near: the TLB sets of its virtual address and
@@ -46,12 +49,8 @@ SimCore::SimCore(sim::EventQueue &eq, std::string name, std::uint32_t id,
       tlbModel(SimObject::name() + ".tlb", system.config().tlb,
                &system.tagSlab()),
       hier(SimObject::name(), mem::defaultHierarchyConfig(),
-           &system.tagSlab()),
-      asoEngine(system.config().core)
+           &system.tagSlab())
 {
-    // The runtime installs the scheduler handler through the verified
-    // privileged path at process start (§IV-C2).
-    handlerRegs.setHandler(0x1000, /*privileged=*/true);
 }
 
 void
@@ -139,12 +138,8 @@ SimCore::pickJob(sim::Ticks now)
     }
     // A job with pendingSince set is resuming after a miss: arm the
     // forward-progress bit so its faulting access retires (§IV-C3).
-    if (job.pendingSince != 0 && sys.config().forwardProgressBit) {
-        forceProgress = true;
-        handlerRegs.armForwardProgress(job.id);
-    } else {
-        forceProgress = false;
-    }
+    forceProgress =
+        job.pendingSince != 0 && sys.config().forwardProgressBit;
     return true;
 }
 
@@ -176,20 +171,20 @@ SimCore::pageWalk(mem::Addr va, sim::Ticks t)
 }
 
 void
-SimCore::storeHit(mem::Addr pa)
+SimCore::storeHit()
 {
-    // The store retires into the SB and its DRAM-cache (or on-chip)
-    // access completes: the ASO engine frees its snapshot.
-    if (asoEngine.dispatchStore(pa) == cpu::AsoDispatch::Ok)
-        asoEngine.completeOldestStore();
+    // The store's DRAM-cache (or on-chip) access completed.
+    asoData.storesDispatched.inc();
+    asoData.storesCompleted.inc();
 }
 
 void
-SimCore::storeAborted(mem::Addr pa)
+SimCore::storeAborted()
 {
-    // The committed store missed the DRAM cache: roll back (§IV-C4).
-    if (asoEngine.dispatchStore(pa) == cpu::AsoDispatch::Ok)
-        asoEngine.abortOldestStore();
+    // The committed store missed the DRAM cache: ASO would roll back
+    // to it (§IV-C4); the flush cost covers that.
+    asoData.storesDispatched.inc();
+    asoData.storesAborted.inc();
 }
 
 SimCore::MemOutcome
@@ -228,7 +223,6 @@ SimCore::memAccess(mem::Addr pa, bool write, sim::Ticks t)
             if (!resident)
                 statsData.syncMissStalls.inc();
             forceProgress = false;
-            handlerRegs.clearForwardProgress();
             return mo;
         }
         const DcAccess res =
@@ -242,8 +236,7 @@ SimCore::memAccess(mem::Addr pa, bool write, sim::Ticks t)
         // is flushed, the PC vectors to the handler, and the user-
         // level scheduler switches threads.
         if (write)
-            storeAborted(pa);
-        handlerRegs.recordMiss(current->id);
+            storeAborted();
         mo.kind = MemOutcome::Kind::Parked;
         mo.respondedAt = res.ready; // miss response frees the MSHR
         mo.freeAt = res.ready + cfg.core.robFlushCost() +
@@ -351,11 +344,9 @@ SimCore::run()
         // One op ahead: the next access's sets load while this one
         // walks its own.
         hintAccess(job, std::size_t{job.nextOp} + 1, tlbModel, hier, sys);
-        // Register pressure model: roughly one renamed destination
-        // per access interval (§IV-C4 sizes four per store).
-        asoEngine.writeReg(
-            static_cast<std::uint32_t>(renameCursor++ %
-                                       cfg.core.archRegs));
+        // Roughly one renamed destination per access interval
+        // (§IV-C4 sizes four per store); retries count again.
+        asoData.renames.inc();
 
         const auto tr = tlbModel.lookup(op.addr);
         t += tr.latency;
@@ -367,7 +358,7 @@ SimCore::run()
         t += h.latency;
         if (!h.llcMiss) {
             if (write)
-                storeHit(pa);
+                storeHit();
             ++job.nextOp;
             continue;
         }
@@ -389,7 +380,7 @@ SimCore::run()
             for (mem::Addr wb : hier.writebacks())
                 sys.noteLlcWriteback(wb);
             if (write)
-                storeHit(pa);
+                storeHit();
             t = mo.doneAt;
             ++job.nextOp;
             continue;
@@ -439,7 +430,26 @@ SimCore::regStats(sim::StatRegistry &reg) const
     sched.regStats(reg.subRegistry("sched"));
     tlbModel.regStats(reg.subRegistry("tlb"));
     hier.regStats(reg.subRegistry("hier"));
-    asoEngine.regStats(reg.subRegistry("aso"));
+    sim::StatRegistry &aso = reg.subRegistry("aso");
+    aso.registerCounter("renames", &asoData.renames,
+                        "memory ops issued, resumed retries included");
+    aso.registerCounter("stores_dispatched", &asoData.storesDispatched,
+                        "stores issued (completed + aborted)");
+    aso.registerCounter("stores_completed", &asoData.storesCompleted,
+                        "stores whose access completed");
+    aso.registerCounter("stores_aborted", &asoData.storesAborted,
+                        "stores that missed the DRAM cache and "
+                        "switched threads");
+    // No store outlives its access, so nothing is ever rolled back or
+    // stalled on; the leaves stay for the stats schema (DESIGN.md §7).
+    aso.registerCounter("renames_rolled_back", &kNeverCounted,
+                        "always 0: no rename is younger than an "
+                        "aborting store");
+    aso.registerCounter("sb_full_stalls", &kNeverCounted,
+                        "always 0: at most one store is in flight");
+    aso.registerCounter("prf_stalls", &kNeverCounted,
+                        "always 0: no store holds registers past its "
+                        "access");
 }
 
 } // namespace astriflash::core

@@ -21,8 +21,6 @@
 #include <memory>
 #include <optional>
 
-#include "cpu/aso_engine.hh"
-#include "cpu/handler_regs.hh"
 #include "mem/address_map.hh"
 #include "mem/cache_hierarchy.hh"
 #include "mem/dram.hh"
@@ -72,7 +70,6 @@ class SimCore : public sim::SimObject
     const SchedulerModel &scheduler() const { return sched; }
     mem::Tlb &tlb() { return tlbModel; }
     mem::CacheHierarchy &hierarchy() { return hier; }
-    cpu::AsoEngine &aso() { return asoEngine; }
     const Stats &stats() const { return statsData; }
     std::uint32_t id() const { return coreId; }
 
@@ -81,7 +78,8 @@ class SimCore : public sim::SimObject
 
     /**
      * Register this core's stats into @p reg, with "sched", "tlb",
-     * "hier", and "aso" children for the owned structures.
+     * "hier", and "aso" children for the owned structures and the
+     * store counts.
      */
     void regStats(sim::StatRegistry &reg) const;
 
@@ -144,9 +142,9 @@ class SimCore : public sim::SimObject
     /** TLB miss service; may stall on flash in the noDP config. */
     sim::Ticks pageWalk(mem::Addr va, sim::Ticks t);
 
-    /** Store-buffer bookkeeping for a store that hit / missed. */
-    void storeHit(mem::Addr pa);
-    void storeAborted(mem::Addr pa);
+    /** Count a store whose access hit / missed (the "aso" stats). */
+    void storeHit();
+    void storeAborted();
 
     /** Finish the current job at @p t. */
     void completeJob(sim::Ticks t);
@@ -156,8 +154,6 @@ class SimCore : public sim::SimObject
     SchedulerModel sched;
     mem::Tlb tlbModel;
     mem::CacheHierarchy hier;
-    cpu::AsoEngine asoEngine;
-    cpu::HandlerRegs handlerRegs;
 
     std::optional<workload::Job> current;
     /**
@@ -175,8 +171,18 @@ class SimCore : public sim::SimObject
     /** Set when resuming a previously-missed job: the next access
      *  completes synchronously (forward-progress bit, §IV-C3). */
     bool forceProgress = false;
-    std::uint64_t renameCursor = 0;
     Stats statsData;
+    /**
+     * The "aso" stats: counts of the memory ops and stores that ASO
+     * post-retirement speculation (§IV-C4) would rename and buffer.
+     * They span warm-up and measurement, so resetStats() leaves them.
+     */
+    struct {
+        sim::Counter renames;
+        sim::Counter storesDispatched;
+        sim::Counter storesCompleted;
+        sim::Counter storesAborted;
+    } asoData;
 };
 
 } // namespace astriflash::core

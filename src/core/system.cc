@@ -1,6 +1,7 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "mem/cache_hierarchy.hh"
 #include "mem/tlb.hh"
@@ -149,10 +150,6 @@ System::registerInvariants()
                        [core](sim::InvariantChecker &chk) {
                            core->hierarchy().checkInvariants(chk);
                        });
-        invariants.add(prefix + ".aso",
-                       [core](sim::InvariantChecker &chk) {
-                           core->aso().checkInvariants(chk);
-                       });
     }
     if (dcache) {
         invariants.add("dcache", [this](sim::InvariantChecker &chk) {
@@ -228,6 +225,12 @@ System::~System() = default;
 void
 System::buildMemorySystem()
 {
+    // The DRAM-cache and page-cache sizes (and prewarm()'s frame
+    // estimate) cast dataset * ratio to an integer, which is undefined
+    // for a negative or non-finite product.
+    if (!(std::isfinite(cfg.dramCacheRatio) && cfg.dramCacheRatio > 0))
+        ASTRI_FATAL("DRAM-cache ratio %g must be finite and positive",
+                    cfg.dramCacheRatio);
     const std::uint64_t dataset = cfg.workload.datasetBytes;
     const std::uint64_t dataset_pages = dataset / mem::kPageSize;
 

@@ -135,9 +135,9 @@ class System
 
     /**
      * Replace the built-in generators with an external job source
-     * (e.g. a workload::TraceReader). Must be set before run(); the
-     * source is shared across cores and called in a deterministic
-     * order.
+     * (astribench hands out its own generators' jobs). Must be set
+     * before run(); the source is shared across cores and called in
+     * a deterministic order.
      */
     using JobSource = std::function<workload::Job(std::uint32_t core)>;
     void setJobSource(JobSource source) { jobSource = std::move(source); }

@@ -2,11 +2,13 @@
  * @file
  * Out-of-order core parameters and derived cost model.
  *
- * The paper models 4-wide ARM Cortex-A76-class cores (128-entry ROB,
- * 32-entry store buffer). The timing simulator charges the switch-on-
- * miss control path with the costs derived here: pipeline flush on a
- * DRAM-cache miss signal, redirect to the user-level handler, and the
- * user-level thread switch itself (~100 ns, §IV-D).
+ * The paper models 4-wide ARM Cortex-A76-class cores (128-entry ROB).
+ * The timing simulator charges the switch-on-miss control path with
+ * the costs derived here: pipeline flush on a DRAM-cache miss signal,
+ * redirect to the user-level handler, and the user-level thread
+ * switch itself (~100 ns, §IV-D). ASO store speculation, the resume
+ * register and the forward-progress bit cost nothing beyond these
+ * (DESIGN.md §2).
  */
 
 #ifndef ASTRIFLASH_CPU_OOO_CONFIG_HH
@@ -23,11 +25,6 @@ struct OoOConfig {
     std::uint64_t frequencyHz = 2'500'000'000ull;
     std::uint32_t issueWidth = 4;
     std::uint32_t robEntries = 128;
-    std::uint32_t sbEntries = 32;
-    std::uint32_t archRegs = 32;
-    std::uint32_t physRegs = 128;
-    /** Extra physical registers reserved for ASO snapshots (§IV-C4). */
-    std::uint32_t asoExtraRegs = 128;
     /** Pipeline depth for redirect cost (fetch-to-issue). */
     sim::Cycles redirectCycles{12};
 
@@ -45,20 +42,10 @@ struct OoOConfig {
      * the redirect, which is what makes compute-heavy TPCC lose more
      * per flush than the pointer-chasing microbenchmarks (§VI-A).
      */
-    sim::Ticks
-    robFlushCost() const
-    {
-        const sim::Cycles refill_cycles =
-            sim::Cycles(robEntries / (2 * issueWidth)) + redirectCycles;
-        return clock().cycles(refill_cycles);
-    }
+    sim::Ticks robFlushCost() const;
 
     /** Cost of entering the user-level handler (register save path). */
-    sim::Ticks
-    handlerEntryCost() const
-    {
-        return clock().cycles(redirectCycles);
-    }
+    sim::Ticks handlerEntryCost() const;
 };
 
 } // namespace astriflash::cpu

@@ -1,9 +1,34 @@
 #include "option_parser.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace astriflash::sim {
+
+namespace {
+
+/**
+ * Parse @p v as a plain decimal count. strtoull alone would take a
+ * sign or leading space ("-1" wraps to 2^64-1) and saturate on
+ * overflow, so the value must start with a digit and fit.
+ */
+bool
+parseCount(const std::string &v, unsigned long long *out)
+{
+    if (v.empty() || v[0] < '0' || v[0] > '9')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE)
+        return false;
+    *out = parsed;
+    return true;
+}
+
+} // namespace
 
 OptionParser::OptionParser(std::string program_name,
                            std::string description_text)
@@ -27,9 +52,8 @@ OptionParser::addUint(const std::string &name, std::uint64_t *out,
                       const std::string &help)
 {
     addCustom(name, "N", help, [out](const std::string &v) {
-        char *end = nullptr;
-        const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0')
+        unsigned long long parsed = 0;
+        if (!parseCount(v, &parsed))
             return false;
         *out = parsed;
         return true;
@@ -41,12 +65,9 @@ OptionParser::addUint32(const std::string &name, std::uint32_t *out,
                         const std::string &help)
 {
     addCustom(name, "N", help, [out](const std::string &v) {
-        char *end = nullptr;
-        const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-        if (end == v.c_str() || *end != '\0' ||
-            parsed > ~std::uint32_t{0}) {
+        unsigned long long parsed = 0;
+        if (!parseCount(v, &parsed) || parsed > ~std::uint32_t{0})
             return false;
-        }
         *out = static_cast<std::uint32_t>(parsed);
         return true;
     });
@@ -59,7 +80,7 @@ OptionParser::addDouble(const std::string &name, double *out,
     addCustom(name, "F", help, [out](const std::string &v) {
         char *end = nullptr;
         const double parsed = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0')
+        if (end == v.c_str() || *end != '\0' || !std::isfinite(parsed))
             return false;
         *out = parsed;
         return true;

@@ -48,15 +48,16 @@ class OptionParser
     void addString(const std::string &name, std::string *out,
                    const std::string &help);
 
-    /** Unsigned integer option `--name=N`. */
+    /** Unsigned integer option `--name=N`: decimal digits only, no
+     *  sign, and the value must fit. */
     void addUint(const std::string &name, std::uint64_t *out,
                  const std::string &help);
 
-    /** 32-bit unsigned option `--name=N`. */
+    /** 32-bit unsigned option `--name=N`, parsed as addUint(). */
     void addUint32(const std::string &name, std::uint32_t *out,
                    const std::string &help);
 
-    /** Floating-point option `--name=F`. */
+    /** Floating-point option `--name=F`; nan and inf are rejected. */
     void addDouble(const std::string &name, double *out,
                    const std::string &help);
 

@@ -1,332 +1,13 @@
 /**
  * @file
- * Tests for the core-side microarchitecture: rename map, ASO
- * post-retirement store speculation, ROB, and the switch-on-miss
- * architectural registers.
+ * Tests for the core's switch-on-miss cost model.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <vector>
-
-#include "cpu/aso_engine.hh"
-#include "cpu/handler_regs.hh"
-#include "cpu/register_map.hh"
-#include "cpu/rob.hh"
-#include "sim/rng.hh"
+#include "cpu/ooo_config.hh"
 
 using namespace astriflash::cpu;
-
-// ---------------------------------------------------------------
-// RegisterMap
-// ---------------------------------------------------------------
-
-TEST(RegisterMap, IdentityAtReset)
-{
-    RegisterMap m(4, 8);
-    for (std::uint32_t r = 0; r < 4; ++r)
-        EXPECT_EQ(m.mapping(r), r);
-    EXPECT_EQ(m.freeCount(), 4u);
-}
-
-TEST(RegisterMap, RenameAllocatesFreshAndReportsOld)
-{
-    RegisterMap m(4, 8);
-    PhysReg old_reg = kNoReg;
-    const PhysReg fresh = m.rename(2, &old_reg);
-    EXPECT_NE(fresh, kNoReg);
-    EXPECT_EQ(old_reg, 2u);
-    EXPECT_EQ(m.mapping(2), fresh);
-    EXPECT_EQ(m.freeCount(), 3u);
-}
-
-TEST(RegisterMap, ExhaustionReturnsNoReg)
-{
-    RegisterMap m(2, 3);
-    PhysReg old_reg;
-    EXPECT_NE(m.rename(0, &old_reg), kNoReg);
-    EXPECT_EQ(m.rename(0, &old_reg), kNoReg);
-}
-
-TEST(RegisterMap, ReleaseRecycles)
-{
-    RegisterMap m(2, 3);
-    PhysReg old_reg;
-    const PhysReg p = m.rename(0, &old_reg);
-    m.release(old_reg);
-    const PhysReg q = m.rename(1, &old_reg);
-    EXPECT_NE(q, kNoReg);
-    EXPECT_NE(q, p);
-}
-
-TEST(RegisterMap, SnapshotRestoreFreesSpeculative)
-{
-    RegisterMap m(4, 12);
-    const auto snap = m.snapshot();
-    PhysReg old_reg;
-    m.rename(0, &old_reg);
-    m.rename(1, &old_reg);
-    const auto free_before = m.freeCount();
-    m.restore(snap);
-    EXPECT_EQ(m.freeCount(), free_before + 2);
-    for (std::uint32_t r = 0; r < 4; ++r)
-        EXPECT_EQ(m.mapping(r), snap[r]);
-}
-
-TEST(RegisterMapDeath, DoubleReleasePanics)
-{
-    RegisterMap m(2, 4);
-    PhysReg old_reg;
-    m.rename(0, &old_reg);
-    m.release(old_reg);
-    EXPECT_DEATH(m.release(old_reg), "double release");
-}
-
-// ---------------------------------------------------------------
-// AsoEngine
-// ---------------------------------------------------------------
-
-namespace {
-
-OoOConfig
-tinyOoO()
-{
-    OoOConfig c;
-    c.archRegs = 4;
-    c.physRegs = 8;
-    c.asoExtraRegs = 8;
-    c.sbEntries = 4;
-    return c;
-}
-
-} // namespace
-
-TEST(Aso, StoreCompleteFreesDeferredRegs)
-{
-    AsoEngine e(tinyOoO());
-    const auto free0 = e.freeRegs();
-    EXPECT_EQ(e.dispatchStore(0x100), AsoDispatch::Ok);
-    EXPECT_EQ(e.writeReg(0), AsoDispatch::Ok);
-    EXPECT_EQ(e.writeReg(1), AsoDispatch::Ok);
-    // Two renames protected by the pending store.
-    EXPECT_EQ(e.freeRegs(), free0 - 2);
-    e.completeOldestStore();
-    EXPECT_EQ(e.freeRegs(), free0);
-    EXPECT_FALSE(e.hasPendingStores());
-}
-
-TEST(Aso, AbortRollsBackYoungerRenames)
-{
-    AsoEngine e(tinyOoO());
-    const PhysReg before0 = e.mapping(0);
-    const PhysReg before1 = e.mapping(1);
-    e.dispatchStore(0x100);
-    e.writeReg(0);
-    e.writeReg(1);
-    e.writeReg(0); // rename 0 twice
-    EXPECT_NE(e.mapping(0), before0);
-    e.abortOldestStore();
-    EXPECT_EQ(e.mapping(0), before0);
-    EXPECT_EQ(e.mapping(1), before1);
-    EXPECT_EQ(e.stats().renamesRolledBack.value(), 3u);
-}
-
-TEST(Aso, AbortDropsYoungerStores)
-{
-    AsoEngine e(tinyOoO());
-    e.dispatchStore(0x100);
-    e.writeReg(0);
-    e.dispatchStore(0x200);
-    e.writeReg(1);
-    EXPECT_EQ(e.sbOccupancy(), 2u);
-    e.abortOldestStore();
-    EXPECT_EQ(e.sbOccupancy(), 0u);
-}
-
-TEST(Aso, RenamesBeforeStoreSurviveAbort)
-{
-    AsoEngine e(tinyOoO());
-    e.writeReg(2); // retired before any store: immediately final
-    const PhysReg committed = e.mapping(2);
-    e.dispatchStore(0x100);
-    e.writeReg(2);
-    e.abortOldestStore();
-    EXPECT_EQ(e.mapping(2), committed);
-}
-
-TEST(Aso, InterleavedStoresFreeInOrder)
-{
-    AsoEngine e(tinyOoO());
-    const auto free0 = e.freeRegs();
-    e.dispatchStore(0x100);
-    e.writeReg(0);
-    e.dispatchStore(0x200);
-    e.writeReg(1);
-    e.completeOldestStore(); // frees rename of reg0's old mapping
-    EXPECT_EQ(e.freeRegs(), free0 - 1);
-    e.completeOldestStore();
-    EXPECT_EQ(e.freeRegs(), free0);
-}
-
-TEST(Aso, SbFullStalls)
-{
-    AsoEngine e(tinyOoO());
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(e.dispatchStore(i), AsoDispatch::Ok);
-    EXPECT_EQ(e.dispatchStore(99), AsoDispatch::SbFull);
-    EXPECT_EQ(e.stats().sbFullStalls.value(), 1u);
-}
-
-TEST(Aso, PrfExhaustionStalls)
-{
-    OoOConfig c = tinyOoO();
-    c.physRegs = 5;
-    c.asoExtraRegs = 0; // 1 spare beyond the 4 arch regs
-    AsoEngine e(c);
-    e.dispatchStore(0x100);
-    EXPECT_EQ(e.writeReg(0), AsoDispatch::Ok);
-    EXPECT_EQ(e.writeReg(1), AsoDispatch::NoPhysRegs);
-    // Draining the store releases pressure.
-    e.completeOldestStore();
-    EXPECT_EQ(e.writeReg(1), AsoDispatch::Ok);
-}
-
-/**
- * Property: against a reference interpreter that tracks architectural
- * values symbolically, random sequences of renames, stores, completes
- * and aborts always leave the map consistent and never leak physical
- * registers.
- */
-class AsoRandomProperty : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(AsoRandomProperty, MatchesReferenceInterpreter)
-{
-    astriflash::sim::Rng rng(GetParam());
-    OoOConfig c;
-    c.archRegs = 8;
-    c.physRegs = 24;
-    c.asoExtraRegs = 24;
-    c.sbEntries = 6;
-    AsoEngine e(c);
-
-    // Reference: arch reg -> version number; snapshot stack per store.
-    std::vector<std::uint64_t> ref(8, 0);
-    std::uint64_t next_version = 1;
-    // Engine phys reg -> version, to compare mappings.
-    std::map<PhysReg, std::uint64_t> phys_version;
-    for (std::uint32_t r = 0; r < 8; ++r)
-        phys_version[e.mapping(r)] = 0;
-    std::vector<std::vector<std::uint64_t>> store_snaps;
-
-    const std::uint32_t total_regs = c.physRegs + c.asoExtraRegs;
-    for (int step = 0; step < 5000; ++step) {
-        const int op = static_cast<int>(rng.uniformInt(10));
-        if (op < 5) { // rename
-            const auto r =
-                static_cast<std::uint32_t>(rng.uniformInt(8));
-            if (e.writeReg(r) == AsoDispatch::Ok) {
-                ref[r] = next_version;
-                phys_version[e.mapping(r)] = next_version;
-                ++next_version;
-            }
-        } else if (op < 7) { // store dispatch
-            if (e.dispatchStore(step) == AsoDispatch::Ok)
-                store_snaps.push_back(ref);
-        } else if (op < 9) { // complete
-            if (e.hasPendingStores()) {
-                e.completeOldestStore();
-                store_snaps.erase(store_snaps.begin());
-            }
-        } else { // abort
-            if (e.hasPendingStores()) {
-                e.abortOldestStore();
-                ref = store_snaps.front();
-                store_snaps.clear();
-            }
-        }
-        // Invariants: mapping versions match the reference; free regs
-        // never exceed the pool.
-        for (std::uint32_t r = 0; r < 8; ++r) {
-            ASSERT_EQ(phys_version[e.mapping(r)], ref[r])
-                << "arch reg " << r << " at step " << step;
-        }
-        ASSERT_LE(e.freeRegs(), total_regs - 8);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AsoRandomProperty,
-                         ::testing::Values(1, 7, 42, 1337, 31337));
-
-// ---------------------------------------------------------------
-// ROB
-// ---------------------------------------------------------------
-
-TEST(Rob, DispatchRetireFlush)
-{
-    Rob rob(4);
-    const auto s1 = rob.dispatch(0x1000, false);
-    const auto s2 = rob.dispatch(0x1004, true);
-    const auto s3 = rob.dispatch(0x1008, false);
-    EXPECT_EQ(rob.occupancy(), 3u);
-    rob.retireUpTo(s1);
-    EXPECT_EQ(rob.occupancy(), 2u);
-    EXPECT_EQ(rob.head().seq, s2);
-    const auto squashed = rob.flushFrom(s2);
-    EXPECT_EQ(squashed, 2u);
-    EXPECT_TRUE(rob.empty());
-    (void)s3;
-}
-
-TEST(Rob, FullStalls)
-{
-    Rob rob(2);
-    EXPECT_NE(rob.dispatch(0, false), 0u);
-    EXPECT_NE(rob.dispatch(4, false), 0u);
-    EXPECT_EQ(rob.dispatch(8, false), 0u);
-    EXPECT_EQ(rob.stats().fullStalls.value(), 1u);
-}
-
-// ---------------------------------------------------------------
-// Handler / resume registers
-// ---------------------------------------------------------------
-
-TEST(HandlerRegs, HandlerInstallRequiresPrivilege)
-{
-    HandlerRegs regs;
-    EXPECT_FALSE(regs.setHandler(0x1000, false));
-    EXPECT_FALSE(regs.handlerInstalled());
-    EXPECT_TRUE(regs.setHandler(0x1000, true));
-    EXPECT_TRUE(regs.handlerInstalled());
-    EXPECT_EQ(regs.handler(), 0x1000u);
-}
-
-TEST(HandlerRegs, MissRecordingAndForwardProgress)
-{
-    HandlerRegs regs;
-    regs.recordMiss(0x4242);
-    EXPECT_EQ(regs.resumePc(), 0x4242u);
-    EXPECT_FALSE(regs.forwardProgress());
-    regs.armForwardProgress(0x4242);
-    EXPECT_TRUE(regs.forwardProgress());
-    regs.clearForwardProgress();
-    EXPECT_FALSE(regs.forwardProgress());
-}
-
-TEST(HandlerRegs, SaveLoadRoundTrip)
-{
-    HandlerRegs regs;
-    regs.setHandler(0x1000, true);
-    regs.armForwardProgress(0x2000);
-    const auto saved = regs.save();
-    HandlerRegs other;
-    other.load(saved);
-    EXPECT_EQ(other.handler(), 0x1000u);
-    EXPECT_EQ(other.resumePc(), 0x2000u);
-    EXPECT_TRUE(other.forwardProgress());
-}
 
 TEST(OoOConfig, FlushCostScalesWithRob)
 {

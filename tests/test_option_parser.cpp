@@ -92,12 +92,38 @@ TEST(OptionParser, RejectsUnknownFlag)
 
 TEST(OptionParser, RejectsBadNumericValue)
 {
-    std::uint64_t jobs = 0;
+    std::uint64_t jobs = 7;
+    std::uint32_t cores = 7;
+    double load = 7.0;
     OptionParser opts("prog", "test");
     opts.addUint("jobs", &jobs, "a count");
-    const Argv a({"--jobs=many"});
-    EXPECT_EQ(opts.parse(a.argc(), a.argv()),
-              OptionParser::Status::Error);
+    opts.addUint32("cores", &cores, "a small count");
+    opts.addDouble("load", &load, "a fraction");
+    // A sign or leading space would let strtoull wrap "-1" to 2^64-1,
+    // and an overflowing count would saturate; non-finite doubles
+    // are never a meaningful setting.
+    for (const char *arg :
+         {"--jobs=many", "--jobs=-1", "--jobs=+5", "--jobs= 2",
+          "--jobs=", "--jobs=18446744073709551616", "--cores=-1",
+          "--cores= 2", "--cores=4294967296", "--load=nan",
+          "--load=inf", "--load=-inf", "--load=1e999"}) {
+        const Argv a({arg});
+        EXPECT_EQ(opts.parse(a.argc(), a.argv()),
+                  OptionParser::Status::Error)
+            << arg;
+    }
+    EXPECT_EQ(jobs, 7u);
+    EXPECT_EQ(cores, 7u);
+    EXPECT_EQ(load, 7.0);
+
+    // The extremes that do fit are still taken.
+    const Argv max({"--jobs=18446744073709551615", "--cores=4294967295",
+                    "--load=-0.5"});
+    EXPECT_EQ(opts.parse(max.argc(), max.argv()),
+              OptionParser::Status::Ok);
+    EXPECT_EQ(jobs, ~std::uint64_t{0});
+    EXPECT_EQ(cores, ~std::uint32_t{0});
+    EXPECT_EQ(load, -0.5);
 }
 
 TEST(OptionParser, RejectsMissingValueForValuedOption)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "core/system.hh"
@@ -199,4 +200,20 @@ TEST(SystemIntegration, ForwardProgressPreventsLivelock)
     for (std::uint32_t c = 0; c < cfg.cores; ++c)
         forced_sync += sys.coreAt(c).stats().syncMissStalls.value();
     EXPECT_GT(forced_sync, 0u);
+}
+
+TEST(SystemDeath, RejectsDramRatioThatIsNotFiniteAndPositive)
+{
+    // The cache size casts dataset * ratio to an integer, which is
+    // undefined for these; construction must fail first, naming the
+    // ratio.
+    for (SystemKind kind : {SystemKind::AstriFlash, SystemKind::OsSwap}) {
+        for (double ratio : {-1.0, 0.0, std::nan(""), HUGE_VAL}) {
+            SystemConfig cfg = smallCfg(kind);
+            cfg.dramCacheRatio = ratio;
+            EXPECT_EXIT({ System sys(cfg); }, ::testing::ExitedWithCode(1),
+                        "DRAM-cache ratio .* must be finite and positive")
+                << ratio;
+        }
+    }
 }
