@@ -408,7 +408,7 @@ BM_DramCacheHitPath(benchmark::State &state)
     flash::FlashDevice flash("f", fcfg, (256 << 20) / 4096);
     core::DramCacheConfig cfg;
     cfg.capacityBytes = 8 << 20;
-    core::DramCache dc(eq, "dc", cfg, flash, amap, nullptr);
+    core::DramCache dc(eq, "dc", cfg, flash, amap);
     for (std::uint64_t p = 0; p < cfg.capacityBytes / 4096; ++p)
         dc.prewarmPage(amap.flashRange().base + p * 4096);
     sim::Rng rng(3);

@@ -12,22 +12,14 @@ constexpr std::uint32_t kNoCore =
 
 namespace astriflash::core {
 
-// The lookahead manifest (DESIGN.md §14), in BC operations: the
-// consumer of a fc_to_bc request or bc_to_fc install notice spends at
-// least one op before acting on it; bc_to_flash commands go to the
-// device the moment the window accepts them, so that seam declares
-// zero. fc_to_bc and bc_to_flash are fed at skewed core-local clocks
-// through the FC's synchronous probe, so only bc_to_fc — pushed
-// exclusively by the arrival event handler — declares monotone push
-// ticks.
 BacksideController::BacksideController(
     sim::EventQueue &eq, const std::string &cache_name,
     const std::string &shard_tag, const DramCacheConfig &config,
     const mem::AddressMap &amap, flash::Backend &flash_dev,
     mem::Dram &dram, mem::SetAssocCache &tags,
     FootprintState &footprint, const PageReadyFn &page_ready,
-    sim::CausalityAuditor *auditor, std::uint32_t msr_sets,
-    std::uint32_t msr_entries_per_set, std::uint32_t evict_entries)
+    std::uint32_t msr_sets, std::uint32_t msr_entries_per_set,
+    std::uint32_t evict_entries)
     : sim::SimObject(eq, cache_name + ".bc" + shard_tag), cfg(config),
       addrMap(amap), flashDev(flash_dev), dramModel(dram),
       pageTags(tags), setRowStride(dcSetRowStride(config)),
@@ -36,13 +28,9 @@ BacksideController::BacksideController(
                     .cycles(config.bc.cyclesPerOp)),
       flashReadEstimate(flash_dev.readEstimate()),
       inbox(cache_name + ".fc_to_bc" + shard_tag,
-            config.channels.fcToBcDepth,
-            sim::ChannelContract{bcOpTicks, false}, auditor),
+            config.channels.fcToBcDepth),
       toFlash(cache_name + ".bc_to_flash" + shard_tag,
-              config.channels.bcToFlashDepth,
-              sim::ChannelContract{0, false}, auditor),
-      toFc(cache_name + ".bc_to_fc" + shard_tag, kInstallWindowSlots,
-           sim::ChannelContract{bcOpTicks, true}, auditor),
+              config.channels.bcToFlashDepth),
       msrTable(SimObject::name() + ".msr", msr_sets,
                msr_entries_per_set),
       evictBuf(SimObject::name() + ".evictbuf", evict_entries)
@@ -61,7 +49,7 @@ BacksideController::request(const MissRequest &req, sim::Ticks now)
         // target a resident page, which cannot be parked here.)
         rep.kind = BcReply::Kind::EvictBufferHit;
         rep.ready = rep.accepted + bcOp();
-        inbox.pop(rep.ready, rep.ready);
+        inbox.pop(rep.ready);
         return rep;
     }
 
@@ -73,11 +61,9 @@ BacksideController::request(const MissRequest &req, sim::Ticks now)
     // Merged requests ride the original transaction's slot and only
     // pay the BC's dequeue + MSR search; a new miss holds its slot
     // until the page's install completes, so the channel depth bounds
-    // the BC's outstanding-transaction window. Either way the BC
-    // consumes the request after its dequeue + MSR-search ops.
-    const sim::Ticks consumed = rep.accepted + 2 * bcOp();
-    inbox.pop(consumed,
-              rep.merged ? consumed : pending[req.page].dataReady);
+    // the BC's outstanding-transaction window.
+    inbox.pop(rep.merged ? rep.accepted + 2 * bcOp()
+                         : pending[req.page].dataReady);
     return rep;
 }
 
@@ -150,9 +136,7 @@ BacksideController::submitFlash(const flash::FlashCommand &cmd,
 {
     const sim::Ticks accept = toFlash.push(now);
     const sim::Ticks complete = flashDev.submit(cmd, accept).complete;
-    // Consumed at the accept tick: the declared zero lookahead
-    // matches the synchronous submit.
-    toFlash.pop(accept, complete);
+    toFlash.pop(complete);
     return {accept, complete};
 }
 
@@ -264,11 +248,6 @@ BacksideController::pageArrived(mem::PageNum page)
     const std::vector<WaiterCookie> waiters =
         std::move(pit->second.waiters);
     pending.erase(pit);
-    // The notice's slot recycles once it lands; the waiters wake at
-    // the install's ready tick either way.
-    const sim::Ticks accept = toFc.push(now);
-    const sim::Ticks landed = ready > accept ? ready : accept;
-    toFc.pop(landed, landed);
     if (pageReady)
         pageReady(page, ready, waiters);
 }

@@ -11,14 +11,15 @@
  * off the critical path.
  *
  * The BC owns the MSR, the evict buffer, the pending-miss table, the
- * flash submit path, and the shard's three slot windows (fc_to_bc,
- * bc_to_flash, bc_to_fc), which give the hardware queues their timing
- * while every hand-off is a plain call. It shares the tag array, the
+ * flash submit path, and the shard's two slot windows (fc_to_bc,
+ * bc_to_flash), which give the hardware queues their timing while
+ * every hand-off is a plain call. It shares the tag array, the
  * DRAM device model, and the footprint masks with the frontside, as
  * both controllers address the same DRAM rows. It never names the
  * frontside controller or a concrete flash device (aflint
  * AF013/AF014): its replies go back to the facade as return values,
- * and its page-ready notices go to the facade's PageReadyFn.
+ * and an installed page's waiters are woken by a plain call to the
+ * facade's PageReadyFn, as in the paper, with no notice queue.
  */
 
 #ifndef ASTRIFLASH_CORE_BACKSIDE_CONTROLLER_HH
@@ -36,7 +37,6 @@
 #include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
 #include "sim/bounded_channel.hh"
-#include "sim/causality.hh"
 #include "sim/invariant.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
@@ -71,11 +71,9 @@ class BacksideController : public sim::SimObject
      * @param dram / @p tags / @p footprint the cache-wide DRAM device,
      *        tag array, and footprint masks the facade holds.
      * @param page_ready the facade's page-arrival hook (may be empty).
-     * @param auditor causality auditor for the shard's windows, or
-     *        null.
      *
      * The BC is named "<cache_name>.bc<shard_tag>" and its windows
-     * "<cache_name>.{fc_to_bc,bc_to_flash,bc_to_fc}<shard_tag>".
+     * "<cache_name>.{fc_to_bc,bc_to_flash}<shard_tag>".
      */
     BacksideController(sim::EventQueue &eq,
                        const std::string &cache_name,
@@ -86,7 +84,6 @@ class BacksideController : public sim::SimObject
                        mem::SetAssocCache &tags,
                        FootprintState &footprint,
                        const PageReadyFn &page_ready,
-                       sim::CausalityAuditor *auditor,
                        std::uint32_t msr_sets,
                        std::uint32_t msr_entries_per_set,
                        std::uint32_t evict_entries);
@@ -124,7 +121,6 @@ class BacksideController : public sim::SimObject
     const EvictBuffer &evictBuffer() const { return evictBuf; }
     const sim::BoundedChannel &missChannel() const { return inbox; }
     const sim::BoundedChannel &flashChannel() const { return toFlash; }
-    const sim::BoundedChannel &installChannel() const { return toFc; }
 
   private:
     struct PendingMiss {
@@ -187,13 +183,6 @@ class BacksideController : public sim::SimObject
 
     sim::Ticks bcOp() const { return bcOpTicks; }
 
-    /**
-     * bc_to_fc slots. Its accept tick never reaches simulated time
-     * (waiters wake at the install's ready tick), so its depth is a
-     * constant, not a knob.
-     */
-    static constexpr std::uint32_t kInstallWindowSlots = 65536;
-
     const DramCacheConfig &cfg;
     const mem::AddressMap &addrMap;
     flash::Backend &flashDev;
@@ -206,7 +195,6 @@ class BacksideController : public sim::SimObject
     const sim::Ticks flashReadEstimate;
     sim::BoundedChannel inbox;   ///< fc_to_bc: transaction queue.
     sim::BoundedChannel toFlash; ///< bc_to_flash: command queue.
-    sim::BoundedChannel toFc;    ///< bc_to_fc: install notices.
     MissStatusRow msrTable;
     EvictBuffer evictBuf;
     std::unordered_map<mem::PageNum, PendingMiss> pending;

@@ -6,18 +6,17 @@
  * (aflint AF013); the DramCache facade composes them. A frontside
  * miss becomes a MissRequest, which the facade hands to the page's
  * BC shard as a plain call; the BC returns a BcReply. The BC's flash
- * commands and page-ready notices are plain calls too. What survives
- * of the hardware queues is their timing: each BC shard owns three
- * sim::BoundedChannel slot windows,
+ * commands are plain calls too, and it wakes an installed page's
+ * waiters by a plain call to the facade's page-ready hook, with no
+ * notice queue (§IV-B). What survives of the hardware queues is their
+ * timing: each BC shard owns two sim::BoundedChannel slot windows,
  *
  *   fc_to_bc     the BC's transaction queue (one slot per miss, held
  *                until the page installs)
  *   bc_to_flash  the device command queue (held until the device
  *                completes the read or accepts the write)
- *   bc_to_fc     install notices (held until the waiters are woken)
  *
- * See DESIGN.md §11 for slot-lifetime rules and §14 for the
- * per-window lookahead manifest.
+ * See DESIGN.md §11 for the slot-lifetime rules.
  */
 
 #ifndef ASTRIFLASH_CORE_DC_MESSAGES_HH

@@ -7,8 +7,7 @@ namespace astriflash::core {
 DramCache::DramCache(sim::EventQueue &eq, std::string name,
                      const DramCacheConfig &config,
                      flash::Backend &flash,
-                     const mem::AddressMap &amap,
-                     sim::CausalityAuditor *auditor)
+                     const mem::AddressMap &amap)
     : sim::SimObject(eq, std::move(name)), cfg(config),
       dramModel(SimObject::name() + ".dram", config.dram),
       pageTags(SimObject::name() + ".tags", config.capacityBytes,
@@ -56,7 +55,7 @@ DramCache::DramCache(sim::EventQueue &eq, std::string name,
     for (std::uint32_t i = 0; i < shards; ++i) {
         bcCtls.push_back(std::make_unique<BacksideController>(
             eq, SimObject::name(), shardTag(i), cfg, amap, flash,
-            dramModel, pageTags, footprint, onReady, auditor,
+            dramModel, pageTags, footprint, onReady,
             shardSlice(cfg.bc.msrSets, shards, i),
             cfg.bc.msrEntriesPerSet,
             shardSlice(cfg.bc.evictBufferEntries, shards, i)));
@@ -152,7 +151,6 @@ DramCache::regStats(sim::StatRegistry &reg) const
         const BacksideController &bc = *bcCtls[i];
         bc.missChannel().regStats(reg.subRegistry("fc_to_bc" + tag));
         bc.flashChannel().regStats(reg.subRegistry("bc_to_flash" + tag));
-        bc.installChannel().regStats(reg.subRegistry("bc_to_fc" + tag));
     }
 }
 

@@ -5,21 +5,21 @@
  * The cache is a fast FSM frontside controller
  * (frontside_controller.hh) and N page-interleaved backside-controller
  * shards (backside_controller.hh). Every hand-off is a plain call;
- * each shard owns three sim::BoundedChannel slot windows that give
- * the hardware queues their timing:
+ * each shard owns two sim::BoundedChannel slot windows that give the
+ * hardware queues their timing:
  *
  *   fc_to_bc<i>     the shard's transaction queue (FC miss → BC)
  *   bc_to_flash<i>  the device command queue (the shard submits
  *                   through its abstract flash::Backend)
- *   bc_to_fc<i>     install notices (BC → the page-ready hook)
  *
  * The facade composes one access, in the shape lookup → request →
  * reply: the FC's tag probe serves hits; a miss goes to the page's
  * shard (BacksideController::request opens an fc_to_bc<i> slot and
  * services it), and the BcReply comes back to the FC as a plain
  * return value. The BC installs arrived pages itself (tag fill,
- * footprint masks, DRAM write, victim) and calls the page-ready hook,
- * as in the paper.
+ * footprint masks, DRAM write, victim) and wakes the waiters by a
+ * plain call to the page-ready hook, as in the paper; there is no
+ * install-notice queue.
  *
  * A page's shard is mem::pageInterleave(page, shards); each shard owns
  * an equal slice of the cache-wide MSR and evict-buffer capacity
@@ -57,7 +57,6 @@
 #include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
 #include "sim/bounded_channel.hh"
-#include "sim/causality.hh"
 #include "sim/invariant.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
@@ -86,12 +85,10 @@ class DramCache : public sim::SimObject
     };
 
     /** Build the facade; the FC and every BC shard schedule on
-     *  @p eq, the system's one event queue, and every shard's windows
-     *  register with @p auditor (null: unaudited). */
+     *  @p eq, the system's one event queue. */
     DramCache(sim::EventQueue &eq, std::string name,
               const DramCacheConfig &config, flash::Backend &flash,
-              const mem::AddressMap &amap,
-              sim::CausalityAuditor *auditor);
+              const mem::AddressMap &amap);
 
     /** Register the page-arrival notification hook. */
     void setPageReadyCallback(PageReadyFn fn) { onReady = std::move(fn); }
@@ -185,8 +182,7 @@ class DramCache : public sim::SimObject
      * "fc" (frontside: hit/miss accounting), one backside registry per
      * shard ("bc" unsharded, "bc<i>" sharded) with "msr"/"evictbuf"
      * children, the "dram" device and the "tags" array, plus each
-     * shard's windows ("fc_to_bc[<i>]", "bc_to_flash[<i>]",
-     * "bc_to_fc[<i>]").
+     * shard's windows ("fc_to_bc[<i>]", "bc_to_flash[<i>]").
      */
     void regStats(sim::StatRegistry &reg) const;
 
@@ -248,12 +244,6 @@ class DramCache : public sim::SimObject
     flashChannel(std::uint32_t shard = 0) const
     {
         return bcCtls[shard]->flashChannel();
-    }
-
-    const sim::BoundedChannel &
-    installChannel(std::uint32_t shard = 0) const
-    {
-        return bcCtls[shard]->installChannel();
     }
 
   private:

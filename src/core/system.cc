@@ -27,7 +27,6 @@ System::System(const SystemConfig &config)
     : cfg(config), slab(coreTagBytes(config))
 {
     cfg.applyKindDefaults();
-    eq.setAuditor(&auditor);
     // Perturbed same-tick ordering (tools/detshake); seed 0 is the
     // exact production order, and nonzero seeds are fatal unless the
     // hook is compiled in.
@@ -132,9 +131,6 @@ System::registerInvariants()
     invariants.add("eq", [this](sim::InvariantChecker &chk) {
         eq.checkInvariants(chk);
     });
-    invariants.add("causality", [this](sim::InvariantChecker &chk) {
-        auditor.checkInvariants(chk);
-    });
     for (std::size_t c = 0; c < cores.size(); ++c) {
         SimCore *core = cores[c].get();
         const std::string prefix = "core" + std::to_string(c);
@@ -188,11 +184,6 @@ System::registerInvariants()
                 "dcache.bc_to_flash" + tag,
                 [this, i](sim::InvariantChecker &chk) {
                     dcache->flashChannel(i).checkInvariants(chk);
-                });
-            invariants.add(
-                "dcache.bc_to_fc" + tag,
-                [this, i](sim::InvariantChecker &chk) {
-                    dcache->installChannel(i).checkInvariants(chk);
                 });
         }
     }
@@ -292,7 +283,7 @@ System::buildMemorySystem()
         dc.ways * dc.pageBytes);
     cfg.dramCache = dc;
     dcache = std::make_unique<DramCache>(eq, "dramcache", dc, *flashDev,
-                                         *amap, &auditor);
+                                         *amap);
 }
 
 mem::Addr

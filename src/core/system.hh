@@ -23,7 +23,6 @@
 #include "mem/dram.hh"
 #include "mem/page_table.hh"
 #include "mem/tag_slab.hh"
-#include "sim/causality.hh"
 #include "sim/event_queue.hh"
 #include "sim/invariant.hh"
 #include "sim/parallel_engine.hh"
@@ -122,18 +121,6 @@ class System
     sim::InvariantRegistry &invariantRegistry() { return invariants; }
 
     /**
-     * Causality auditor certifying the window lookahead manifest
-     * and monotonicity contracts (DESIGN.md §14). Armed with
-     * the checks gate; registered as the "causality" invariant
-     * component.
-     */
-    sim::CausalityAuditor &causalityAuditor() { return auditor; }
-    const sim::CausalityAuditor &causalityAuditor() const
-    {
-        return auditor;
-    }
-
-    /**
      * Replace the built-in generators with an external job source
      * (astribench hands out its own generators' jobs). Must be set
      * before run(); the source is shared across cores and called in
@@ -151,8 +138,7 @@ class System
     /**
      * Run-loop telemetry from the last run() (zeroes before the
      * first): rounds and events executed. Deliberately NOT in the
-     * stats tree: host bookkeeping must never move golden bytes, the
-     * same rule the causality auditor follows.
+     * stats tree: host bookkeeping must never move golden bytes.
      */
     const sim::ParallelEngine::Stats &
     engineStats() const
@@ -217,9 +203,6 @@ class System
     void registerInvariants();
 
     SystemConfig cfg;
-    /** Declared before the event queue and every channel owner so it
-     *  outlives all components that hold hooks into it. */
-    sim::CausalityAuditor auditor;
     sim::EventQueue eq;
     sim::ParallelEngine::Stats engineStatsData;
 

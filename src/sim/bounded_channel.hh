@@ -10,9 +10,8 @@
  * the number of requests whose *transactions* are still in flight.
  * The window models exactly that with time-based occupancy: push()
  * opens a slot and returns its accept tick, and pop() closes it,
- * declaring the tick the consumer acted on the request and the tick
- * the slot is recycled (e.g. when the miss it carried finishes
- * installing). push() counts every slot whose release tick is still
+ * declaring the tick the slot is recycled (e.g. when the miss it
+ * carried finishes installing). push() counts every slot whose release tick is still
  * in the future; when the count reaches capacity the push stalls — the
  * accept tick moves out to the point where enough slots have drained —
  * and the stall is charged to the producer's timing and to the
@@ -36,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "causality.hh"
 #include "invariant.hh"
 #include "logging.hh"
 #include "stats.hh"
@@ -58,22 +56,15 @@ class BoundedChannel
     };
 
     /**
-     * @param name      Instance name (stats, audit reports).
+     * @param name      Instance name (stats, invariant reports).
      * @param capacity  Slot count; >= 1.
-     * @param contract  Declared determinism contract (lookahead +
-     *                  push monotonicity).
-     * @param auditor   Causality auditor to register with, or null.
      */
-    BoundedChannel(std::string name, std::uint32_t capacity,
-                   ChannelContract contract, CausalityAuditor *auditor)
-        : chName(std::move(name)), cap(capacity),
-          channelContract(contract), audit(auditor)
+    BoundedChannel(std::string name, std::uint32_t capacity)
+        : chName(std::move(name)), cap(capacity)
     {
         if (capacity == 0)
             ASTRI_FATAL("%s: channel needs capacity >= 1",
                         chName.c_str());
-        if (audit)
-            auditId = audit->registerChannel(chName, channelContract);
     }
 
     BoundedChannel(const BoundedChannel &) = delete;
@@ -81,21 +72,6 @@ class BoundedChannel
 
     /** Instance name (stat/invariant registration). */
     const std::string &name() const { return chName; }
-
-    /** Declared determinism contract. */
-    const ChannelContract &contract() const { return channelContract; }
-
-    /** Slots still owned by in-flight transactions at @p now. */
-    std::uint32_t
-    inFlight(Ticks now) const
-    {
-        std::size_t busy = open ? 1 : 0;
-        for (const Ticks t : busyUntil) {
-            if (t > now)
-                ++busy;
-        }
-        return static_cast<std::uint32_t>(busy);
-    }
 
     /**
      * Open a slot at @p now.
@@ -136,27 +112,19 @@ class BoundedChannel
         open = true;
         openPushedAt = now;
         openAcceptedAt = accept;
-        if (audit)
-            audit->onPush(auditId, now, accept);
         return accept;
     }
 
     /**
-     * Close the open slot. @p consumed_at is the tick the consumer
-     * acts on the request (the delivery tick the causality auditor
-     * certifies against the declared lookahead); the slot stays
-     * occupied until @p release_at (the tick the carried transaction
-     * completes and the hardware queue entry is recycled).
+     * Close the open slot. The slot stays occupied until
+     * @p release_at, the tick the carried transaction completes and
+     * the hardware queue entry is recycled.
      */
     void
-    pop(Ticks consumed_at, Ticks release_at)
+    pop(Ticks release_at)
     {
         ASTRI_ASSERT_MSG(open, "%s: pop() with no open push",
                          chName.c_str());
-        if (audit) {
-            audit->onDeliver(auditId, openPushedAt, openAcceptedAt,
-                             consumed_at);
-        }
         open = false;
         statsData.pops.inc();
         busyUntil.push_back(release_at);
@@ -233,9 +201,6 @@ class BoundedChannel
 
     std::string chName;
     std::uint32_t cap;
-    ChannelContract channelContract;
-    CausalityAuditor *audit;
-    std::uint32_t auditId = 0;
     bool open = false;          ///< A push awaits its pop.
     Ticks openPushedAt = 0;     ///< Open push: producer's tick.
     Ticks openAcceptedAt = 0;   ///< Open push: after any stall.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "causality.hh"
 #include "logging.hh"
 
 namespace astriflash::sim {
@@ -172,8 +171,6 @@ EventQueue::runUntil(Ticks limit)
             break;
         const Node node = heapPop();
         ASTRI_ASSERT(node.when >= now);
-        if (auditor)
-            auditor->onEventFired(now, node.when);
         now = node.when;
         // Move the callback out and release the slot *before* running:
         // the callback may schedule (reusing this slot) or grow the
@@ -203,8 +200,6 @@ EventQueue::runSteps(std::uint64_t max_events)
         }
         const Node node = heapPop();
         ASTRI_ASSERT(node.when >= now);
-        if (auditor)
-            auditor->onEventFired(now, node.when);
         now = node.when;
         Callback fn = std::move(slots[node.slot].fn);
         releaseSlot(node.slot);

@@ -36,8 +36,6 @@
 
 namespace astriflash::sim {
 
-class CausalityAuditor;
-
 /**
  * Opaque handle identifying a scheduled event (for cancellation).
  * Packs a slot index and a generation tag; a handle goes stale the
@@ -191,9 +189,6 @@ class EventQueue
      */
     void setTiePerturbation(std::uint64_t seed);
 
-    /** Attach the causality auditor (null detaches). */
-    void setAuditor(CausalityAuditor *a) { auditor = a; }
-
     /**
      * Compaction policy: compact when more than kCompactDenominator-th
      * of a heap larger than kCompactMinHeap nodes is tombstones.
@@ -272,7 +267,6 @@ class EventQueue
     Ticks now = 0;
     std::uint64_t nextSeq = 1; ///< Next insertion sequence number.
     std::uint64_t tieSeed = 0;
-    CausalityAuditor *auditor = nullptr;
     std::uint64_t executedCount = 0;
     std::uint64_t compactionCount = 0;
     std::size_t cancelledCount = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace astriflash::sim {
 
@@ -75,16 +76,19 @@ OptionParser::addUint32(const std::string &name, std::uint32_t *out,
 
 void
 OptionParser::addDouble(const std::string &name, double *out,
-                        const std::string &help)
+                        const std::string &help,
+                        std::function<bool(double)> valid)
 {
-    addCustom(name, "F", help, [out](const std::string &v) {
-        char *end = nullptr;
-        const double parsed = std::strtod(v.c_str(), &end);
-        if (end == v.c_str() || *end != '\0' || !std::isfinite(parsed))
-            return false;
-        *out = parsed;
-        return true;
-    });
+    addCustom(name, "F", help,
+              [out, valid = std::move(valid)](const std::string &v) {
+                  char *end = nullptr;
+                  const double parsed = std::strtod(v.c_str(), &end);
+                  if (end == v.c_str() || *end != '\0' ||
+                      !std::isfinite(parsed) || (valid && !valid(parsed)))
+                      return false;
+                  *out = parsed;
+                  return true;
+              });
 }
 
 void

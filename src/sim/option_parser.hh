@@ -57,9 +57,11 @@ class OptionParser
     void addUint32(const std::string &name, std::uint32_t *out,
                    const std::string &help);
 
-    /** Floating-point option `--name=F`; nan and inf are rejected. */
+    /** Floating-point option `--name=F`; nan and inf are rejected,
+     *  and so is any value @p valid (if given) returns false for. */
     void addDouble(const std::string &name, double *out,
-                   const std::string &help);
+                   const std::string &help,
+                   std::function<bool(double)> valid = {});
 
     /** Presence flag `--name` (sets *out = true). */
     void addFlag(const std::string &name, bool *out,

@@ -8,9 +8,12 @@
 #include <map>
 #include <vector>
 
+#include "core/backside_controller.hh"
 #include "core/dram_cache.hh"
 #include "flash/flash_device.hh"
 #include "mem/address_map.hh"
+#include "mem/dram.hh"
+#include "mem/set_assoc_cache.hh"
 #include "sim/event_queue.hh"
 
 using namespace astriflash;
@@ -39,8 +42,7 @@ struct Rig {
         fcfg = flash::FlashConfig::forCapacity(512 << 20);
         flash = std::make_unique<flash::FlashDevice>(
             "flash", fcfg, (256 << 20) / kPageSize);
-        dc = std::make_unique<DramCache>(eq, "dc", cfg, *flash, amap,
-                                         nullptr);
+        dc = std::make_unique<DramCache>(eq, "dc", cfg, *flash, amap);
         dc->setPageReadyCallback(
             [this](mem::PageNum page, Ticks,
                    const std::vector<WaiterCookie> &w) {
@@ -283,18 +285,113 @@ TEST(DramCache, DepthOneChannelsSerializeWithoutLoss)
     EXPECT_EQ(rig.dc->fcStats().misses.value(), kProbes);
     EXPECT_EQ(rig.dc->outstandingMisses(), 0u);
     EXPECT_EQ(rig.ready.size(), kProbes);
+    // One request and one flash read per miss (no victims: eight
+    // pages fit a 512-frame cache), every push popped.
     for (const sim::BoundedChannel *ch :
-         {&rig.dc->missChannel(), &rig.dc->flashChannel(),
-          &rig.dc->installChannel()})
-        EXPECT_EQ(ch->stats().pushes.value(), ch->stats().pops.value())
-            << ch->name();
-    // One request, one flash read and one install completion per miss
-    // (no victims: eight pages fit a 512-frame cache).
-    EXPECT_EQ(rig.dc->missChannel().stats().pushes.value(), kProbes);
-    EXPECT_EQ(rig.dc->flashChannel().stats().pushes.value(), kProbes);
-    EXPECT_EQ(rig.dc->installChannel().stats().pushes.value(),
-              kProbes);
+         {&rig.dc->missChannel(), &rig.dc->flashChannel()}) {
+        EXPECT_EQ(ch->stats().pushes.value(), kProbes) << ch->name();
+        EXPECT_EQ(ch->stats().pops.value(), kProbes) << ch->name();
+    }
     EXPECT_EQ(rig.dc->missChannel().stats().fullStalls.value(), 0u);
+}
+
+// ---------------------------------------------------------------
+// The backside controller on its own: the ticks its replies carry.
+// ---------------------------------------------------------------
+
+namespace {
+
+/** One backside controller over its own DRAM, tag array and flash
+ *  device, driven directly so a test reads its BcReply ticks. */
+struct BcRig {
+    EventQueue eq;
+    mem::AddressMap amap{64 << 20, 256 << 20};
+    DramCacheConfig cfg;
+    flash::FlashDevice flash{"flash",
+                             flash::FlashConfig::forCapacity(512 << 20),
+                             (256 << 20) / kPageSize};
+    mem::Dram dram;
+    mem::SetAssocCache tags;
+    FootprintState fp;
+    PageReadyFn onReady;
+    BacksideController bc;
+
+    explicit BcRig(const DramCacheConfig &config)
+        : cfg(config), dram("dram", cfg.dram),
+          tags("tags", cfg.capacityBytes, cfg.pageBytes, cfg.ways),
+          bc(eq, "dc", "", cfg, amap, flash, dram, tags, fp, onReady,
+             cfg.bc.msrSets, cfg.bc.msrEntriesPerSet,
+             cfg.bc.evictBufferEntries)
+    {
+    }
+
+    /** One BC operation, the unit of its service times. */
+    Ticks
+    bcOp() const
+    {
+        return ClockDomain(cfg.controllerFreqHz)
+            .cycles(cfg.bc.cyclesPerOp);
+    }
+
+    mem::Addr pa(std::uint64_t page) const
+    {
+        return amap.flashRange().base + page * kPageSize;
+    }
+
+    BcReply
+    request(std::uint64_t page, Ticks now)
+    {
+        MissRequest req;
+        req.page = mem::pageNumber(pa(page));
+        return bc.request(req, now);
+    }
+};
+
+} // namespace
+
+TEST(BacksideController, EvictBufferHitIsReadyOneBcOpAfterAccept)
+{
+    BcRig rig(Rig::smallCfg());
+    // 64 sets x 8 ways: fill page 9's set, then miss on a ninth page
+    // of the set, whose install parks page 9 in the evict buffer.
+    for (std::uint64_t k = 0; k < 8; ++k)
+        rig.tags.fill(rig.pa(9 + k * 64), false);
+    rig.request(9 + 8 * 64, 0);
+    while (rig.bc.evictBuffer().empty() && rig.eq.runSteps(1) != 0) {
+    }
+    ASSERT_TRUE(
+        rig.bc.evictBuffer().contains(mem::pageNumber(rig.pa(9))));
+
+    // The lazy drain has not run: the BC serves the parked page in one
+    // op, with no flash read.
+    const Ticks now = rig.eq.curTick();
+    const BcReply rep = rig.request(9, now);
+    EXPECT_EQ(rep.kind, BcReply::Kind::EvictBufferHit);
+    EXPECT_EQ(rep.accepted, now);
+    EXPECT_EQ(rep.ready, now + rig.bcOp());
+    EXPECT_EQ(rig.flash.stats().reads.value(), 1u);
+}
+
+TEST(BacksideController, DepthOneFlashWindowSubmitsAtAccept)
+{
+    // Two misses at tick 0 behind a one-slot bc_to_flash window: the
+    // second read waits in the window for the first to complete and
+    // goes to the (idle again) device at that accept tick, so it is
+    // ready exactly the window's stall later than the first.
+    DramCacheConfig cfg = Rig::smallCfg();
+    cfg.channels.bcToFlashDepth = 1;
+    BcRig rig(cfg);
+
+    const BcReply a = rig.request(3, 0);
+    const BcReply b = rig.request(4, 0);
+    const sim::BoundedChannel &window = rig.bc.flashChannel();
+    ASSERT_EQ(window.stats().fullStalls.value(), 1u);
+    EXPECT_GT(window.stats().stallTicks.value(), 0u);
+    EXPECT_EQ(b.ready - a.ready, window.stats().stallTicks.value());
+
+    rig.eq.run();
+    EXPECT_EQ(rig.bc.stats().fills.value(), 2u);
+    EXPECT_EQ(window.stats().pushes.value(), window.stats().pops.value());
 }
 
 // ---------------------------------------------------------------
@@ -310,7 +407,7 @@ struct FootprintRig : Rig {
         cfg.capacityBytes = 2 << 20;
         cfg.footprintEnabled = true;
         dc = std::make_unique<DramCache>(eq, "dcfp", cfg, *flash,
-                                         amap, nullptr);
+                                         amap);
         dc->setPageReadyCallback(
             [this](mem::PageNum page, Ticks,
                    const std::vector<WaiterCookie> &w) {

@@ -2,12 +2,14 @@
  * @file
  * FC/BC split regression: the frontside/backside decomposition of the
  * DRAM cache must be timing-neutral at the default (effectively
- * unbounded) channel depths. Each of the six fixed-seed torture
+ * unbounded) channel depths. Each of the ten fixed-seed torture
  * configurations is re-run in process and its full golden JSON —
  * headline results plus every stats leaf — must stay byte-identical
- * to tests/golden/. On top of the byte comparison, the three
- * controller channels must report zero backpressure: any full stall
- * at depth 65536 means slot lifetimes leak.
+ * to tests/golden/. On top of the byte comparison, the two
+ * controller windows of every shard must report zero backpressure:
+ * any full stall at depth 65536 means slot lifetimes leak. With the
+ * simulator checks armed, every case must also run with zero
+ * invariant violations and still reproduce its golden bytes.
  *
  * The case table and serialisation are shared with the golden_stats
  * tool (tools/golden_cases.hh), so this suite and the golden_stats_*
@@ -22,6 +24,7 @@
 
 #include "core/dram_cache.hh"
 #include "core/system.hh"
+#include "sim/invariant.hh"
 
 #include "golden_cases.hh"
 
@@ -69,6 +72,23 @@ firstDivergence(const std::string &want, const std::string &got)
     }
 }
 
+/** Arm (or disarm) simulator checks for one test, restoring after. */
+class ScopedChecks
+{
+  public:
+    explicit ScopedChecks(bool on) : prev(sim::checksEnabled())
+    {
+        sim::setChecksEnabled(on);
+    }
+    ~ScopedChecks() { sim::setChecksEnabled(prev); }
+
+    ScopedChecks(const ScopedChecks &) = delete;
+    ScopedChecks &operator=(const ScopedChecks &) = delete;
+
+  private:
+    bool prev;
+};
+
 class FcBcSplit : public ::testing::TestWithParam<GoldenCase>
 {
 };
@@ -91,24 +111,42 @@ TEST_P(FcBcSplit, GoldenStatsStayByteIdentical)
         << "FC/BC split perturbed case " << gc.name
         << "; first divergence at " << firstDivergence(want, out.str());
 
-    // At the default depths the channels are effectively unbounded:
+    // At the default depths the windows are effectively unbounded:
     // real transaction-window occupancy, but never a full stall. A
     // stall here means a slot-release tick leaked into the far future.
+    // Every push was popped.
     const DramCache *dc = sys.dramCache();
     ASSERT_NE(dc, nullptr);
-    EXPECT_EQ(dc->missChannel().stats().fullStalls.value(), 0u);
-    EXPECT_EQ(dc->missChannel().stats().stallTicks.value(), 0u);
-    EXPECT_EQ(dc->flashChannel().stats().fullStalls.value(), 0u);
-    EXPECT_EQ(dc->flashChannel().stats().stallTicks.value(), 0u);
-    EXPECT_EQ(dc->installChannel().stats().fullStalls.value(), 0u);
-    EXPECT_EQ(dc->installChannel().stats().stallTicks.value(), 0u);
+    for (std::uint32_t i = 0; i < dc->shardCount(); ++i) {
+        for (const sim::BoundedChannel *ch :
+             {&dc->missChannel(i), &dc->flashChannel(i)}) {
+            EXPECT_EQ(ch->stats().fullStalls.value(), 0u) << ch->name();
+            EXPECT_EQ(ch->stats().stallTicks.value(), 0u) << ch->name();
+            EXPECT_EQ(ch->stats().pushes.value(),
+                      ch->stats().pops.value())
+                << ch->name();
+        }
+    }
+}
 
-    // Conservation across the split: every push was popped.
-    for (const sim::BoundedChannel *ch :
-         {&dc->missChannel(), &dc->flashChannel(),
-          &dc->installChannel()})
-        EXPECT_EQ(ch->stats().pushes.value(), ch->stats().pops.value())
-            << ch->name();
+/** Every golden config runs clean with the simulator checks armed, and
+ *  arming them moves no golden byte. */
+TEST_P(FcBcSplit, ArmedChecksAreCleanAndByteIdentical)
+{
+    ScopedChecks armed(true);
+    const GoldenCase &gc = GetParam();
+    const std::string want = readGolden(gc.name);
+
+    System sys(goldenCaseConfig(gc));
+    const RunResults r = sys.run();
+    EXPECT_GT(r.invariantChecks, 0u) << gc.name;
+    EXPECT_EQ(r.invariantViolations, 0u) << gc.name;
+
+    std::ostringstream os;
+    writeGoldenJson(os, gc, r, sys);
+    EXPECT_EQ(os.str(), want)
+        << gc.name << "; first divergence at "
+        << firstDivergence(want, os.str());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -126,6 +126,22 @@ TEST(OptionParser, RejectsBadNumericValue)
     EXPECT_EQ(load, -0.5);
 }
 
+TEST(OptionParser, DoublePredicateCanReject)
+{
+    double load = 7.0;
+    OptionParser opts("prog", "test");
+    opts.addDouble("load", &load, "a fraction",
+                   [](double f) { return f >= 0.0; });
+    const Argv bad({"--load=-0.5"});
+    EXPECT_EQ(opts.parse(bad.argc(), bad.argv()),
+              OptionParser::Status::Error);
+    EXPECT_EQ(load, 7.0);
+    const Argv zero({"--load=0"});
+    EXPECT_EQ(opts.parse(zero.argc(), zero.argv()),
+              OptionParser::Status::Ok);
+    EXPECT_EQ(load, 0.0);
+}
+
 TEST(OptionParser, RejectsMissingValueForValuedOption)
 {
     std::uint64_t jobs = 0;

@@ -81,8 +81,7 @@ struct ShardRig {
         DramCacheConfig cfg;
         cfg.capacityBytes = 2 << 20; // 512 page frames
         cfg.bc.shards = shards;
-        dc = std::make_unique<DramCache>(eq, "dc", cfg, *flash, amap,
-                                         nullptr);
+        dc = std::make_unique<DramCache>(eq, "dc", cfg, *flash, amap);
         dc->setPageReadyCallback(
             [this](mem::PageNum page, Ticks,
                    const std::vector<WaiterCookie> &w) {
@@ -144,15 +143,21 @@ TEST(ShardedDramCache, MissesRouteByPageInterleave)
     for (std::uint32_t s = 0; s < 4; ++s)
         EXPECT_EQ(expected[s], 8u) << "shard " << s;
 
-    // Every shard's channel and fill counters match its page subset.
+    // Every shard's window and fill counters match its page subset:
+    // one request and one flash read per miss (clean reads leave no
+    // writeback), every push popped.
     std::uint64_t fills = 0;
     std::uint64_t pushes = 0;
     for (std::uint32_t s = 0; s < 4; ++s) {
         EXPECT_EQ(rig.dc->bcStats(s).fills.value(), expected[s])
             << "shard " << s;
-        EXPECT_EQ(rig.dc->missChannel(s).stats().pushes.value(),
-                  expected[s])
-            << "shard " << s;
+        for (const sim::BoundedChannel *ch :
+             {&rig.dc->missChannel(s), &rig.dc->flashChannel(s)}) {
+            EXPECT_EQ(ch->stats().pushes.value(), expected[s])
+                << ch->name();
+            EXPECT_EQ(ch->stats().pops.value(), expected[s])
+                << ch->name();
+        }
         fills += rig.dc->bcStats(s).fills.value();
         pushes += rig.dc->missChannel(s).stats().pushes.value();
     }

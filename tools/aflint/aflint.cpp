@@ -1301,7 +1301,7 @@ jsonEscape(const std::string &s)
  * Baseline: reviewed long-lived findings keyed (rule, file, token) in
  * tools/aflint/baseline.json, replacing inline annotation noise for
  * reviewed exceptions (order-insensitive audit walks, the
- * process-wide logging and auditor hooks).
+ * process-wide logging hook).
  */
 struct BaselineEntry {
     std::string rule, file, token;

@@ -1,8 +1,9 @@
 /**
  * @file
- * AF013 seeds, backside direction: a backside controller that calls
- * the flash device and the frontside directly instead of using the
- * bc_to_flash / bc_to_fc channels. Never compiled.
+ * AF013 seeds, backside direction: a backside controller that names
+ * the flash device and the frontside directly instead of going
+ * through bc_to_flash / flash::Backend and the facade's page-ready
+ * hook. Never compiled.
  */
 
 #ifndef AFLINT_FIXTURE_BACKSIDE_CONTROLLER_HH
@@ -18,7 +19,8 @@ struct BacksideController {
     // bc_to_flash and the abstract flash::Backend.
     FlashDevice *flash = nullptr;
 
-    // AF013: waking the frontside by direct call bypasses bc_to_fc.
+    // AF013: waking the frontside by direct call bypasses the
+    // facade's page-ready hook.
     void notify(FrontsideController &fc);
 };
 

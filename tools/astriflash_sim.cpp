@@ -16,6 +16,7 @@
  * as JSONL (see DESIGN.md for both schemas).
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -33,6 +34,19 @@ using namespace astriflash;
 using namespace astriflash::core;
 
 namespace {
+
+/**
+ * Bytes in @p gib GiB, or 0 if that is not a positive byte count that
+ * fits in 64 bits (the conversion of a larger double is undefined).
+ */
+std::uint64_t
+gibBytes(double gib)
+{
+    const double bytes = gib * static_cast<double>(1ull << 30);
+    if (!(bytes >= 1.0) || bytes >= 0x1p64)
+        return 0;
+    return static_cast<std::uint64_t>(bytes);
+}
 
 bool
 parseKind(const std::string &s, SystemKind *out)
@@ -145,7 +159,8 @@ main(int argc, char **argv)
                        return parseWorkload(v, &cfg.workloadKind);
                    });
     opts.addUint32("cores", &cfg.cores, "number of simulated cores");
-    opts.addDouble("dataset-gib", &dataset_gib, "dataset size in GiB");
+    opts.addDouble("dataset-gib", &dataset_gib, "dataset size in GiB",
+                   [](double gib) { return gibBytes(gib) != 0; });
     opts.addDouble("dram-ratio", &cfg.dramCacheRatio,
                    "DRAM cache / dataset ratio");
     opts.addUint("jobs", &cfg.measureJobs, "measured jobs");
@@ -153,7 +168,8 @@ main(int argc, char **argv)
                  "warmup jobs (default jobs/10)");
     opts.addDouble("load", &load,
                    "open-loop load fraction of this config's "
-                   "closed-loop max (0 = closed loop)");
+                   "closed-loop max (0 = closed loop)",
+                   [](double f) { return f >= 0.0; });
     opts.addUint("switch-ns", &switch_ns,
                  "thread-switch cost override in ns");
     opts.addUint32("pending-cap", &cfg.sched.pendingCap,
@@ -182,8 +198,7 @@ main(int argc, char **argv)
         cfg.forwardProgressBit = false;
     if (switch_ns > 0)
         cfg.threadSwitch = sim::nanoseconds(switch_ns);
-    cfg.workload.datasetBytes =
-        static_cast<std::uint64_t>(dataset_gib * (1ull << 30));
+    cfg.workload.datasetBytes = gibBytes(dataset_gib);
     if (cfg.warmupJobs == 0)
         cfg.warmupJobs = cfg.measureJobs / 10 + 1;
 
