@@ -6,20 +6,18 @@
  *
  *  1. schedule_fire — 2048 self-perpetuating timer chains; every
  *     fired event schedules its successor. Pure heap push/pop plus
- *     callback dispatch at realistic heap depth, no cancellations.
- *  2. schedule_cancel_fire — every fired event schedules a live
- *     successor *and* a far-future decoy, then cancels an older decoy.
- *     Exercises lazy deletion and heap compaction.
- *  3. system_msr_heavy — a closed-loop AstriFlash TATP run (every miss
+ *     callback dispatch at realistic heap depth.
+ *  2. system_msr_heavy — a closed-loop AstriFlash TATP run (every miss
  *     walks the MSR/pending-queue machinery).
- *  4. system_open_loop — the same system under open-loop Poisson
+ *  3. system_open_loop — the same system under open-loop Poisson
  *     arrivals at 70% of its closed-loop throughput.
  *
  * The speed-up of the current kernel over the original one
  * (std::function callbacks, std::priority_queue of fat entries,
  * alive/cancelled unordered_set pair) was measured once against an
- * in-binary copy of the original; the committed BENCH_kernel.json
- * keeps that record (1.59x schedule/fire, 7.45x schedule/cancel).
+ * in-binary copy of the original: 1.59x on schedule/fire and 7.45x
+ * on a schedule/cancel mix the kernel no longer supports (DESIGN.md
+ * §9.1).
  *
  * A second phase times a fig10-style sweep batch at --jobs 1 vs
  * --jobs N on the SweepRunner and verifies the per-cell stats JSON is
@@ -121,66 +119,6 @@ scheduleFireMix(std::uint64_t total_events)
     return r;
 }
 
-/**
- * Mix 2: every fired event schedules a live successor plus a far-future
- * decoy, and cancels the decoy scheduled two fires earlier — a steady
- * one-cancel-per-fire stream that keeps a tombstone population in the
- * heap (driving the compaction path).
- */
-MixResult
-scheduleCancelMix(std::uint64_t total_events)
-{
-    constexpr int kChains = 64;
-    sim::EventQueue q;
-    std::uint64_t fired = 0;
-    std::vector<std::uint64_t> doomed;
-    std::size_t head = 0;
-    doomed.reserve(total_events + kChains + 16);
-
-    struct NoOp {
-        void operator()() {}
-    };
-
-    struct Worker {
-        sim::EventQueue *q;
-        std::uint64_t *fired;
-        std::uint64_t total;
-        std::vector<std::uint64_t> *doomed;
-        std::size_t *head;
-        std::uint64_t state;
-
-        void
-        operator()()
-        {
-            if (++*fired >= total)
-                return;
-            state = lcgNext(state);
-            doomed->push_back(q->scheduleIn(
-                sim::Ticks{1000000} + (state >> 44), NoOp{}));
-            if (doomed->size() - *head >= 2)
-                q->deschedule((*doomed)[(*head)++]);
-            q->scheduleIn(1 + (state >> 56),
-                          Worker{q, fired, total, doomed, head,
-                                 state});
-        }
-    };
-
-    const auto t0 = Clock::now();
-    for (int i = 0; i < kChains; ++i) {
-        q.scheduleIn(sim::Ticks{1} + static_cast<sim::Ticks>(i),
-                     Worker{&q, &fired, total_events, &doomed, &head,
-                            0xd1342543de82ef95ULL *
-                                static_cast<std::uint64_t>(i + 1)});
-    }
-    q.run();
-    // Any decoys that survived to the far future fire as no-ops above.
-
-    MixResult r;
-    r.wallSeconds = secondsSince(t0);
-    r.events = q.executed();
-    return r;
-}
-
 SystemConfig
 systemCfg(std::uint64_t measure_jobs)
 {
@@ -259,9 +197,6 @@ main(int argc, char **argv)
     const MixResult fire = scheduleFireMix(total_events);
     printMix("schedule_fire", fire);
 
-    const MixResult cancel = scheduleCancelMix(total_events);
-    printMix("schedule_cancel_fire", cancel);
-
     double closed_jobs_per_sec = 0;
     const MixResult msr =
         systemMix(systemCfg(measure_jobs), &closed_jobs_per_sec);
@@ -292,7 +227,6 @@ main(int argc, char **argv)
             const MixResult *mix;
         } mixes[] = {
             {"schedule_fire", &fire},
-            {"schedule_cancel_fire", &cancel},
             {"system_msr_heavy", &msr},
             {"system_open_loop", &open},
         };

@@ -29,7 +29,7 @@ CacheHierarchy::CacheHierarchy(std::string name,
     for (const auto &cfg : cfgs) {
         levels.push_back(std::make_unique<SetAssocCache>(
             hierName + "." + cfg.name, cfg.capacity, cfg.lineSize,
-            cfg.ways, ReplacementPolicy::Lru, 1, slab));
+            cfg.ways, slab));
         levelLatency.push_back(cfg.accessLatency);
         missLatency += cfg.accessLatency;
     }

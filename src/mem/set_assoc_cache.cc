@@ -138,12 +138,10 @@ leastWord(const std::uint16_t *words, std::uint32_t n)
 
 SetAssocCache::SetAssocCache(std::string name, std::uint64_t capacity,
                              std::uint64_t line_size, std::uint32_t ways,
-                             ReplacementPolicy policy, std::uint64_t seed,
                              TagSlab *slab)
     : cacheName(std::move(name)), totalCapacity(capacity), line(line_size),
-      waysPerSet(ways), policy(policy),
-      setStride(strideOf(ways)), arr(LineAligned<std::byte>(slab)),
-      rng(seed)
+      waysPerSet(ways), setStride(strideOf(ways)),
+      arr(LineAligned<std::byte>(slab))
 {
     if (!isPowerOfTwo(line_size))
         ASTRI_FATAL("%s: line size %llu not a power of two",
@@ -373,15 +371,6 @@ SetAssocCache::renumber(std::uint64_t c)
     (sets <= kClockSets ? stamp : clocks[c]) = n;
 }
 
-void
-SetAssocCache::touch(std::uint16_t &meta, bool dirty, std::uint32_t now) const
-{
-    if (policy == ReplacementPolicy::Lru)
-        meta = static_cast<std::uint16_t>(now << 1 | (meta & kDirtyBit));
-    if (dirty)
-        meta |= kDirtyBit;
-}
-
 bool
 SetAssocCache::lookup(Addr addr, bool write)
 {
@@ -420,14 +409,14 @@ SetAssocCache::contains(Addr addr) const
 
 /** Way to fill in @p set. */
 [[gnu::always_inline]] inline std::uint32_t
-SetAssocCache::victimWay(SetRef set)
+SetAssocCache::victimWay(SetRef set) const
 {
     // The first way holding the least meta word. An empty way's word
     // is 0 and a valid way's at least 2 (stamp >= 1,
     // checkInvariants()), so that is the first empty way when there
-    // is one. Otherwise LRU and FIFO both evict the smallest stamp:
-    // the stamps of valid ways are distinct, so the dirty bit below
-    // them never decides.
+    // is one. Otherwise it is the least recently used way: the stamps
+    // of valid ways are distinct, so the dirty bit below them never
+    // decides.
 #ifdef __SSE2__
     const std::uint16_t least = leastWord(set.meta, waysPerSet);
     const std::uint32_t way = firstEqual(set.meta, waysPerSet, least);
@@ -440,8 +429,6 @@ SetAssocCache::victimWay(SetRef set)
         least = lower ? set.meta[w] : least;
     }
 #endif
-    if (policy == ReplacementPolicy::Random && least != 0)
-        return static_cast<std::uint32_t>(rng.uniformInt(waysPerSet));
     return way;
 }
 

@@ -21,20 +21,12 @@
 
 #include "sim/invariant.hh"
 #include "sim/prefetch.hh"
-#include "sim/rng.hh"
 #include "sim/stats.hh"
 
 #include "address.hh"
 #include "tag_slab.hh"
 
 namespace astriflash::mem {
-
-/** Victim-selection policy within a set. */
-enum class ReplacementPolicy {
-    Lru,    ///< Least-recently-used (default; what the paper assumes).
-    Fifo,   ///< Insertion order, ignores re-reference.
-    Random, ///< Uniform random way.
-};
 
 /** Result of a cache lookup or fill. */
 struct CacheLine {
@@ -46,7 +38,8 @@ struct CacheLine {
  * Set-associative cache tag/state array (no data payload).
  *
  * Addresses are truncated to @p line_size granularity. The array tracks
- * validity, dirtiness, and recency; it never stores data since the
+ * validity, dirtiness, and recency, and evicts the least recently used
+ * way, the policy the paper assumes; it never stores data since the
  * simulator is timing-directed, not value-accurate.
  */
 class SetAssocCache
@@ -78,8 +71,6 @@ class SetAssocCache
      * @param line_size   Block or page size in bytes (power of two,
      *                    at least 2).
      * @param ways        Associativity (>=1).
-     * @param policy      Replacement policy.
-     * @param seed        RNG seed for the Random policy.
      * @param slab        Where the array lives, or null for its own
      *                    line-aligned heap block. A slab must outlive
      *                    the array.
@@ -95,8 +86,7 @@ class SetAssocCache
      */
     SetAssocCache(std::string name, std::uint64_t capacity,
                   std::uint64_t line_size, std::uint32_t ways,
-                  ReplacementPolicy policy = ReplacementPolicy::Lru,
-                  std::uint64_t seed = 1, TagSlab *slab = nullptr);
+                  TagSlab *slab = nullptr);
 
     /**
      * Slab bytes an array of this geometry takes, so an owner can size
@@ -389,7 +379,7 @@ class SetAssocCache
     SetRef setAt(SetIdx set);
     std::uint32_t findWay(const std::uint32_t *tags,
                           std::uint32_t tag) const;
-    std::uint32_t victimWay(SetRef set);
+    std::uint32_t victimWay(SetRef set) const;
     /**
      * Advance the clock of @p set, renumbering first if it would pass
      * kMaxStamp. @return The clock's new value.
@@ -409,7 +399,12 @@ class SetAssocCache
      */
     void renumber(std::uint64_t c);
     /** Record a hit at clock value @p now on the way of meta word @p meta. */
-    void touch(std::uint16_t &meta, bool dirty, std::uint32_t now) const;
+    static void
+    touch(std::uint16_t &meta, bool dirty, std::uint32_t now)
+    {
+        meta = static_cast<std::uint16_t>(now << 1 |
+                                          (meta & kDirtyBit) | dirty);
+    }
     bool lookup(Addr addr, bool write);
     /** Remember that the line of @p addr, at @p slot, just missed. */
     void
@@ -424,7 +419,6 @@ class SetAssocCache
     std::uint64_t line;
     std::uint32_t waysPerSet;
     std::uint64_t sets;
-    ReplacementPolicy policy;
     unsigned lineShift = 0; // log2(line)
     unsigned setShift = 0;  // log2(sets) if setsPow2, else 0
     bool setsPow2 = false;  // set index by mask, not by modulo
@@ -434,8 +428,8 @@ class SetAssocCache
      * (kInvalidTag when the way is empty), then waysPerSet 16-bit meta
      * words, each stamp << 1 | dirty, then zero padding. A tag is the
      * line number above the set bits, or the whole line number when
-     * the set count is not a power of two. The stamp is the last use
-     * under LRU, the fill time under FIFO, and unused under Random.
+     * the set count is not a power of two. The stamp is the way's last
+     * use.
      */
     std::vector<std::byte, LineAligned<std::byte>> arr;
     /** The clock of an array of at most kClockSets sets. */
@@ -449,7 +443,6 @@ class SetAssocCache
      */
     std::uint64_t missLine = kNoLine;
     Slot missSlot{};
-    sim::Rng rng;
     Stats statsData;
     /**
      * The clocks of an array of more than kClockSets sets, one per

@@ -6,10 +6,10 @@ Tlb::Tlb(std::string name, const Config &config, TagSlab *slab)
     : cfg(config),
       l1(name + ".l1", static_cast<std::uint64_t>(config.l1Entries) *
                            config.pageSize,
-         config.pageSize, config.l1Ways, ReplacementPolicy::Lru, 1, slab),
+         config.pageSize, config.l1Ways, slab),
       l2(name + ".l2", static_cast<std::uint64_t>(config.l2Entries) *
                            config.pageSize,
-         config.pageSize, config.l2Ways, ReplacementPolicy::Lru, 1, slab)
+         config.pageSize, config.l2Ways, slab)
 {
 }
 

@@ -32,7 +32,7 @@ EventQueue::setTiePerturbation(std::uint64_t seed)
     tieSeed = seed;
 }
 
-EventId
+void
 EventQueue::schedule(Ticks when, Callback fn, EventPriority prio,
                      Warm warm)
 {
@@ -54,7 +54,6 @@ EventQueue::schedule(Ticks when, Callback fn, EventPriority prio,
     s.fn = std::move(fn);
     s.warm = warm;
     s.busy = true;
-    s.cancelled = false;
     const std::uint64_t seq = (nextSeq)++;
 #if ASTRIFLASH_CHECKS_ENABLED
     // Seed 0 keeps tie == seq, bit-for-bit the unperturbed order.
@@ -64,29 +63,6 @@ EventQueue::schedule(Ticks when, Callback fn, EventPriority prio,
 #else
     heapPush(Node{when, static_cast<std::int32_t>(prio), slot, seq});
 #endif
-    return packId(slot, s.gen);
-}
-
-bool
-EventQueue::deschedule(EventId id)
-{
-    // Only events that are still pending can be cancelled;
-    // descheduling an already-fired or bogus id is a harmless no-op
-    // (the generation tag catches handles whose slot was reused).
-    const auto slot = static_cast<std::uint32_t>(id >> 32);
-    const auto gen = static_cast<std::uint32_t>(id);
-    if (slot >= slots.size())
-        return false;
-    Slot &s = slots[slot];
-    if (!s.busy || s.cancelled || s.gen != gen)
-        return false;
-    s.cancelled = true;
-    s.fn.reset(); // release captured resources eagerly
-    s.warm = {};
-    ++cancelledCount;
-    if (wantCompaction())
-        compact();
-    return true;
 }
 
 void
@@ -120,9 +96,6 @@ EventQueue::releaseSlot(std::uint32_t slot)
     s.fn.reset();
     s.warm = {};
     s.busy = false;
-    s.cancelled = false;
-    if (++s.gen == 0) // generation 0 is reserved for kInvalidEventId
-        s.gen = 1;
     freeSlots.push_back(slot);
 }
 
@@ -137,38 +110,11 @@ EventQueue::warmNext() const
         w.fn(w.arg);
 }
 
-void
-EventQueue::compact()
-{
-    // One O(n) pass: drop every tombstone, then rebuild the heap.
-    auto keep = heap.begin();
-    for (Node &n : heap) {
-        if (slots[n.slot].cancelled)
-            releaseSlot(n.slot);
-        else
-            *keep++ = n;
-    }
-    heap.erase(keep, heap.end());
-    std::make_heap(heap.begin(), heap.end(), later);
-    cancelledCount = 0;
-    ++compactionCount;
-}
-
 std::uint64_t
-EventQueue::runUntil(Ticks limit)
+EventQueue::runSteps(std::uint64_t max_events)
 {
     std::uint64_t n = 0;
-    while (!heap.empty()) {
-        const Node &top = heap.front();
-        if (slots[top.slot].cancelled) {
-            // Tombstone surfaced: reap it without running anything.
-            const Node dead = heapPop();
-            releaseSlot(dead.slot);
-            --cancelledCount;
-            continue;
-        }
-        if (top.when > limit)
-            break;
+    while (n < max_events && !heap.empty()) {
         const Node node = heapPop();
         ASTRI_ASSERT(node.when >= now);
         now = node.when;
@@ -186,67 +132,19 @@ EventQueue::runUntil(Ticks limit)
     return n;
 }
 
-std::uint64_t
-EventQueue::runSteps(std::uint64_t max_events)
-{
-    std::uint64_t n = 0;
-    while (n < max_events && !heap.empty()) {
-        const Node &top = heap.front();
-        if (slots[top.slot].cancelled) {
-            const Node dead = heapPop();
-            releaseSlot(dead.slot);
-            --cancelledCount;
-            continue;
-        }
-        const Node node = heapPop();
-        ASTRI_ASSERT(node.when >= now);
-        now = node.when;
-        Callback fn = std::move(slots[node.slot].fn);
-        releaseSlot(node.slot);
-        warmNext();
-        ++executedCount;
-        fn();
-        ++n;
-    }
-    return n;
-}
-
 void
 EventQueue::checkInvariants(InvariantChecker &chk) const
 {
     // Slot-table / heap cross-accounting.
-    std::size_t busy = 0, cancelled = 0;
-    for (const Slot &s : slots) {
-        if (s.busy)
-            ++busy;
-        if (s.cancelled) {
-            ++cancelled;
-            SIM_INVARIANT_MSG(chk, s.busy,
-                              "cancelled slot not busy");
-        }
-        SIM_INVARIANT_MSG(chk, s.gen != 0,
-                          "slot holds the reserved generation 0");
-    }
+    std::size_t busy = 0;
+    for (const Slot &s : slots)
+        busy += s.busy;
     SIM_INVARIANT_MSG(chk, busy == heap.size(),
                       "%zu busy slots != %zu heap nodes", busy,
                       heap.size());
-    SIM_INVARIANT_MSG(chk, cancelled == cancelledCount,
-                      "%zu cancelled slots != tracked count %zu",
-                      cancelled, cancelledCount);
     SIM_INVARIANT_MSG(chk, busy + freeSlots.size() == slots.size(),
                       "%zu busy + %zu free != %zu slots", busy,
                       freeSlots.size(), slots.size());
-
-    // Compaction policy bounds the tombstone fraction: deschedule()
-    // compacts eagerly, so a sweep can never observe an over-threshold
-    // heap.
-    SIM_INVARIANT_MSG(chk,
-                      heap.size() <= kCompactMinHeap ||
-                          cancelledCount * kCompactDenominator <=
-                              heap.size(),
-                      "%zu tombstones in a %zu-node heap exceed the "
-                      "compaction threshold",
-                      cancelledCount, heap.size());
 
     for (std::size_t i = 0; i < heap.size(); ++i) {
         const Node &n = heap[i];
@@ -258,7 +156,7 @@ EventQueue::checkInvariants(InvariantChecker &chk) const
                           "heap node seq %llu outside issued range",
                           static_cast<unsigned long long>(n.seq));
         // Time only advances to the earliest pending node, so nothing
-        // in the heap (tombstones included) may lie in the past.
+        // in the heap may lie in the past.
         SIM_INVARIANT_MSG(chk, n.when >= now,
                           "heap node at %llu lies before now %llu",
                           static_cast<unsigned long long>(n.when),

@@ -14,11 +14,9 @@
  * - The binary heap holds small POD nodes only; each node points into
  *   a slot table that owns the callback, so sift operations move
  *   24-byte PODs instead of type-erased callables.
- * - Cancellation is generation-tagged lazy deletion: deschedule()
- *   flips a bit in the slot (O(1), no hashing) and the node is
- *   discarded when it surfaces. When cancelled nodes exceed a fixed
- *   fraction of the heap, the heap is compacted in one O(n) pass, so
- *   tombstones cannot grow without bound.
+ * - Every scheduled event runs: no component cancels one, so the
+ *   queue keeps no handles and the heap holds no tombstones
+ *   (DESIGN.md §24).
  * - An event may carry a warm hook that the queue calls while the
  *   event before it runs, so its owner can prefetch the host lines
  *   its callback will touch (DESIGN.md §9.4).
@@ -37,25 +35,12 @@
 namespace astriflash::sim {
 
 /**
- * Opaque handle identifying a scheduled event (for cancellation).
- * Packs a slot index and a generation tag; a handle goes stale the
- * moment its event fires or is cancelled, and a stale handle can never
- * cancel the slot's next occupant.
- */
-using EventId = std::uint64_t;
-
-/** Sentinel returned for an event that could not be scheduled. */
-inline constexpr EventId kInvalidEventId = 0;
-
-/**
  * Tie-break priorities for events scheduled at the same tick.
- * Lower values run first.
+ * Lower values run first. Any int is a rank: the cores cast theirs
+ * above Default (core::SimCore::eventPrio).
  */
 enum class EventPriority : int {
-    ClockEdge = -10,   ///< Clock-like maintenance events.
-    Default = 0,       ///< Ordinary model events.
-    Stats = 10,        ///< End-of-quantum statistics sampling.
-    Teardown = 100,    ///< Simulation exit bookkeeping.
+    Default = 0, ///< Ordinary model events.
 };
 
 /**
@@ -72,12 +57,11 @@ class EventQueue
     using Callback = InlineFunction<48>;
 
     /**
-     * Host prefetch hook of a pending event. Each time runSteps() or
-     * runUntil() pops an event, before running it, the queue calls
-     * the hook of the new head. A hook may only read simulator state
-     * and issue host prefetch hints: nothing it does can move a
-     * result. A descheduled event's hook never fires. Warm{} is no
-     * hook.
+     * Host prefetch hook of a pending event. Each time runSteps()
+     * pops an event, before running it, the queue calls the hook of
+     * the new head. A hook may only read simulator state and issue
+     * host prefetch hints: nothing it does can move a result. Warm{}
+     * is no hook.
      */
     struct Warm {
         void (*fn)(void *arg);
@@ -98,33 +82,22 @@ class EventQueue
      * @param fn    Callable invoked when the event fires.
      * @param prio  Tie-break priority at equal ticks.
      * @param warm  Host prefetch hook; see Warm.
-     * @return Handle usable with deschedule().
      */
-    EventId schedule(Ticks when, Callback fn,
+    void schedule(Ticks when, Callback fn,
                      EventPriority prio = EventPriority::Default,
                      Warm warm = {});
 
     /** Schedule @p fn to run @p delta ticks from now. */
-    EventId
+    void
     scheduleIn(Ticks delta, Callback fn,
                EventPriority prio = EventPriority::Default,
                Warm warm = {})
     {
-        return schedule(now + delta, std::move(fn), prio, warm);
+        schedule(now + delta, std::move(fn), prio, warm);
     }
 
-    /**
-     * Cancel a pending event.
-     * @return true if the event was pending and is now cancelled.
-     */
-    bool deschedule(EventId id);
-
-    /** Number of pending (non-cancelled) events. */
-    std::size_t
-    pending() const
-    {
-        return heap.size() - cancelledCount;
-    }
+    /** Number of pending events. */
+    std::size_t pending() const { return heap.size(); }
 
     /** True if no runnable events remain. */
     bool empty() const { return pending() == 0; }
@@ -137,15 +110,8 @@ class EventQueue
      */
     void reserve(std::size_t expected_events);
 
-    /**
-     * Run events until the queue drains or @p limit is reached.
-     * Events scheduled exactly at @p limit still run.
-     * @return number of events executed.
-     */
-    std::uint64_t runUntil(Ticks limit);
-
-    /** Run all events until the queue drains. */
-    std::uint64_t run() { return runUntil(kTickNever); }
+    /** Run all events until the queue drains. @return events executed. */
+    std::uint64_t run() { return runSteps(~std::uint64_t{0}); }
 
     /** Execute at most @p max_events events. @return events executed. */
     std::uint64_t runSteps(std::uint64_t max_events);
@@ -153,16 +119,9 @@ class EventQueue
     /** Total events executed over the queue's lifetime. */
     std::uint64_t executed() const { return executedCount; }
 
-    /** Cancelled nodes still parked in the heap (tests, stats). */
-    std::size_t cancelledInHeap() const { return cancelledCount; }
-
-    /** Heap compactions performed over the queue's lifetime. */
-    std::uint64_t compactions() const { return compactionCount; }
-
     /**
-     * Audit the kernel: heap/slot cross-accounting, generation-tag
-     * sanity, the compaction policy's tombstone bound, and no pending
-     * event in the past.
+     * Audit the kernel: heap/slot cross-accounting, no pending event
+     * in the past, and the heap property.
      */
     void checkInvariants(InvariantChecker &chk) const;
 
@@ -189,14 +148,6 @@ class EventQueue
      */
     void setTiePerturbation(std::uint64_t seed);
 
-    /**
-     * Compaction policy: compact when more than kCompactDenominator-th
-     * of a heap larger than kCompactMinHeap nodes is tombstones.
-     * Exposed for tests and the invariant audit.
-     */
-    static constexpr std::size_t kCompactMinHeap = 64;
-    static constexpr std::size_t kCompactDenominator = 2;
-
   private:
     /** POD heap node; the callback lives in slots[slot]. */
     struct Node {
@@ -214,10 +165,8 @@ class EventQueue
     /** Callback owner + liveness state for one in-flight event. */
     struct Slot {
         Callback fn;
-        Warm warm{};           ///< Cleared on cancel and release.
-        std::uint32_t gen = 1; ///< Bumped on release; 0 is never used.
-        bool busy = false;      ///< Scheduled and not yet fired/reaped.
-        bool cancelled = false; ///< deschedule() seen; reap on surface.
+        Warm warm{};       ///< Cleared on release.
+        bool busy = false; ///< Scheduled and not yet fired.
     };
 
     /** Max-heap comparator on "later runs first popped last". */
@@ -235,41 +184,22 @@ class EventQueue
         return a.seq > b.seq;
     }
 
-    static EventId
-    packId(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (static_cast<EventId>(slot) << 32) | gen;
-    }
-
     /** Push a node and restore the heap property (sift-up). */
     void heapPush(const Node &n);
 
     /** Pop the root node and restore the heap property (sift-down). */
     Node heapPop();
 
-    /** Return @p slot to the free list and invalidate its handles. */
+    /** Return @p slot to the free list. */
     void releaseSlot(std::uint32_t slot);
 
     /** Call the warm hook of the next event (see Warm). */
     void warmNext() const;
 
-    /** Drop every cancelled node in one pass and re-heapify. */
-    void compact();
-
-    /** True when the tombstone fraction calls for compaction. */
-    bool
-    wantCompaction() const
-    {
-        return heap.size() > kCompactMinHeap &&
-               cancelledCount * kCompactDenominator > heap.size();
-    }
-
     Ticks now = 0;
     std::uint64_t nextSeq = 1; ///< Next insertion sequence number.
     std::uint64_t tieSeed = 0;
     std::uint64_t executedCount = 0;
-    std::uint64_t compactionCount = 0;
-    std::size_t cancelledCount = 0;
     std::vector<Node> heap; ///< Binary heap, root at index 0.
     std::vector<Slot> slots;
     std::vector<std::uint32_t> freeSlots;

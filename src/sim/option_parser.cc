@@ -50,28 +50,35 @@ OptionParser::addString(const std::string &name, std::string *out,
 
 void
 OptionParser::addUint(const std::string &name, std::uint64_t *out,
-                      const std::string &help)
+                      const std::string &help,
+                      std::function<bool(std::uint64_t)> valid)
 {
-    addCustom(name, "N", help, [out](const std::string &v) {
-        unsigned long long parsed = 0;
-        if (!parseCount(v, &parsed))
-            return false;
-        *out = parsed;
-        return true;
-    });
+    addCustom(name, "N", help,
+              [out, valid = std::move(valid)](const std::string &v) {
+                  unsigned long long parsed = 0;
+                  if (!parseCount(v, &parsed) || (valid && !valid(parsed)))
+                      return false;
+                  *out = parsed;
+                  return true;
+              });
 }
 
 void
 OptionParser::addUint32(const std::string &name, std::uint32_t *out,
-                        const std::string &help)
+                        const std::string &help,
+                        std::function<bool(std::uint32_t)> valid)
 {
-    addCustom(name, "N", help, [out](const std::string &v) {
-        unsigned long long parsed = 0;
-        if (!parseCount(v, &parsed) || parsed > ~std::uint32_t{0})
-            return false;
-        *out = static_cast<std::uint32_t>(parsed);
-        return true;
-    });
+    addCustom(name, "N", help,
+              [out, valid = std::move(valid)](const std::string &v) {
+                  unsigned long long parsed = 0;
+                  if (!parseCount(v, &parsed) || parsed > ~std::uint32_t{0})
+                      return false;
+                  const auto narrow = static_cast<std::uint32_t>(parsed);
+                  if (valid && !valid(narrow))
+                      return false;
+                  *out = narrow;
+                  return true;
+              });
 }
 
 void

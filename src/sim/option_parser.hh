@@ -49,13 +49,16 @@ class OptionParser
                    const std::string &help);
 
     /** Unsigned integer option `--name=N`: decimal digits only, no
-     *  sign, and the value must fit. */
+     *  sign, and the value must fit; any value @p valid (if given)
+     *  returns false for is rejected. */
     void addUint(const std::string &name, std::uint64_t *out,
-                 const std::string &help);
+                 const std::string &help,
+                 std::function<bool(std::uint64_t)> valid = {});
 
     /** 32-bit unsigned option `--name=N`, parsed as addUint(). */
     void addUint32(const std::string &name, std::uint32_t *out,
-                   const std::string &help);
+                   const std::string &help,
+                   std::function<bool(std::uint32_t)> valid = {});
 
     /** Floating-point option `--name=F`; nan and inf are rejected,
      *  and so is any value @p valid (if given) returns false for. */

@@ -50,12 +50,12 @@ class SimObject
      * Schedule a member callback @p delta ticks from now, with an
      * optional host prefetch hook (EventQueue::Warm).
      */
-    EventId
+    void
     scheduleIn(Ticks delta, EventQueue::Callback fn,
                EventPriority prio = EventPriority::Default,
                EventQueue::Warm warm = {})
     {
-        return eq.scheduleIn(delta, std::move(fn), prio, warm);
+        eq.scheduleIn(delta, std::move(fn), prio, warm);
     }
 
   private:

@@ -16,6 +16,17 @@
 
 using namespace astriflash::sim;
 
+namespace {
+
+/** A same-tick rank other than Default; lower ranks run first. */
+EventPriority
+rank(int r)
+{
+    return static_cast<EventPriority>(r);
+}
+
+} // namespace
+
 TEST(EventQueue, StartsAtTickZero)
 {
     EventQueue eq;
@@ -51,10 +62,9 @@ TEST(EventQueue, PriorityBreaksTies)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(5, [&] { order.push_back(2); }, EventPriority::Stats);
+    eq.schedule(5, [&] { order.push_back(2); }, rank(10));
     eq.schedule(5, [&] { order.push_back(1); }, EventPriority::Default);
-    eq.schedule(5, [&] { order.push_back(0); },
-                EventPriority::ClockEdge);
+    eq.schedule(5, [&] { order.push_back(0); }, rank(-10));
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -72,18 +82,6 @@ TEST(EventQueue, EventsCanScheduleEvents)
     EXPECT_EQ(eq.curTick(), 15u);
 }
 
-TEST(EventQueue, RunUntilStopsAtLimitInclusive)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(20, [&] { ++fired; });
-    eq.schedule(21, [&] { ++fired; });
-    EXPECT_EQ(eq.runUntil(20), 2u);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.pending(), 1u);
-}
-
 TEST(EventQueue, RunStepsBoundsExecution)
 {
     EventQueue eq;
@@ -91,44 +89,6 @@ TEST(EventQueue, RunStepsBoundsExecution)
         eq.schedule(i + 1, [] {});
     EXPECT_EQ(eq.runSteps(3), 3u);
     EXPECT_EQ(eq.pending(), 2u);
-}
-
-TEST(EventQueue, DescheduleCancelsPending)
-{
-    EventQueue eq;
-    int fired = 0;
-    const EventId id = eq.schedule(10, [&] { ++fired; });
-    EXPECT_TRUE(eq.deschedule(id));
-    eq.run();
-    EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueue, DescheduleIsIdempotent)
-{
-    EventQueue eq;
-    const EventId id = eq.schedule(10, [] {});
-    EXPECT_TRUE(eq.deschedule(id));
-    EXPECT_FALSE(eq.deschedule(id));
-    EXPECT_FALSE(eq.deschedule(kInvalidEventId));
-    EXPECT_FALSE(eq.deschedule(99999));
-}
-
-TEST(EventQueue, DescheduleAfterFireFails)
-{
-    EventQueue eq;
-    const EventId id = eq.schedule(10, [] {});
-    eq.run();
-    EXPECT_FALSE(eq.deschedule(id));
-}
-
-TEST(EventQueue, PendingCountsOnlyLiveEvents)
-{
-    EventQueue eq;
-    const EventId a = eq.schedule(10, [] {});
-    eq.schedule(20, [] {});
-    EXPECT_EQ(eq.pending(), 2u);
-    eq.deschedule(a);
-    EXPECT_EQ(eq.pending(), 1u);
 }
 
 TEST(EventQueue, ExecutedAccumulates)
@@ -176,84 +136,6 @@ TEST(EventQueue, DeterministicTrace)
     EXPECT_EQ(trace(), trace());
 }
 
-// ---- Generation-tagged slot reuse ----
-
-TEST(EventQueue, StaleHandleCannotCancelReusedSlot)
-{
-    EventQueue eq;
-    int fired = 0;
-    const EventId a = eq.schedule(10, [&] { ++fired; });
-    eq.run();
-    // Slot 0 is free again; the next schedule reuses it under a new
-    // generation, so the stale handle must not alias the new event.
-    const EventId b = eq.schedule(20, [&] { fired += 100; });
-    EXPECT_NE(a, b);
-    EXPECT_FALSE(eq.deschedule(a));
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_TRUE(eq.deschedule(b));
-    eq.run();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, StaleHandleAfterCancelCannotCancelReusedSlot)
-{
-    EventQueue eq;
-    int fired = 0;
-    const EventId a = eq.schedule(10, [&] { ++fired; });
-    EXPECT_TRUE(eq.deschedule(a));
-    eq.run(); // Reaps the tombstone and releases the slot.
-    const EventId b = eq.schedule(20, [&] { ++fired; });
-    EXPECT_FALSE(eq.deschedule(a));
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(eq.deschedule(b) == false);
-}
-
-TEST(EventQueue, HandlesStayUniqueAcrossManyReuses)
-{
-    EventQueue eq;
-    std::vector<EventId> seen;
-    for (int round = 0; round < 50; ++round) {
-        const EventId id = eq.schedule(eq.curTick() + 1, [] {});
-        for (const EventId old : seen)
-            EXPECT_NE(id, old);
-        seen.push_back(id);
-        eq.run();
-    }
-}
-
-// ---- Cancellation from inside a firing callback ----
-
-TEST(EventQueue, CallbackCancelsLaterEvent)
-{
-    EventQueue eq;
-    int fired = 0;
-    EventId victim = kInvalidEventId;
-    victim = eq.schedule(20, [&] { fired += 100; });
-    eq.schedule(10, [&] {
-        ++fired;
-        EXPECT_TRUE(eq.deschedule(victim));
-    });
-    eq.run();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CallbackCancelsSameTickEvent)
-{
-    EventQueue eq;
-    int fired = 0;
-    // Same tick: the first event (earlier seq) cancels the second
-    // before it surfaces.
-    EventId victim = kInvalidEventId;
-    eq.schedule(10, [&] {
-        ++fired;
-        EXPECT_TRUE(eq.deschedule(victim));
-    });
-    victim = eq.schedule(10, [&] { fired += 100; });
-    eq.run();
-    EXPECT_EQ(fired, 1);
-}
-
 TEST(EventQueue, CallbackReschedulesDuringFire)
 {
     // The firing slot is released before the callback runs, so the
@@ -272,26 +154,6 @@ TEST(EventQueue, CallbackReschedulesDuringFire)
     EXPECT_EQ(at.back(), 74u);
 }
 
-// ---- Tie-break ordering under the slot/heap split ----
-
-TEST(EventQueue, TieBreakSurvivesCancellations)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    std::vector<EventId> ids;
-    for (int i = 0; i < 16; ++i)
-        ids.push_back(eq.schedule(5, [&order, i] {
-            order.push_back(i);
-        }));
-    for (int i = 0; i < 16; i += 2)
-        EXPECT_TRUE(eq.deschedule(ids[static_cast<std::size_t>(i)]));
-    eq.run();
-    std::vector<int> expect;
-    for (int i = 1; i < 16; i += 2)
-        expect.push_back(i);
-    EXPECT_EQ(order, expect);
-}
-
 TEST(EventQueue, PriorityThenInsertionOrderAfterReuse)
 {
     EventQueue eq;
@@ -301,58 +163,12 @@ TEST(EventQueue, PriorityThenInsertionOrderAfterReuse)
         eq.schedule(1, [] {});
     eq.run();
     std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(2); }, EventPriority::Stats);
-    eq.schedule(10, [&] { order.push_back(0); },
-                EventPriority::ClockEdge);
+    eq.schedule(10, [&] { order.push_back(2); }, rank(10));
+    eq.schedule(10, [&] { order.push_back(0); }, rank(-10));
     eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(10, [&] { order.push_back(3); },
-                EventPriority::Teardown);
+    eq.schedule(10, [&] { order.push_back(3); }, rank(100));
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-// ---- Compaction policy ----
-
-TEST(EventQueue, CompactionReclaimsTombstones)
-{
-    EventQueue eq;
-    std::vector<EventId> ids;
-    const std::size_t n = EventQueue::kCompactMinHeap * 4;
-    for (std::size_t i = 0; i < n; ++i)
-        ids.push_back(eq.schedule(1000 + i, [] {}));
-    // Cancel well past the tombstone threshold; the queue must compact
-    // eagerly rather than let cancelled nodes accumulate.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i % 3 != 0) {
-            EXPECT_TRUE(eq.deschedule(ids[i]));
-        }
-    }
-    EXPECT_GE(eq.compactions(), 1u);
-    // Post-compaction bound: tombstones are at most 1/kCompactDenominator
-    // of the heap (for heaps above the minimum size). Heap size is the
-    // live events plus the tombstones still parked in it.
-    const std::size_t heap_size = eq.pending() + eq.cancelledInHeap();
-    EXPECT_TRUE(heap_size <= EventQueue::kCompactMinHeap ||
-                eq.cancelledInHeap() * EventQueue::kCompactDenominator <=
-                    heap_size);
-    astriflash::sim::InvariantChecker chk;
-    eq.checkInvariants(chk);
-    EXPECT_EQ(chk.failures(), 0u);
-    eq.run();
-    EXPECT_EQ(eq.executed(), (n + 2) / 3); // The i % 3 == 0 survivors.
-}
-
-TEST(EventQueue, SmallHeapsNeverCompact)
-{
-    EventQueue eq;
-    std::vector<EventId> ids;
-    for (std::size_t i = 0; i < EventQueue::kCompactMinHeap; ++i)
-        ids.push_back(eq.schedule(100 + i, [] {}));
-    for (const EventId id : ids)
-        EXPECT_TRUE(eq.deschedule(id));
-    EXPECT_EQ(eq.compactions(), 0u);
-    eq.run();
-    EXPECT_EQ(eq.executed(), 0u);
 }
 
 // ---- Invariant audit & reserve ----
@@ -360,11 +176,8 @@ TEST(EventQueue, SmallHeapsNeverCompact)
 TEST(EventQueue, InvariantsHoldOnBusyQueue)
 {
     EventQueue eq;
-    std::vector<EventId> ids;
     for (int i = 0; i < 200; ++i)
-        ids.push_back(eq.schedule((i * 17) % 97 + 1, [] {}));
-    for (int i = 0; i < 200; i += 5)
-        eq.deschedule(ids[static_cast<std::size_t>(i)]);
+        eq.schedule((i * 17) % 97 + 1, [] {});
     eq.runSteps(50);
     astriflash::sim::InvariantChecker chk;
     eq.checkInvariants(chk);
@@ -452,14 +265,12 @@ TEST(EventQueuePerturbation, PerturbationRespectsTimeAndPriority)
     eq.schedule(20, [&] { order.push_back(200); });
     for (int i = 0; i < 8; ++i)
         eq.schedule(10, [&order, i] { order.push_back(100 + i); });
-    eq.schedule(10, [&] { order.push_back(99); },
-                EventPriority::ClockEdge);
-    eq.schedule(10, [&] { order.push_back(150); },
-                EventPriority::Stats);
+    eq.schedule(10, [&] { order.push_back(99); }, rank(-10));
+    eq.schedule(10, [&] { order.push_back(150); }, rank(10));
     eq.run();
     ASSERT_EQ(order.size(), 11u);
-    EXPECT_EQ(order.front(), 99);   // tick 10, ClockEdge
-    EXPECT_EQ(order[9], 150);       // tick 10, Stats
+    EXPECT_EQ(order.front(), 99);   // tick 10, rank -10
+    EXPECT_EQ(order[9], 150);       // tick 10, rank 10
     EXPECT_EQ(order.back(), 200);   // tick 20
     for (std::size_t i = 1; i <= 8; ++i) {
         EXPECT_GE(order[i], 100);
@@ -523,7 +334,7 @@ TEST(EventQueueWarm, HeadIsWarmedAfterEachPop)
     eq.runSteps(2); // pops 1: warms 2; pops 2: warms 3
     EXPECT_EQ(log.calls, (std::vector<int>{2, 3}));
     log.calls.clear();
-    eq.runUntil(kTickNever); // pops 3 into an empty heap
+    eq.run(); // pops 3 into an empty heap
     EXPECT_TRUE(log.calls.empty());
 }
 
@@ -539,35 +350,10 @@ TEST(EventQueueWarm, HookSeesStateBeforeItsPredecessorRuns)
     EXPECT_EQ(log.calls, (std::vector<int>{1, 0}));
 }
 
-TEST(EventQueueWarm, DescheduledHookNeverFires)
-{
-    EventQueue eq;
-    WarmLog log;
-    std::vector<Labelled> labels;
-    labels.reserve(64);
-    std::vector<EventId> ids;
-    for (int i = 0; i < 64; ++i) {
-        labels.push_back({&log, i});
-        ids.push_back(eq.schedule(Ticks(i + 1), [] {},
-                                  EventPriority::Default,
-                                  labels.back().warm()));
-    }
-    // Cancel every third event; each sits next in line when the
-    // event before it pops.
-    for (int i = 1; i < 64; i += 3)
-        EXPECT_TRUE(eq.deschedule(ids[i]));
-    eq.run();
-    EXPECT_EQ(eq.executed(), 43u);
-    for (const int label : log.calls)
-        EXPECT_NE(label % 3, 1) << "cancelled event " << label
-                                << " warmed";
-    EXPECT_FALSE(log.calls.empty());
-}
-
 TEST(EventQueueWarm, HooksChangeNeitherOrderNorCount)
 {
-    // The same seeded schedule/cancel/reschedule stream with and
-    // without hooks must execute the same events in the same order.
+    // The same seeded schedule/reschedule stream with and without
+    // hooks must execute the same events in the same order.
     auto drive = [](bool hooks) {
         EventQueue eq;
         WarmLog log;
@@ -575,7 +361,6 @@ TEST(EventQueueWarm, HooksChangeNeitherOrderNorCount)
         const EventQueue::Warm warm =
             hooks ? label.warm() : EventQueue::Warm{};
         std::vector<int> order;
-        std::vector<EventId> ids;
         std::uint64_t x = 12345;
         auto rnd = [&x](std::uint64_t n) {
             x = x * 6364136223846793005ull + 1442695040888963407ull;
@@ -584,7 +369,7 @@ TEST(EventQueueWarm, HooksChangeNeitherOrderNorCount)
         int next = 0;
         std::function<void()> spawn = [&] {
             const int id = next++;
-            ids.push_back(eq.scheduleIn(
+            eq.scheduleIn(
                 rnd(20),
                 [&, id] {
                     order.push_back(id);
@@ -592,10 +377,8 @@ TEST(EventQueueWarm, HooksChangeNeitherOrderNorCount)
                         spawn();
                     if (next < 3000 && rnd(3) == 0)
                         spawn();
-                    if (rnd(5) == 0)
-                        eq.deschedule(ids[rnd(ids.size())]);
                 },
-                static_cast<EventPriority>(rnd(3)), warm));
+                rank(static_cast<int>(rnd(3))), warm);
         };
         for (int i = 0; i < 16; ++i)
             spawn();

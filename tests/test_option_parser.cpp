@@ -142,6 +142,28 @@ TEST(OptionParser, DoublePredicateCanReject)
     EXPECT_EQ(load, 0.0);
 }
 
+TEST(OptionParser, UintPredicateCanReject)
+{
+    std::uint64_t jobs = 7;
+    std::uint32_t cores = 3;
+    OptionParser opts("prog", "test");
+    const auto positive = [](std::uint64_t n) { return n > 0; };
+    opts.addUint("jobs", &jobs, "a count", positive);
+    opts.addUint32("cores", &cores, "a count", positive);
+    for (const char *bad : {"--jobs=0", "--cores=0"}) {
+        const Argv a({bad});
+        EXPECT_EQ(opts.parse(a.argc(), a.argv()),
+                  OptionParser::Status::Error)
+            << bad;
+    }
+    EXPECT_EQ(jobs, 7u);
+    EXPECT_EQ(cores, 3u);
+    const Argv ok({"--jobs=1", "--cores=4294967295"});
+    EXPECT_EQ(opts.parse(ok.argc(), ok.argv()), OptionParser::Status::Ok);
+    EXPECT_EQ(jobs, 1u);
+    EXPECT_EQ(cores, 4294967295u);
+}
+
 TEST(OptionParser, RejectsMissingValueForValuedOption)
 {
     std::uint64_t jobs = 0;

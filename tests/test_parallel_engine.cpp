@@ -6,22 +6,26 @@
  * but the last runs exactly the event budget, and the stop hook is
  * read only between rounds.
  *
- * System-level coverage: every committed golden and the depth-1,
- * mid-run-reset and sharded runs are byte-identical whatever
- * SystemConfig::hostJobs says, since the field is a no-op kept for
- * the benchmark; the run-loop telemetry matches the events executed.
+ * System-level coverage: every committed golden and the mid-run-reset
+ * and sharded runs are byte-identical whatever SystemConfig::hostJobs
+ * says, since the field is a no-op kept for the benchmark; a depth-1
+ * run keeps its recorded window stalls and service tail; the run-loop
+ * telemetry matches the events executed.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/bounded_channel.hh"
 #include "sim/parallel_engine.hh"
 
+#include "core/dram_cache.hh"
 #include "core/system.hh"
 
 #include "golden_cases.hh"
@@ -173,13 +177,37 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelSystem, DepthOneChannelsStayByteIdentical)
 {
-    // Depth-1 controller channels exercise maximum backpressure on
-    // the FC<->BC seam; hostJobs must not change a byte.
+    // Depth-1 windows put the most backpressure on every shard's
+    // fc_to_bc and bc_to_flash seams. The stalls each window charges
+    // and the service tail they feed must stay the values recorded
+    // from the commit that retired the causality auditor, so a
+    // moved window tick (a flash read submitted at `now` instead of
+    // at its accept tick, DESIGN.md §14.2) fails here.
     SystemConfig cfg = smallCfg();
     cfg.dramCache.channels.fcToBcDepth = 1;
     cfg.dramCache.channels.bcToFlashDepth = 1;
-    const std::string one = statsAt(cfg, 1);
-    EXPECT_EQ(statsAt(cfg, 2), one);
+    System sys(cfg);
+    const RunResults r = sys.run();
+    DramCache &dc = *sys.dramCache();
+    ASSERT_EQ(dc.shardCount(), 2u);
+    struct Window {
+        const sim::BoundedChannel *ch;
+        std::uint64_t fullStalls;
+        std::uint64_t stallTicks;
+    };
+    const Window want[] = {
+        {&dc.missChannel(0), 89, 4910654220},
+        {&dc.flashChannel(0), 10, 416952880},
+        {&dc.missChannel(1), 71, 3734966850},
+        {&dc.flashChannel(1), 15, 770165580},
+    };
+    for (const Window &w : want) {
+        EXPECT_EQ(w.ch->stats().fullStalls.value(), w.fullStalls)
+            << w.ch->name();
+        EXPECT_EQ(w.ch->stats().stallTicks.value(), w.stallTicks)
+            << w.ch->name();
+    }
+    EXPECT_DOUBLE_EQ(r.serviceUs(0.99), 444.596223);
 }
 
 TEST(ParallelSystem, ResetStatsMidRunStaysByteIdentical)

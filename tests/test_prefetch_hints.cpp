@@ -123,15 +123,9 @@ driveCachePair(SetAssocCache &plain, SetAssocCache &hinted, Addr range,
 
 TEST(PrefetchHints, SetAssocCacheUnchanged)
 {
-    // A power-of-two LRU array and a random-policy one, whose victims
-    // would shift if a hint drew from its RNG.
-    for (const auto policy :
-         {ReplacementPolicy::Lru, ReplacementPolicy::Random}) {
-        SetAssocCache plain("pow2", 64 * 4 * 64, 64, 4, policy, 7);
-        SetAssocCache hinted("pow2", 64 * 4 * 64, 64, 4, policy, 7);
-        driveCachePair(plain, hinted, 64 * 4 * 64 * 8,
-                       policy == ReplacementPolicy::Lru ? 1 : 2);
-    }
+    SetAssocCache plain("pow2", 64 * 4 * 64, 64, 4);
+    SetAssocCache hinted("pow2", 64 * 4 * 64, 64, 4);
+    driveCachePair(plain, hinted, 64 * 4 * 64 * 8, 1);
 }
 
 TEST(PrefetchHints, NonPowerOfTwoSetCountUnchanged)

@@ -22,10 +22,25 @@ using namespace astriflash::mem;
 namespace {
 
 SetAssocCache
-makeTiny(ReplacementPolicy p = ReplacementPolicy::Lru)
+makeTiny()
 {
     // 4 sets x 2 ways x 64 B lines.
-    return SetAssocCache("t", 4 * 2 * 64, 64, 2, p);
+    return SetAssocCache("t", 4 * 2 * 64, 64, 2);
+}
+
+/**
+ * Which of three seeded call streams a parameterised test replays:
+ * stream First runs each test's base seed, Second and Third the two
+ * seeds after it. A scoped enum, so gtest names an instance by its
+ * raw bytes.
+ */
+enum class Stream { First, Second, Third };
+
+/** Seed of @p stream for a test whose base seed is @p base. */
+std::uint64_t
+seedOf(std::uint64_t base, Stream stream)
+{
+    return base + static_cast<std::uint64_t>(stream);
 }
 
 } // namespace
@@ -52,27 +67,6 @@ TEST(SetAssocCache, LruEvictsLeastRecent)
     EXPECT_EQ(victim->tag_addr, 256u);
     EXPECT_TRUE(c.contains(0));
     EXPECT_FALSE(c.contains(256));
-}
-
-TEST(SetAssocCache, FifoEvictsOldestFill)
-{
-    auto c = makeTiny(ReplacementPolicy::Fifo);
-    c.fill(0);
-    c.fill(256);
-    EXPECT_TRUE(c.access(0)); // recency must NOT matter for FIFO
-    const auto victim = c.fill(512);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_EQ(victim->tag_addr, 0u);
-}
-
-TEST(SetAssocCache, RandomPolicyEvictsSomeValidWay)
-{
-    auto c = makeTiny(ReplacementPolicy::Random);
-    c.fill(0);
-    c.fill(256);
-    const auto victim = c.fill(512);
-    ASSERT_TRUE(victim.has_value());
-    EXPECT_TRUE(victim->tag_addr == 0 || victim->tag_addr == 256);
 }
 
 TEST(SetAssocCache, DirtyTrackedThroughEviction)
@@ -200,7 +194,7 @@ TEST(SetAssocCacheDeath, RejectsAddressWhoseTagCannotFit)
 
 /**
  * Property sweep: under random traffic, structural invariants hold
- * for every geometry/policy combination:
+ * for every geometry and call stream:
  *  - valid lines never exceed capacity/line;
  *  - a filled line is found until evicted;
  *  - per-set occupancy never exceeds associativity (checked via the
@@ -208,16 +202,16 @@ TEST(SetAssocCacheDeath, RejectsAddressWhoseTagCannotFit)
  */
 class CacheProperty
     : public ::testing::TestWithParam<
-          std::tuple<std::uint32_t, std::uint64_t, ReplacementPolicy>>
+          std::tuple<std::uint32_t, std::uint64_t, Stream>>
 {
 };
 
 TEST_P(CacheProperty, InvariantsUnderRandomTraffic)
 {
-    const auto [ways, sets, policy] = GetParam();
+    const auto [ways, sets, stream] = GetParam();
     const std::uint64_t line = 64;
-    SetAssocCache c("p", sets * ways * line, line, ways, policy, 77);
-    astriflash::sim::Rng rng(123);
+    SetAssocCache c("p", sets * ways * line, line, ways);
+    astriflash::sim::Rng rng(seedOf(123, stream));
 
     const std::uint64_t frames = sets * ways;
     std::set<Addr> resident;
@@ -242,47 +236,41 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::uint64_t{1},
                                          std::uint64_t{16},
                                          std::uint64_t{64}),
-                       ::testing::Values(ReplacementPolicy::Lru,
-                                         ReplacementPolicy::Fifo,
-                                         ReplacementPolicy::Random)));
+                       ::testing::Values(Stream::First, Stream::Second,
+                                         Stream::Third)));
 
-/** Page-granularity instantiation used by the DRAM cache. */
 /**
  * victimWay() takes an empty way as the least meta word, so the audit
  * must find every valid way stamped in 1..clock, every empty way and
- * every padding word holding 0, whatever mix of calls and policy left
- * them. Three in five calls advance the clock, so each policy's run
- * crosses at least one renumbering.
+ * every padding word holding 0, whatever mix of calls left them.
+ * Three in five calls advance the clock, so the run crosses at least
+ * one renumbering.
  */
 TEST(SetAssocCache, AuditHoldsUnderEveryCall)
 {
     const int calls = 3 * (SetAssocCache::kMaxStamp + 1);
-    for (const ReplacementPolicy p :
-         {ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
-          ReplacementPolicy::Random}) {
-        SetAssocCache c("a", 8 * 4 * 64, 64, 4, p, 5);
-        astriflash::sim::Rng rng(17);
-        for (int i = 0; i < calls; ++i) {
-            const Addr a = rng.uniformInt(8 * 4 * 3) * 64;
-            switch (rng.uniformInt(5)) {
-              case 0: c.access(a); break;
-              case 1: c.accessWrite(a); break;
-              case 2: c.fill(a, rng.uniformInt(2) == 0); break;
-              case 3: c.markDirty(a); break;
-              default: c.invalidate(a); break;
-            }
-            if (i % 97 == 0)
-                c.flushAll();
-            astriflash::sim::InvariantChecker chk;
-            c.checkInvariants(chk);
-            ASSERT_EQ(chk.failures(), 0u)
-                << "call " << i << ": "
-                << chk.violations().front().detail;
+    SetAssocCache c("a", 8 * 4 * 64, 64, 4);
+    astriflash::sim::Rng rng(17);
+    for (int i = 0; i < calls; ++i) {
+        const Addr a = rng.uniformInt(8 * 4 * 3) * 64;
+        switch (rng.uniformInt(5)) {
+          case 0: c.access(a); break;
+          case 1: c.accessWrite(a); break;
+          case 2: c.fill(a, rng.uniformInt(2) == 0); break;
+          case 3: c.markDirty(a); break;
+          default: c.invalidate(a); break;
         }
-        EXPECT_GT(c.stats().evictions.value(), 0u);
+        if (i % 97 == 0)
+            c.flushAll();
+        astriflash::sim::InvariantChecker chk;
+        c.checkInvariants(chk);
+        ASSERT_EQ(chk.failures(), 0u)
+            << "call " << i << ": " << chk.violations().front().detail;
     }
+    EXPECT_GT(c.stats().evictions.value(), 0u);
 }
 
+/** Page-granularity instantiation used by the DRAM cache. */
 TEST(SetAssocCache, PageGranularity)
 {
     SetAssocCache c("pages", 16 * 8 * 4096, 4096, 8);
@@ -295,9 +283,9 @@ TEST(SetAssocCache, PageGranularity)
 namespace {
 
 /**
- * Reference model for the differential test: the plain array-of-ways
- * tag store, one struct per way with a tag, valid and dirty bits and
- * separate last-use and fill stamps, searched pass by pass.
+ * LRU reference model for the differential test: the plain
+ * array-of-ways tag store, one struct per way with a tag, valid and
+ * dirty bits and a 64-bit last-use stamp, searched pass by pass.
  * SetAssocCache must agree with it on every result, victim and count.
  */
 class RefCache
@@ -306,10 +294,8 @@ class RefCache
     std::uint64_t hits = 0, misses = 0, evictions = 0, dirtyEvictions = 0,
                   fills = 0, invalidations = 0, valid = 0;
 
-    RefCache(std::uint64_t sets, std::uint64_t line, std::uint32_t ways,
-             ReplacementPolicy policy, std::uint64_t seed)
-        : sets(sets), line(line), ways(ways), policy(policy), rng(seed),
-          arr(sets * ways)
+    RefCache(std::uint64_t sets, std::uint64_t line, std::uint32_t ways)
+        : sets(sets), line(line), ways(ways), arr(sets * ways)
     {
     }
 
@@ -362,7 +348,7 @@ class RefCache
         } else {
             ++valid;
         }
-        w = Way{addr / line * line, true, dirty, stamp, stamp};
+        w = Way{addr / line * line, true, dirty, stamp};
         ++fills;
         return evicted;
     }
@@ -403,7 +389,6 @@ class RefCache
         bool valid = false;
         bool dirty = false;
         std::uint64_t lastUse = 0;
-        std::uint64_t fillTime = 0;
     };
 
     Way *set(Addr addr) { return &arr[addr / line % sets * ways]; }
@@ -426,14 +411,9 @@ class RefCache
             if (!base[w].valid)
                 return base[w];
         }
-        if (policy == ReplacementPolicy::Random)
-            return base[rng.uniformInt(ways)];
         std::uint32_t old = 0;
         for (std::uint32_t w = 1; w < ways; ++w) {
-            const bool older = policy == ReplacementPolicy::Fifo
-                ? base[w].fillTime < base[old].fillTime
-                : base[w].lastUse < base[old].lastUse;
-            if (older)
+            if (base[w].lastUse < base[old].lastUse)
                 old = w;
         }
         return base[old];
@@ -441,8 +421,6 @@ class RefCache
 
     std::uint64_t sets, line;
     std::uint32_t ways;
-    ReplacementPolicy policy;
-    astriflash::sim::Rng rng;
     std::vector<Way> arr;
     std::uint64_t stamp = 0;
 };
@@ -472,9 +450,9 @@ class Lockstep
     SetAssocCache c;
     RefCache ref;
 
-    Lockstep(const Geometry &g, ReplacementPolicy policy)
-        : c("d", g.sets * g.ways * g.line, g.line, g.ways, policy, 91),
-          ref(g.sets, g.line, g.ways, policy, 91)
+    explicit Lockstep(const Geometry &g)
+        : c("d", g.sets * g.ways * g.line, g.line, g.ways),
+          ref(g.sets, g.line, g.ways)
     {
     }
 
@@ -592,15 +570,15 @@ randomMix(Lockstep &rig, const Geometry &g, astriflash::sim::Rng &rng,
  * and dirtiness), valid-line counts and stats after every operation.
  */
 class CacheDifferential
-    : public ::testing::TestWithParam<std::tuple<Geometry, ReplacementPolicy>>
+    : public ::testing::TestWithParam<std::tuple<Geometry, Stream>>
 {
 };
 
 TEST_P(CacheDifferential, MatchesReferenceModel)
 {
-    const auto [g, policy] = GetParam();
-    Lockstep rig(g, policy);
-    astriflash::sim::Rng rng(2024);
+    const auto [g, stream] = GetParam();
+    Lockstep rig(g);
+    astriflash::sim::Rng rng(seedOf(2024, stream));
     randomMix(rig, g, rng, 150000);
 }
 
@@ -614,9 +592,9 @@ TEST_P(CacheDifferential, MatchesReferenceModel)
  */
 TEST_P(CacheDifferential, MissThenFillMatchesReferenceModel)
 {
-    const auto [g, policy] = GetParam();
-    Lockstep rig(g, policy);
-    astriflash::sim::Rng rng(77);
+    const auto [g, stream] = GetParam();
+    Lockstep rig(g);
+    astriflash::sim::Rng rng(seedOf(77, stream));
     for (int i = 0; i < 60000; ++i) {
         const Addr a = randomAddr(g, rng);
         // A markDirty miss is followed by a dirty fill, as in a cascade.
@@ -656,9 +634,9 @@ TEST_P(CacheDifferential, MissThenFillMatchesReferenceModel)
  */
 TEST_P(CacheDifferential, MatchesReferenceModelAcrossRenumberings)
 {
-    const auto [g, policy] = GetParam();
-    Lockstep rig(g, policy);
-    astriflash::sim::Rng rng(4099);
+    const auto [g, stream] = GetParam();
+    Lockstep rig(g);
+    astriflash::sim::Rng rng(seedOf(4099, stream));
     const std::uint64_t clocks =
         (g.sets + SetAssocCache::kClockSets - 1) / SetAssocCache::kClockSets;
     const std::uint64_t ticks = 4 * (SetAssocCache::kMaxStamp + 1) * clocks;
@@ -685,8 +663,7 @@ INSTANTIATE_TEST_SUITE_P(
                           Geometry{1, 1, 64},       // one way
                           Geometry{64, 3, 64},      // ways % 4 != 0
                           Geometry{1, 96, 4096}),   // two 64-way blocks
-        ::testing::Values(ReplacementPolicy::Lru, ReplacementPolicy::Fifo,
-                          ReplacementPolicy::Random)));
+        ::testing::Values(Stream::First, Stream::Second, Stream::Third)));
 
 /**
  * The 15-bit clock wraps without changing a victim: after a random
@@ -694,18 +671,17 @@ INSTANTIATE_TEST_SUITE_P(
  * kMaxStamp three times, each renumbering every set's stamps, and the
  * mix continues against RefCache, whose stamps are 64-bit. The other
  * ways keep the older stamps and dirty bits the mix left them, so
- * each renumbering must order them against the hot lines. Random
- * replacement ignores stamps and is left out.
+ * each renumbering must order them against the hot lines.
  */
-class CacheClockWrap : public ::testing::TestWithParam<ReplacementPolicy>
+class CacheClockWrap : public ::testing::TestWithParam<Stream>
 {
 };
 
 TEST_P(CacheClockWrap, RenumberingKeepsEveryVictim)
 {
     const Geometry g{4, 4, 4096};
-    Lockstep rig(g, GetParam());
-    astriflash::sim::Rng rng(31);
+    Lockstep rig(g);
+    astriflash::sim::Rng rng(seedOf(31, GetParam()));
     ASSERT_NO_FATAL_FAILURE(randomMix(rig, g, rng, 20000));
 
     // One hot line per set, resident in both models.
@@ -740,6 +716,5 @@ TEST_P(CacheClockWrap, RenumberingKeepsEveryVictim)
     ASSERT_NO_FATAL_FAILURE(randomMix(rig, g, rng, 150000));
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, CacheClockWrap,
-                         ::testing::Values(ReplacementPolicy::Lru,
-                                           ReplacementPolicy::Fifo));
+INSTANTIATE_TEST_SUITE_P(Streams, CacheClockWrap,
+                         ::testing::Values(Stream::First, Stream::Second));

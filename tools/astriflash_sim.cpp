@@ -158,12 +158,14 @@ main(int argc, char **argv)
                    [&](const std::string &v) {
                        return parseWorkload(v, &cfg.workloadKind);
                    });
-    opts.addUint32("cores", &cfg.cores, "number of simulated cores");
+    const auto positive = [](std::uint64_t n) { return n > 0; };
+    opts.addUint32("cores", &cfg.cores, "number of simulated cores",
+                   positive);
     opts.addDouble("dataset-gib", &dataset_gib, "dataset size in GiB",
                    [](double gib) { return gibBytes(gib) != 0; });
     opts.addDouble("dram-ratio", &cfg.dramCacheRatio,
                    "DRAM cache / dataset ratio");
-    opts.addUint("jobs", &cfg.measureJobs, "measured jobs");
+    opts.addUint("jobs", &cfg.measureJobs, "measured jobs", positive);
     opts.addUint("warmup", &cfg.warmupJobs,
                  "warmup jobs (default jobs/10)");
     opts.addDouble("load", &load,
@@ -188,7 +190,7 @@ main(int argc, char **argv)
     opts.addString("trace", &trace_file,
                    "record miss-lifecycle events as JSONL to FILE");
     opts.addUint("trace-cap", &trace_cap,
-                 "trace ring capacity in events");
+                 "trace ring capacity in events", positive);
     FabricOptions fabric;
     fabric.addTo(opts);
     opts.parseOrExit(argc, argv);
