@@ -35,6 +35,7 @@
 #include "mem/address_map.hh"
 #include "sim/event_queue.hh"
 #include "sim/invariant.hh"
+#include "sim/rng.hh"
 
 #include "golden_cases.hh"
 
@@ -303,6 +304,98 @@ TEST(ZnsDevice, ReadsStayConsistentAcrossRelocation)
     EXPECT_EQ(dev.readsCompleted(), user);
 }
 
+namespace {
+
+/** What one seeded GC-pressure stream leaves behind on a fabric. */
+struct GcProbe {
+    std::uint64_t hostWrites = 0;
+    std::uint64_t mediaWrites = 0;
+    std::uint32_t wearSpread = 0;
+    std::uint64_t gcBlockedReads = 0;
+    std::uint64_t completionHash = 0; ///< FNV-1a over every complete.
+};
+
+/**
+ * 20 000 seeded commands (two thirds writes, uniform over the
+ * preloaded pages, 0-40 us apart) into a fabric of @p devices
+ * fastCfg() devices holding @p preload logical pages. With the whole
+ * user capacity preloaded every plane cleans constantly.
+ */
+GcProbe
+runGcProbe(std::uint32_t devices, std::uint64_t preload,
+           flash::BackendKind kind)
+{
+    flash::FlashFabricConfig fab;
+    fab.devices = devices;
+    fab.backend = kind;
+    flash::FlashFabric fabric("f", fastCfg(), fab, preload);
+    Rng rng(0xf1a5 + devices);
+    GcProbe out;
+    out.completionHash = 0xcbf29ce484222325ull;
+    Ticks now = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const bool write = rng.chance(2.0 / 3.0);
+        const flash::FlashCommand cmd{
+            write ? flash::FlashCommand::Op::Write
+                  : flash::FlashCommand::Op::Read,
+            flash::Lpn(rng.uniformInt(preload)), mem::Bytes{0}};
+        const auto r = fabric.submit(cmd, now);
+        out.completionHash =
+            (out.completionHash ^ r.complete) * 0x100000001b3ull;
+        now += microseconds(rng.uniformInt(0, 40));
+    }
+    out.hostWrites = fabric.hostWrites();
+    out.mediaWrites = fabric.mediaWrites();
+    out.wearSpread = fabric.wearSpread();
+    out.gcBlockedReads = fabric.gcBlockedReadCount();
+
+    InvariantRegistry reg;
+    reg.setFailFast(false);
+    reg.add("fabric", [&fabric](InvariantChecker &chk) {
+        fabric.checkInvariants(chk);
+    });
+    EXPECT_EQ(reg.checkAll(now), 0u) << reg.report();
+    return out;
+}
+
+} // namespace
+
+TEST(ZnsDevice, CleaningIsPinnedByValue)
+{
+    // The zone log's cleaning path, pinned by value: the expected
+    // numbers were read from the separate ZNS device model before it
+    // was folded into the FTL, and they must not move. Full preload
+    // (238 pages a device) leaves planes 2 and 3 with a partly
+    // filled preload block; near-full preload leaves one on every
+    // plane.
+    const std::uint64_t user = fastCfg().userPages();
+    ASSERT_EQ(user, 238u);
+    struct Case {
+        std::uint32_t devices;
+        std::uint64_t preload;
+        GcProbe want;
+    };
+    const Case cases[] = {
+        {1, user, {13313, 53220, 56, 6680, 0x3e9bd02174bbb565ull}},
+        {1, user - 10, {13313, 53236, 47, 6681, 0x4bec028c2d29c825ull}},
+        {2, 2 * user, {13272, 53013, 42, 6724, 0xd0ea6289b58bd925ull}},
+        {2, 2 * user - 21,
+         {13272, 53072, 130, 6726, 0x38975c11b9a814a5ull}},
+    };
+    for (const Case &c : cases) {
+        const GcProbe got =
+            runGcProbe(c.devices, c.preload, flash::BackendKind::Zns);
+        const std::string where = std::to_string(c.devices) +
+                                  " devices, preload " +
+                                  std::to_string(c.preload);
+        EXPECT_EQ(got.hostWrites, c.want.hostWrites) << where;
+        EXPECT_EQ(got.mediaWrites, c.want.mediaWrites) << where;
+        EXPECT_EQ(got.wearSpread, c.want.wearSpread) << where;
+        EXPECT_EQ(got.gcBlockedReads, c.want.gcBlockedReads) << where;
+        EXPECT_EQ(got.completionHash, c.want.completionHash) << where;
+    }
+}
+
 // --------------------------------------------------------------------
 // Golden byte-identity with the knobs explicitly at their defaults.
 // --------------------------------------------------------------------
@@ -331,10 +424,11 @@ class ShardFabricGolden
 TEST_P(ShardFabricGolden, ExplicitSingleShardFtlIsByteIdentical)
 {
     const tools::GoldenCase &gc = GetParam();
-    if (gc.shards != 1 || gc.devices != 1) {
-        // Sharded cases pin their shard/device counts as part of their
-        // golden identity; forcing the single-shard defaults would
-        // test a different configuration than the committed file.
+    if (gc.shards != 1 || gc.devices != 1 || gc.zns) {
+        // Sharded and ZNS cases pin their shard/device counts and
+        // device kind as part of their golden identity; forcing the
+        // single-shard FTL defaults would test a different
+        // configuration than the committed file.
         GTEST_SKIP() << "sharded cases define their own shard/device "
                         "partition";
     }
