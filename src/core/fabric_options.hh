@@ -36,14 +36,18 @@ struct FabricOptions {
     flash::BackendKind flashBackend =
         flash::FlashFabricConfig{}.backend;
 
-    /** Register the three flags on @p opts. */
+    /** Register the three flags on @p opts. Zero shards or devices
+     *  is a parse error, not a fatal in a constructor. */
     void
     addTo(sim::OptionParser &opts)
     {
+        const auto positive = [](std::uint32_t n) { return n > 0; };
         opts.addUint32("bc-shards", &bcShards,
-                       "backside-controller shards (page-interleaved)");
+                       "backside-controller shards (page-interleaved)",
+                       positive);
         opts.addUint32("flash-devices", &flashDevices,
-                       "flash devices striped behind the fabric");
+                       "flash devices striped behind the fabric",
+                       positive);
         opts.addCustom(
             "flash-backend", "KIND",
             "flash device model: ftl | zns",

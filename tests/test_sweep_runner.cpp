@@ -177,6 +177,23 @@ TEST(SweepRunner, FabricOptionsPropagateFabricFlags)
               sim::OptionParser::Status::Error);
 }
 
+/** Zero BC shards or zero flash devices is rejected when the flags
+ *  are parsed, and leaves the parsed values untouched. */
+TEST(SweepRunner, FabricOptionsRejectZeroShardsAndDevices)
+{
+    for (const char *bad : {"--bc-shards=0", "--flash-devices=0"}) {
+        FabricOptions fabric;
+        sim::OptionParser opts("bench", "fabric smoke");
+        fabric.addTo(opts);
+        const char *argv[] = {"bench", bad};
+        EXPECT_EQ(opts.parse(2, argv), sim::OptionParser::Status::Error)
+            << bad;
+        EXPECT_EQ(fabric.bcShards, BcConfig{}.shards) << bad;
+        EXPECT_EQ(fabric.flashDevices, flash::FlashFabricConfig{}.devices)
+            << bad;
+    }
+}
+
 /**
  * The determinism contract of DESIGN.md §9: a sweep's stats output is a
  * pure function of each cell's config — byte-identical whether the
