@@ -21,6 +21,7 @@
 
 #include "core/dram_cache.hh"
 #include "core/miss_status_row.hh"
+#include "flash/fabric.hh"
 #include "flash/flash_device.hh"
 #include "mem/address_map.hh"
 #include "mem/cache_hierarchy.hh"
@@ -405,7 +406,8 @@ BM_DramCacheHitPath(benchmark::State &state)
     mem::AddressMap amap(64 << 20, 256 << 20);
     flash::FlashConfig fcfg =
         flash::FlashConfig::forCapacity(512 << 20);
-    flash::FlashDevice flash("f", fcfg, (256 << 20) / 4096);
+    flash::FlashFabric flash("f", fcfg, flash::FlashFabricConfig{},
+                             (256 << 20) / 4096);
     core::DramCacheConfig cfg;
     cfg.capacityBytes = 8 << 20;
     core::DramCache dc(eq, "dc", cfg, flash, amap);

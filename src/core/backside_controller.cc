@@ -15,7 +15,7 @@ namespace astriflash::core {
 BacksideController::BacksideController(
     sim::EventQueue &eq, const std::string &cache_name,
     const std::string &shard_tag, const DramCacheConfig &config,
-    const mem::AddressMap &amap, flash::Backend &flash_dev,
+    const mem::AddressMap &amap, flash::FlashFabric &flash_dev,
     mem::Dram &dram, mem::SetAssocCache &tags,
     FootprintState &footprint, const PageReadyFn &page_ready,
     std::uint32_t msr_sets, std::uint32_t msr_entries_per_set,

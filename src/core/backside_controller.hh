@@ -5,7 +5,7 @@
  * The BC is the programmable (slower per operation) half of the
  * controller pair: it services the MissRequests the facade hands it,
  * deduplicates them through the in-DRAM Miss Status Row, issues 4 KB
- * flash reads through its own flash::Backend submit path, installs
+ * flash reads through the flash::FlashFabric submit path, installs
  * each arrived page (tag fill, footprint masks, DRAM write), parks
  * victims in the evict buffer, and writes dirty victims back to flash
  * off the critical path.
@@ -16,7 +16,7 @@
  * every hand-off is a plain call. It shares the tag array, the
  * DRAM device model, and the footprint masks with the frontside, as
  * both controllers address the same DRAM rows. It never names the
- * frontside controller or a concrete flash device (aflint
+ * frontside controller, a flash device or its FTL (aflint
  * AF013/AF014): its replies go back to the facade as return values,
  * and an installed page's waiters are woken by a plain call to the
  * facade's PageReadyFn, as in the paper, with no notice queue.
@@ -32,7 +32,7 @@
 #include <utility>
 #include <vector>
 
-#include "flash/backend.hh"
+#include "flash/fabric.hh"
 #include "mem/address_map.hh"
 #include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
@@ -80,7 +80,7 @@ class BacksideController : public sim::SimObject
                        const std::string &shard_tag,
                        const DramCacheConfig &config,
                        const mem::AddressMap &amap,
-                       flash::Backend &flash_dev, mem::Dram &dram,
+                       flash::FlashFabric &flash_dev, mem::Dram &dram,
                        mem::SetAssocCache &tags,
                        FootprintState &footprint,
                        const PageReadyFn &page_ready,
@@ -185,7 +185,7 @@ class BacksideController : public sim::SimObject
 
     const DramCacheConfig &cfg;
     const mem::AddressMap &addrMap;
-    flash::Backend &flashDev;
+    flash::FlashFabric &flashDev;
     mem::Dram &dramModel;
     mem::SetAssocCache &pageTags;
     const std::uint64_t setRowStride; ///< dcSetRowStride(cfg).

@@ -6,7 +6,7 @@ namespace astriflash::core {
 
 DramCache::DramCache(sim::EventQueue &eq, std::string name,
                      const DramCacheConfig &config,
-                     flash::Backend &flash,
+                     flash::FlashFabric &flash,
                      const mem::AddressMap &amap)
     : sim::SimObject(eq, std::move(name)), cfg(config),
       dramModel(SimObject::name() + ".dram", config.dram),

@@ -10,7 +10,7 @@
  *
  *   fc_to_bc<i>     the shard's transaction queue (FC miss → BC)
  *   bc_to_flash<i>  the device command queue (the shard submits
- *                   through its abstract flash::Backend)
+ *                   through the flash::FlashFabric)
  *
  * The facade composes one access, in the shape lookup → request →
  * reply: the FC's tag probe serves hits; a miss goes to the page's
@@ -28,9 +28,9 @@
  * controllers address (DRAM device, tag array, footprint masks),
  * constructs the controllers on the system's one event queue, and
  * is the single allowlisted place (aflint AF013)
- * where both controllers are visible at once. The flash back-end it
- * hands each shard is only ever the abstract flash::Backend (aflint
- * AF014 keeps the concrete device types out of src/core entirely).
+ * where both controllers are visible at once. The flash storage it
+ * hands each shard is the flash::FlashFabric (aflint AF014 keeps the
+ * device model and its FTL out of src/core entirely).
  *
  * With one shard the window, controller, and stat names collapse to
  * the pre-sharding spellings ("bc", "fc_to_bc", ...) and the facade is
@@ -52,7 +52,7 @@
 #include <utility>
 #include <vector>
 
-#include "flash/backend.hh"
+#include "flash/fabric.hh"
 #include "mem/address_map.hh"
 #include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
@@ -87,7 +87,7 @@ class DramCache : public sim::SimObject
     /** Build the facade; the FC and every BC shard schedule on
      *  @p eq, the system's one event queue. */
     DramCache(sim::EventQueue &eq, std::string name,
-              const DramCacheConfig &config, flash::Backend &flash,
+              const DramCacheConfig &config, flash::FlashFabric &flash,
               const mem::AddressMap &amap);
 
     /** Register the page-arrival notification hook. */

@@ -14,7 +14,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "flash/backend.hh"
+#include "flash/flash_config.hh"
 #include "mem/address.hh"
 #include "mem/dram.hh"
 #include "sim/ticks.hh"

@@ -7,13 +7,14 @@
  *
  *   --bc-shards=N       backside-controller shards
  *   --flash-devices=M   flash devices behind the fabric
- *   --flash-backend=K   concrete device model ("ftl" or "zns")
+ *   --flash-backend=K   device kind ("ftl" or "zns"), which names
+ *                       the FTL's stats "ftl.*" or "log.*"
  *
  * This helper holds the parsed values (defaulted from the config
  * structs so the flags are optional), registers the flags on a
- * sim::OptionParser, and applies them onto a SystemConfig. The
- * backend is kept as flash::BackendKind throughout — core code never
- * names a concrete device type (aflint AF014).
+ * sim::OptionParser, and applies them onto a SystemConfig. The kind
+ * is kept as flash::BackendKind throughout; core code reaches storage
+ * only through flash::FlashFabric (aflint AF014).
  */
 
 #ifndef ASTRIFLASH_CORE_FABRIC_OPTIONS_HH
@@ -22,7 +23,7 @@
 #include <cstdint>
 #include <string>
 
-#include "flash/backend.hh"
+#include "flash/flash_config.hh"
 #include "sim/option_parser.hh"
 
 #include "system_config.hh"
@@ -50,7 +51,7 @@ struct FabricOptions {
                        positive);
         opts.addCustom(
             "flash-backend", "KIND",
-            "flash device model: ftl | zns",
+            "flash device kind (names its FTL stats): ftl | zns",
             [this](const std::string &value) {
                 return flash::parseBackendKind(value, &flashBackend);
             });

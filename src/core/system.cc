@@ -255,10 +255,11 @@ System::buildMemorySystem()
     const std::uint32_t fabric_devices = cfg.dramCache.fabric.devices;
     if (fabric_devices == 0)
         ASTRI_FATAL("flash fabric needs at least one device");
-    cfg.flash = flash::FlashConfig::forCapacity(
-        (flash_bytes + fabric_devices - 1) / fabric_devices);
     flashDev = std::make_unique<flash::FlashFabric>(
-        "flash", cfg.flash, cfg.dramCache.fabric,
+        "flash",
+        flash::FlashConfig::forCapacity(
+            (flash_bytes + fabric_devices - 1) / fabric_devices),
+        cfg.dramCache.fabric,
         flash_bytes / mem::kPageSize);
 
     flatDram = std::make_unique<mem::Dram>("flatdram",

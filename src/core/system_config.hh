@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "cpu/ooo_config.hh"
-#include "flash/flash_config.hh"
 #include "mem/tlb.hh"
 #include "os/os_paging.hh"
 #include "sim/ticks.hh"
@@ -56,7 +55,6 @@ struct SystemConfig {
     double dramCacheRatio = 0.03;
 
     DramCacheConfig dramCache; ///< capacityBytes derived at build.
-    flash::FlashConfig flash;  ///< geometry derived at build.
     cpu::OoOConfig core;
     SchedulerModel::Config sched;
     os::OsCosts osCosts;

@@ -2,20 +2,17 @@
 
 #include "sim/logging.hh"
 
-#include "flash_device.hh"
-#include "zns_device.hh"
-
 namespace astriflash::flash {
 
-FlashFabric::FlashFabric(std::string name, const FlashConfig &dev_cfg,
+FlashFabric::FlashFabric(const std::string &name,
+                         const FlashConfig &dev_cfg,
                          const FlashFabricConfig &fabric_cfg,
                          std::uint64_t preload_pages)
-    : fabName(std::move(name)), cfg(dev_cfg), kind(fabric_cfg.backend)
+    : kind(fabric_cfg.backend)
 {
     const std::uint32_t m = fabric_cfg.devices;
     if (m == 0)
-        ASTRI_FATAL("%s: fabric needs at least one device",
-                    fabName.c_str());
+        ASTRI_FATAL("%s: fabric needs at least one device", name.c_str());
     devs.reserve(m);
     for (std::uint32_t j = 0; j < m; ++j) {
         // Round-robin striping hands device j the logical pages
@@ -23,22 +20,16 @@ FlashFabric::FlashFabric(std::string name, const FlashConfig &dev_cfg,
         // is floor/ceil(preload / M) depending on j.
         const std::uint64_t dev_preload =
             preload_pages / m + (j < preload_pages % m ? 1 : 0);
-        ASTRI_ASSERT_MSG(dev_preload <= cfg.userPages(),
+        ASTRI_ASSERT_MSG(dev_preload <= dev_cfg.userPages(),
                          "%s: device %u preload %llu exceeds per-device "
                          "capacity %llu",
-                         fabName.c_str(), j,
+                         name.c_str(), j,
                          static_cast<unsigned long long>(dev_preload),
                          static_cast<unsigned long long>(
-                             cfg.userPages()));
-        const std::string dev_name =
-            m == 1 ? fabName : fabName + ".dev" + std::to_string(j);
-        if (kind == BackendKind::Zns) {
-            devs.push_back(std::make_unique<ZnsDevice>(
-                dev_name, cfg, dev_preload));
-        } else {
-            devs.push_back(std::make_unique<FlashDevice>(
-                dev_name, cfg, dev_preload));
-        }
+                             dev_cfg.userPages()));
+        devs.emplace_back(m == 1 ? name
+                                 : name + ".dev" + std::to_string(j),
+                          dev_cfg, dev_preload, kind);
     }
 }
 
@@ -46,8 +37,8 @@ std::uint64_t
 FlashFabric::userPages() const
 {
     std::uint64_t total = 0;
-    for (const auto &dev : devs)
-        total += dev->userPages();
+    for (const FlashDevice &dev : devs)
+        total += dev.userPages();
     return total;
 }
 
@@ -55,8 +46,8 @@ std::uint64_t
 FlashFabric::readsCompleted() const
 {
     std::uint64_t total = 0;
-    for (const auto &dev : devs)
-        total += dev->readsCompleted();
+    for (const FlashDevice &dev : devs)
+        total += dev.readsCompleted();
     return total;
 }
 
@@ -64,8 +55,8 @@ std::uint64_t
 FlashFabric::writesAccepted() const
 {
     std::uint64_t total = 0;
-    for (const auto &dev : devs)
-        total += dev->writesAccepted();
+    for (const FlashDevice &dev : devs)
+        total += dev.writesAccepted();
     return total;
 }
 
@@ -73,8 +64,8 @@ std::uint64_t
 FlashFabric::gcBlockedReadCount() const
 {
     std::uint64_t total = 0;
-    for (const auto &dev : devs)
-        total += dev->gcBlockedReadCount();
+    for (const FlashDevice &dev : devs)
+        total += dev.gcBlockedReadCount();
     return total;
 }
 
@@ -82,8 +73,8 @@ std::uint64_t
 FlashFabric::hostWrites() const
 {
     std::uint64_t total = 0;
-    for (const auto &dev : devs)
-        total += dev->hostWrites();
+    for (const FlashDevice &dev : devs)
+        total += dev.hostWrites();
     return total;
 }
 
@@ -91,8 +82,8 @@ std::uint64_t
 FlashFabric::mediaWrites() const
 {
     std::uint64_t total = 0;
-    for (const auto &dev : devs)
-        total += dev->mediaWrites();
+    for (const FlashDevice &dev : devs)
+        total += dev.mediaWrites();
     return total;
 }
 
@@ -100,8 +91,8 @@ std::uint32_t
 FlashFabric::wearSpread() const
 {
     std::uint32_t worst = 0;
-    for (const auto &dev : devs) {
-        const std::uint32_t spread = dev->wearSpread();
+    for (const FlashDevice &dev : devs) {
+        const std::uint32_t spread = dev.wearSpread();
         worst = spread > worst ? spread : worst;
     }
     return worst;
@@ -110,26 +101,26 @@ FlashFabric::wearSpread() const
 void
 FlashFabric::resetStats()
 {
-    for (auto &dev : devs)
-        dev->resetStats();
+    for (FlashDevice &dev : devs)
+        dev.resetStats();
 }
 
 void
 FlashFabric::regStats(sim::StatRegistry &reg) const
 {
     if (devs.size() == 1) {
-        devs.front()->regStats(reg);
+        devs.front().regStats(reg);
         return;
     }
     for (std::size_t j = 0; j < devs.size(); ++j)
-        devs[j]->regStats(reg.subRegistry("dev" + std::to_string(j)));
+        devs[j].regStats(reg.subRegistry("dev" + std::to_string(j)));
 }
 
 void
 FlashFabric::checkInvariants(sim::InvariantChecker &chk) const
 {
-    for (const auto &dev : devs)
-        dev->checkInvariants(chk);
+    for (const FlashDevice &dev : devs)
+        dev.checkInvariants(chk);
 }
 
 } // namespace astriflash::flash

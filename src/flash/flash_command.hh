@@ -5,8 +5,8 @@
  * This is the payload of the backside controller's BC→flash command
  * channel: a plain description of one device operation, free of any
  * reference to the device model itself, so the producer side never
- * needs to name (or link against) FlashDevice. The facade that owns
- * the channel submits commands via FlashDevice::submit().
+ * needs to name (or link against) FlashDevice. The backside controller
+ * that owns the channel submits commands via FlashFabric::submit().
  */
 
 #ifndef ASTRIFLASH_FLASH_FLASH_COMMAND_HH

@@ -14,6 +14,7 @@
 #define ASTRIFLASH_FLASH_FLASH_CONFIG_HH
 
 #include <cstdint>
+#include <string>
 
 #include "sim/ticks.hh"
 
@@ -73,6 +74,48 @@ struct FlashConfig {
      * ship with more chips rather than slower ones.
      */
     static FlashConfig forCapacity(std::uint64_t target_user_bytes);
+};
+
+/**
+ * How a device names its placement statistics. Both kinds run the
+ * same device model (flash_device.hh) and the same FTL (ftl.hh); the
+ * kind picks only the stat names: "ftl.*" for a page-mapped SSD,
+ * "log.*" for a zoned/log-structured one.
+ */
+enum class BackendKind {
+    Ftl, ///< Page-mapped SSD: "ftl.*" stats.
+    Zns, ///< ZNS/log-structured SSD: "log.*" stats.
+};
+
+/** Printable back-end name (the --flash-backend spelling). */
+inline const char *
+backendKindName(BackendKind kind)
+{
+    return kind == BackendKind::Zns ? "zns" : "ftl";
+}
+
+/** Parse a --flash-backend spelling; false if unrecognized. */
+inline bool
+parseBackendKind(const std::string &s, BackendKind *out)
+{
+    if (s == "ftl")
+        *out = BackendKind::Ftl;
+    else if (s == "zns")
+        *out = BackendKind::Zns;
+    else
+        return false;
+    return true;
+}
+
+/**
+ * Multi-device fan-out parameters: how many devices the fabric
+ * stripes logical pages across, and which stat names each one uses.
+ * The defaults (one FTL device) reproduce the single-SSD system
+ * byte-identically.
+ */
+struct FlashFabricConfig {
+    std::uint32_t devices = 1;
+    BackendKind backend = BackendKind::Ftl;
 };
 
 } // namespace astriflash::flash

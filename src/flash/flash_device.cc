@@ -31,9 +31,9 @@ FlashConfig::forCapacity(std::uint64_t target_user_bytes)
 }
 
 FlashDevice::FlashDevice(std::string name, const FlashConfig &config,
-                         std::uint64_t preload_pages)
+                         std::uint64_t preload_pages, BackendKind kind)
     : devName(std::move(name)), cfg(config),
-      ftlModel(devName + ".ftl", config, preload_pages)
+      ftlModel(devName + ".ftl", config, preload_pages, kind)
 {
     planes.resize(cfg.totalPlanes());
     channelBusy.resize(cfg.channels, 0);
@@ -47,7 +47,7 @@ FlashDevice::channelOf(std::uint32_t plane) const
     return plane % cfg.channels;
 }
 
-FlashReadResult
+FlashCommandResult
 FlashDevice::read(Lpn lpn, sim::Ticks now,
                   mem::Bytes xfer_bytes)
 {
@@ -60,7 +60,7 @@ FlashDevice::read(Lpn lpn, sim::Ticks now,
     PlaneState &plane = planes[loc.plane];
     sim::Ticks &channel = channelBusy[channelOf(loc.plane)];
 
-    FlashReadResult res;
+    FlashCommandResult res;
     const sim::Ticks issue = now + cfg.tController;
     res.blockedByGc = plane.gcUntil > issue;
 
@@ -124,16 +124,6 @@ FlashDevice::write(Lpn lpn, sim::Ticks now)
 
     statsData.writeLatency.sample(acked - now);
     return acked;
-}
-
-sim::Ticks
-FlashDevice::planeFreeAt(Lpn lpn) const
-{
-    // Note: const translate via FTL static mapping only; dynamic reads
-    // share plane with static location by construction (plane-affine
-    // writes), so planeOf is sufficient here.
-    const PlaneState &p = planes[ftlModel.planeOf(lpn)];
-    return p.readBusyUntil > p.gcUntil ? p.readBusyUntil : p.gcUntil;
 }
 
 } // namespace astriflash::flash

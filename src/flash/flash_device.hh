@@ -23,22 +23,18 @@
 #include "sim/stats.hh"
 #include "sim/ticks.hh"
 
-#include "backend.hh"
 #include "flash_command.hh"
 #include "flash_config.hh"
 #include "ftl.hh"
 
 namespace astriflash::flash {
 
-/** Completion information for one flash read. */
-struct FlashReadResult {
-    sim::Ticks complete = 0;   ///< Data available at host.
-    sim::Ticks queueing = 0;   ///< Time spent waiting for plane+channel.
-    bool blockedByGc = false;  ///< Plane was erasing/relocating.
-};
-
-/** 4 KB-page SSD with channel/plane parallelism. */
-class FlashDevice : public Backend
+/**
+ * 4 KB-page SSD with channel/plane parallelism: the one flash device
+ * model. Its FTL places pages the same way for both BackendKinds; the
+ * kind picks only the names of the placement stats.
+ */
+class FlashDevice
 {
   public:
     struct Stats {
@@ -52,9 +48,11 @@ class FlashDevice : public Backend
     /**
      * @param preload_pages  Logical pages pre-loaded as the dataset
      *                       (default: full user capacity).
+     * @param kind           Stat names of the FTL ("ftl" or "log").
      */
     FlashDevice(std::string name, const FlashConfig &config,
-                std::uint64_t preload_pages = ~std::uint64_t{0});
+                std::uint64_t preload_pages = ~std::uint64_t{0},
+                BackendKind kind = BackendKind::Ftl);
 
     /**
      * Read logical page @p lpn arriving at @p now.
@@ -63,8 +61,8 @@ class FlashDevice : public Backend
      *               partial transfers (footprint mode) only shorten
      *               the channel occupancy.
      */
-    FlashReadResult read(Lpn lpn, sim::Ticks now,
-                         mem::Bytes bytes = mem::Bytes{0});
+    FlashCommandResult read(Lpn lpn, sim::Ticks now,
+                            mem::Bytes bytes = mem::Bytes{0});
 
     /**
      * Write logical page @p lpn arriving at @p now.
@@ -82,22 +80,14 @@ class FlashDevice : public Backend
      * the host-visible buffer-accept tick in @c complete.
      */
     FlashCommandResult
-    submit(const FlashCommand &cmd, sim::Ticks now) override
+    submit(const FlashCommand &cmd, sim::Ticks now)
     {
+        if (cmd.op == FlashCommand::Op::Read)
+            return read(cmd.lpn, now, cmd.bytes);
         FlashCommandResult res;
-        if (cmd.op == FlashCommand::Op::Read) {
-            const FlashReadResult r = read(cmd.lpn, now, cmd.bytes);
-            res.complete = r.complete;
-            res.queueing = r.queueing;
-            res.blockedByGc = r.blockedByGc;
-        } else {
-            res.complete = write(cmd.lpn, now);
-        }
+        res.complete = write(cmd.lpn, now);
         return res;
     }
-
-    /** First tick at which the plane serving @p lpn is free. */
-    sim::Ticks planeFreeAt(Lpn lpn) const;
 
     const Ftl &ftl() const { return ftlModel; }
     const FlashConfig &config() const { return cfg; }
@@ -105,50 +95,50 @@ class FlashDevice : public Backend
 
     /** Conservative whole-read latency: controller in/out + array. */
     sim::Ticks
-    readEstimate() const override
+    readEstimate() const
     {
         return 2 * (cfg.tRead + cfg.tController);
     }
 
-    /** User capacity in pages (convenience passthrough). */
+    /** User capacity in pages. */
     std::uint64_t
-    userPages() const override
+    userPages() const
     {
         return ftlModel.userPages();
     }
 
     std::uint64_t
-    readsCompleted() const override
+    readsCompleted() const
     {
         return statsData.reads.value();
     }
 
     std::uint64_t
-    writesAccepted() const override
+    writesAccepted() const
     {
         return statsData.writes.value();
     }
 
     std::uint64_t
-    gcBlockedReadCount() const override
+    gcBlockedReadCount() const
     {
         return statsData.gcBlockedReads.value();
     }
 
     std::uint64_t
-    hostWrites() const override
+    hostWrites() const
     {
         return ftlModel.stats().hostWrites.value();
     }
 
     std::uint64_t
-    mediaWrites() const override
+    mediaWrites() const
     {
         return ftlModel.stats().flashPrograms.value();
     }
 
     std::uint32_t
-    wearSpread() const override
+    wearSpread() const
     {
         return ftlModel.eraseCountSpread();
     }
@@ -156,17 +146,17 @@ class FlashDevice : public Backend
     /** Zero device-level statistics (end of warmup). FTL counters
      *  (wear, write amplification) are cumulative and not reset. */
     void
-    resetStats() override
+    resetStats()
     {
         statsData = Stats{};
     }
 
     /**
      * Register device stats into @p reg; the FTL lands in an "ftl"
-     * child registry.
+     * (or, for BackendKind::Zns, "log") child registry.
      */
     void
-    regStats(sim::StatRegistry &reg) const override
+    regStats(sim::StatRegistry &reg) const
     {
         reg.registerCounter("reads", &statsData.reads,
                             "page reads served by the device");
@@ -178,7 +168,7 @@ class FlashDevice : public Backend
                               "end-to-end read latency in ticks");
         reg.registerHistogram("write_latency", &statsData.writeLatency,
                               "host-visible write-ack latency in ticks");
-        ftlModel.regStats(reg.subRegistry("ftl"));
+        ftlModel.regStats(reg);
     }
 
     /**
@@ -187,7 +177,7 @@ class FlashDevice : public Backend
      * operation, and the FTL's own invariants.
      */
     void
-    checkInvariants(sim::InvariantChecker &chk) const override
+    checkInvariants(sim::InvariantChecker &chk) const
     {
         SIM_INVARIANT(chk, planes.size() == cfg.totalPlanes());
         SIM_INVARIANT(chk, channelBusy.size() == cfg.channels);

@@ -28,11 +28,12 @@ Ftl::unpack(Ppn v) const
 }
 
 Ftl::Ftl(std::string name, const FlashConfig &config,
-         std::uint64_t preload_pages)
+         std::uint64_t preload_pages, BackendKind backend_kind)
     : ftlName(std::move(name)), cfg(config),
       preloaded(preload_pages == ~std::uint64_t{0}
                     ? config.userPages()
-                    : preload_pages)
+                    : preload_pages),
+      kind(backend_kind)
 {
     if (cfg.pagesPerBlock == 0 || cfg.blocksPerPlane == 0)
         ASTRI_FATAL("%s: empty flash geometry", ftlName.c_str());
@@ -70,12 +71,14 @@ Ftl::Ftl(std::string name, const FlashConfig &config,
                 plane.freePages += cfg.pagesPerBlock;
             }
         }
-        // Start writing into the first fully-free block.
-        plane.activeBlock = static_cast<std::uint32_t>(
-            full_blocks + (partial > 0 ? 1 : 0));
-        if (plane.activeBlock < cfg.blocksPerPlane) {
+        // Writes continue in the partly filled preload block; a plane
+        // whose preload ends on a block boundary opens the first
+        // empty block.
+        plane.activeBlock = static_cast<std::uint32_t>(full_blocks);
+        if (partial > 0)
+            plane.freePages += cfg.pagesPerBlock - partial;
+        else if (plane.activeBlock < cfg.blocksPerPlane)
             --plane.freeBlocks; // the active block is claimed
-        }
     }
 }
 
@@ -109,24 +112,27 @@ Ftl::translate(Lpn lpn)
 }
 
 void
+Ftl::materializeOwners(std::uint32_t plane_idx, std::uint32_t block)
+{
+    Block &blk = planes[plane_idx].blocks[block];
+    if (!blk.owners.empty() || blk.writePtr == 0)
+        return;
+    blk.owners.assign(cfg.pagesPerBlock, kInvalidLpn);
+    for (std::uint32_t pg = 0; pg < blk.writePtr; ++pg) {
+        const Lpn static_lpn{
+            (static_cast<std::uint64_t>(block) * cfg.pagesPerBlock +
+             pg) * cfg.totalPlanes() + plane_idx};
+        if (static_lpn < Lpn(preloaded))
+            blk.owners[pg] = static_lpn;
+    }
+}
+
+void
 Ftl::invalidateOld(Lpn lpn)
 {
     const PhysPage old = translate(lpn);
-    Plane &plane = planes[old.plane];
-    Block &blk = plane.blocks[old.block];
-    if (blk.owners.empty()) {
-        // Materialize the static block's owner list so individual
-        // pages can be marked invalid.
-        blk.owners.assign(cfg.pagesPerBlock, kInvalidLpn);
-        for (std::uint32_t pg = 0; pg < blk.writePtr; ++pg) {
-            const Lpn static_lpn{
-                (static_cast<std::uint64_t>(old.block) *
-                     cfg.pagesPerBlock + pg) * cfg.totalPlanes() +
-                old.plane};
-            if (static_lpn < Lpn(preloaded))
-                blk.owners[pg] = static_lpn;
-        }
-    }
+    materializeOwners(old.plane, old.block);
+    Block &blk = planes[old.plane].blocks[old.block];
     if (blk.owners[old.page] != kInvalidLpn) {
         blk.owners[old.page] = kInvalidLpn;
         ASTRI_ASSERT(blk.validPages > 0);
@@ -164,6 +170,9 @@ Ftl::allocate(std::uint32_t plane_idx)
         --plane.freeBlocks;
         blk = &plane.blocks[next];
     }
+    // A partly filled preload block serving as the frontier pins its
+    // static owners before the first append lands beside them.
+    materializeOwners(plane_idx, plane.activeBlock);
     if (blk->owners.empty())
         blk->owners.assign(cfg.pagesPerBlock, kInvalidLpn);
     PhysPage out;
@@ -184,10 +193,13 @@ Ftl::pickVictim(const Plane &plane) const
         const Block &blk = plane.blocks[b];
         // Only sealed, non-active blocks with reclaimable space are
         // candidates (erasing the write frontier would corrupt the
-        // free-block accounting).
+        // free-block accounting), and only if their valid pages fit
+        // the writable pages left: otherwise relocation itself would
+        // exhaust the plane before the erase hands a block back.
         if (b == plane.activeBlock ||
             blk.writePtr < cfg.pagesPerBlock ||
-            blk.validPages == cfg.pagesPerBlock) {
+            blk.validPages == cfg.pagesPerBlock ||
+            blk.validPages > plane.freePages) {
             continue;
         }
         if (best == ~0u) {
@@ -204,42 +216,34 @@ Ftl::pickVictim(const Plane &plane) const
     return best;
 }
 
-GcWork
-Ftl::collectGarbage(std::uint32_t plane_idx)
+void
+Ftl::collectGarbage(std::uint32_t plane_idx, GcWork *work)
 {
     Plane &plane = planes[plane_idx];
-    GcWork work;
-    work.plane = plane_idx;
     statsData.gcInvocations.inc();
 
     while (plane.freeBlocks < cfg.gcFreeBlockLow) {
         const std::uint32_t victim_idx = pickVictim(plane);
         if (victim_idx == ~0u)
             break; // nothing reclaimable; writes will hit the wall
-        Block &victim = plane.blocks[victim_idx];
         // Relocate valid pages within the local plane (the paper's
         // local-erasure policy keeps GC traffic off other planes).
-        if (victim.owners.empty()) {
-            victim.owners.assign(cfg.pagesPerBlock, kInvalidLpn);
-            for (std::uint32_t pg = 0; pg < victim.writePtr; ++pg) {
-                const Lpn static_lpn{
-                    (static_cast<std::uint64_t>(victim_idx) *
-                         cfg.pagesPerBlock + pg) * cfg.totalPlanes() +
-                    plane_idx};
-                if (static_lpn < Lpn(preloaded))
-                    victim.owners[pg] = static_lpn;
-            }
-        }
+        materializeOwners(plane_idx, victim_idx);
+        Block &victim = plane.blocks[victim_idx];
         for (std::uint32_t pg = 0; pg < cfg.pagesPerBlock; ++pg) {
             const Lpn lpn = victim.owners[pg];
-            if (lpn == kInvalidLpn)
+            if (lpn == kInvalidLpn) {
+                // A host overwrite left this copy stale; the erase
+                // reclaims it.
+                statsData.gcInvalidations.inc();
                 continue;
+            }
             const PhysPage dst = allocate(plane_idx);
             Block &dst_blk = plane.blocks[dst.block];
             dst_blk.owners[dst.page] = lpn;
             ++dst_blk.validPages;
             mapping[lpn] = pack(dst);
-            ++work.relocatedPages;
+            ++work->relocatedPages;
             statsData.gcRelocations.inc();
             statsData.flashPrograms.inc();
         }
@@ -251,10 +255,9 @@ Ftl::collectGarbage(std::uint32_t plane_idx)
         ++victim.eraseCount;
         ++plane.freeBlocks;
         plane.freePages += cfg.pagesPerBlock;
-        ++work.erasedBlocks;
+        ++work->erasedBlocks;
         statsData.erases.inc();
     }
-    return work;
 }
 
 PhysPage
@@ -269,6 +272,11 @@ Ftl::write(Lpn lpn, GcWork *gc)
     invalidateOld(lpn);
 
     const std::uint32_t plane_idx = planeOf(lpn);
+    GcWork local;
+    // A plane with no writable page left cleans before appending;
+    // the invalidation above may have left its only stale page.
+    if (planes[plane_idx].freePages == 0)
+        collectGarbage(plane_idx, &local);
     const PhysPage dst = allocate(plane_idx);
     Block &blk = planes[plane_idx].blocks[dst.block];
     blk.owners[dst.page] = lpn;
@@ -276,9 +284,9 @@ Ftl::write(Lpn lpn, GcWork *gc)
     mapping[lpn] = pack(dst);
     statsData.flashPrograms.inc();
 
-    GcWork local;
     if (planes[plane_idx].freeBlocks < cfg.gcFreeBlockLow)
-        local = collectGarbage(plane_idx);
+        collectGarbage(plane_idx, &local);
+    writeAmp = statsData.writeAmplification();
     if (gc)
         *gc = local;
     return dst;
@@ -288,6 +296,40 @@ std::uint64_t
 Ftl::freePagesInPlane(std::uint32_t plane) const
 {
     return planes[plane].freePages;
+}
+
+void
+Ftl::regStats(sim::StatRegistry &device_reg) const
+{
+    if (kind == BackendKind::Zns) {
+        auto &reg = device_reg.subRegistry("log");
+        reg.registerCounter("host_writes", &statsData.hostWrites,
+                            "page writes requested by the host");
+        reg.registerCounter("zone_appends", &statsData.flashPrograms,
+                            "media programs (host appends + "
+                            "relocations)");
+        reg.registerCounter("gc_relocations", &statsData.gcRelocations,
+                            "valid pages relocated by zone cleaning");
+        reg.registerCounter("gc_invalidations",
+                            &statsData.gcInvalidations,
+                            "stale pages reclaimed by zone resets");
+        reg.registerCounter("zone_resets", &statsData.erases,
+                            "zones erased and returned to the free "
+                            "pool");
+        reg.registerScalar("write_amplification", &writeAmp,
+                           "media programs per host write");
+        return;
+    }
+    auto &reg = device_reg.subRegistry("ftl");
+    reg.registerCounter("host_writes", &statsData.hostWrites,
+                        "logical page writes from the host");
+    reg.registerCounter("flash_programs", &statsData.flashPrograms,
+                        "physical page programs (host + GC)");
+    reg.registerCounter("gc_invocations", &statsData.gcInvocations,
+                        "garbage-collection passes triggered");
+    reg.registerCounter("gc_relocations", &statsData.gcRelocations,
+                        "valid pages moved by the collector");
+    reg.registerCounter("erases", &statsData.erases, "blocks erased");
 }
 
 void
@@ -384,6 +426,19 @@ Ftl::checkInvariants(sim::InvariantChecker &chk) const
         static_cast<unsigned long long>(statsData.hostWrites.value()),
         static_cast<unsigned long long>(
             statsData.gcRelocations.value()));
+    // Every page of every erased block was relocated or stale.
+    SIM_INVARIANT_MSG(
+        chk,
+        statsData.gcRelocations.value() +
+                statsData.gcInvalidations.value() ==
+            statsData.erases.value() * cfg.pagesPerBlock,
+        "reclaim conservation: %llu relocated + %llu stale != "
+        "%llu erases * %u pages",
+        static_cast<unsigned long long>(statsData.gcRelocations.value()),
+        static_cast<unsigned long long>(
+            statsData.gcInvalidations.value()),
+        static_cast<unsigned long long>(statsData.erases.value()),
+        cfg.pagesPerBlock);
 }
 
 std::uint32_t

@@ -2,12 +2,15 @@
  * @file
  * Page-mapped Flash Translation Layer with greedy GC and wear leveling.
  *
- * Tracks logical-page -> physical-page mappings, allocates writes
+ * Tracks logical-page -> physical-page mappings, appends writes
  * out-of-place at each plane's write frontier, reclaims space with a
  * greedy (min-valid-pages) garbage collector that breaks ties toward
  * low-erase-count blocks (wear leveling), and performs block erasure
  * only in the local plane — the Tiny-Tail-style policy the paper cites
- * for bounding GC interference.
+ * for bounding GC interference. The same rules describe a zoned,
+ * log-structured SSD (one zone per block, relocate-then-reset
+ * cleaning, as in Flashield and Nemo), so one FTL serves both
+ * BackendKinds; the kind picks only the stat names.
  */
 
 #ifndef ASTRIFLASH_FLASH_FTL_HH
@@ -33,9 +36,8 @@ struct PhysPage {
     std::uint32_t page = 0;  ///< Page within the block.
 };
 
-/** Work performed by one garbage-collection invocation. */
+/** Garbage-collection work one host write triggered. */
 struct GcWork {
-    std::uint32_t plane = 0;
     std::uint32_t relocatedPages = 0; ///< Valid pages moved.
     std::uint32_t erasedBlocks = 0;
 };
@@ -55,6 +57,7 @@ class Ftl
         sim::Counter flashPrograms; ///< Physical programs (incl. GC).
         sim::Counter gcInvocations;
         sim::Counter gcRelocations;
+        sim::Counter gcInvalidations; ///< Stale pages GC reclaimed.
         sim::Counter erases;
 
         /** Write amplification factor (programs / host writes). */
@@ -74,9 +77,11 @@ class Ftl
      *                       capacity; systems pass their dataset size
      *                       so spare blocks remain for out-of-place
      *                       writes and GC headroom.
+     * @param kind           Stat names only (regStats).
      */
     Ftl(std::string name, const FlashConfig &config,
-        std::uint64_t preload_pages = ~std::uint64_t{0});
+        std::uint64_t preload_pages = ~std::uint64_t{0},
+        BackendKind kind = BackendKind::Ftl);
 
     /**
      * Resolve the physical location of logical page @p lpn for a read.
@@ -89,7 +94,10 @@ class Ftl
     std::uint32_t planeOf(Lpn lpn) const;
 
     /**
-     * Write logical page @p lpn out-of-place.
+     * Write logical page @p lpn out-of-place. When the plane's
+     * frontier is full and no block is free, GC runs first so the
+     * append has somewhere to land; after it, GC runs whenever the
+     * plane is below gcFreeBlockLow free blocks.
      * @param[out] gc  Filled with relocation/erase work if this write
      *                 triggered garbage collection.
      * @return The new physical location.
@@ -107,28 +115,17 @@ class Ftl
     const Stats &stats() const { return statsData; }
     const FlashConfig &config() const { return cfg; }
 
-    /** Register FTL stats into @p reg. */
-    void
-    regStats(sim::StatRegistry &reg) const
-    {
-        reg.registerCounter("host_writes", &statsData.hostWrites,
-                            "logical page writes from the host");
-        reg.registerCounter("flash_programs", &statsData.flashPrograms,
-                            "physical page programs (host + GC)");
-        reg.registerCounter("gc_invocations", &statsData.gcInvocations,
-                            "garbage-collection passes triggered");
-        reg.registerCounter("gc_relocations", &statsData.gcRelocations,
-                            "valid pages moved by the collector");
-        reg.registerCounter("erases", &statsData.erases,
-                            "blocks erased");
-    }
+    /** Register the placement stats into a child of the device's
+     *  @p reg: "ftl" or, for BackendKind::Zns, "log". */
+    void regStats(sim::StatRegistry &reg) const;
 
     /**
      * Audit the translation state: the logical->physical map is
      * injective and in-bounds with owner back-pointers agreeing, block
      * valid/write pointers are consistent, per-plane free-space
-     * accounting matches the block states, and every program is either
-     * a host write or a GC relocation.
+     * accounting matches the block states, every program is either
+     * a host write or a GC relocation, and every page of every erased
+     * block was either relocated or stale.
      */
     void checkInvariants(sim::InvariantChecker &chk) const;
 
@@ -143,18 +140,24 @@ class Ftl
     struct Plane {
         std::vector<Block> blocks;
         std::uint32_t activeBlock = 0; ///< Current write frontier.
-        std::uint32_t freeBlocks = 0;
+        std::uint32_t freeBlocks = 0;  ///< Empty blocks, frontier aside.
+        /** Writable pages: the frontier's tail plus the free blocks. */
         std::uint64_t freePages = 0;
     };
 
     /** Allocate the next free physical page in @p plane. */
     PhysPage allocate(std::uint32_t plane);
 
+    /** Fill in a preloaded block's owner list before its first
+     *  change (a no-op once built, or for an empty block). */
+    void materializeOwners(std::uint32_t plane, std::uint32_t block);
+
     /** Invalidate the old location of @p lpn, if mapped. */
     void invalidateOld(Lpn lpn);
 
-    /** Run greedy GC in @p plane until free blocks recover. */
-    GcWork collectGarbage(std::uint32_t plane);
+    /** Run greedy GC in @p plane until free blocks recover, adding
+     *  its relocations and erases to @p work. */
+    void collectGarbage(std::uint32_t plane, GcWork *work);
 
     /** Pick GC victim: min valid pages, ties to min erase count. */
     std::uint32_t pickVictim(const Plane &plane) const;
@@ -162,11 +165,15 @@ class Ftl
     std::string ftlName;
     FlashConfig cfg;
     std::uint64_t preloaded;
+    BackendKind kind;
     std::vector<Plane> planes;
     // Overridden (rewritten) lpns only; unmapped lpns resolve to their
     // static pre-load location, keeping host memory bounded at scale.
     std::unordered_map<Lpn, Ppn> mapping;
     Stats statsData;
+    /** Stats::writeAmplification() after the latest write, for the
+     *  registered "log.write_amplification" scalar. */
+    double writeAmp = 1.0;
 
     static Ppn pack(const PhysPage &p);
     PhysPage unpack(Ppn v) const;

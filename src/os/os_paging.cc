@@ -32,7 +32,7 @@ TlbShootdownBus::takeStolen(std::uint32_t core)
 
 OsPagingModel::OsPagingModel(std::string name, std::uint64_t capacity,
                              const OsCosts &costs, std::uint32_t cores,
-                             flash::Backend &flash,
+                             flash::FlashFabric &flash,
                              const mem::AddressMap &amap)
     : modelName(std::move(name)), costsData(costs), flashDev(flash),
       addrMap(amap),

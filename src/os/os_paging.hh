@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "flash/backend.hh"
+#include "flash/fabric.hh"
 #include "mem/address_map.hh"
 #include "mem/set_assoc_cache.hh"
 #include "sim/stats.hh"
@@ -123,7 +123,7 @@ class OsPagingModel
      */
     OsPagingModel(std::string name, std::uint64_t capacity,
                   const OsCosts &costs, std::uint32_t cores,
-                  flash::Backend &flash,
+                  flash::FlashFabric &flash,
                   const mem::AddressMap &amap);
 
     /** True if @p pa 's page is resident. */
@@ -195,7 +195,7 @@ class OsPagingModel
   private:
     std::string modelName;
     OsCosts costsData;
-    flash::Backend &flashDev;
+    flash::FlashFabric &flashDev;
     const mem::AddressMap &addrMap;
     mem::SetAssocCache pageCache;
     TlbShootdownBus shootdownBus;

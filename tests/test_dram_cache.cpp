@@ -10,7 +10,7 @@
 
 #include "core/backside_controller.hh"
 #include "core/dram_cache.hh"
-#include "flash/flash_device.hh"
+#include "flash/fabric.hh"
 #include "mem/address_map.hh"
 #include "mem/dram.hh"
 #include "mem/set_assoc_cache.hh"
@@ -27,7 +27,7 @@ struct Rig {
     EventQueue eq;
     mem::AddressMap amap{64 << 20, 256 << 20};
     flash::FlashConfig fcfg;
-    std::unique_ptr<flash::FlashDevice> flash;
+    std::unique_ptr<flash::FlashFabric> flash;
     std::unique_ptr<DramCache> dc;
     std::vector<std::pair<mem::PageNum, std::vector<WaiterCookie>>>
         ready;
@@ -40,8 +40,9 @@ struct Rig {
     explicit Rig(const DramCacheConfig &cfg)
     {
         fcfg = flash::FlashConfig::forCapacity(512 << 20);
-        flash = std::make_unique<flash::FlashDevice>(
-            "flash", fcfg, (256 << 20) / kPageSize);
+        flash = std::make_unique<flash::FlashFabric>(
+            "flash", fcfg, flash::FlashFabricConfig{},
+            (256 << 20) / kPageSize);
         dc = std::make_unique<DramCache>(eq, "dc", cfg, *flash, amap);
         dc->setPageReadyCallback(
             [this](mem::PageNum page, Ticks,
@@ -115,7 +116,7 @@ TEST(DramCache, ConcurrentMissesToSamePageMerge)
     EXPECT_EQ(rig.dc->fcStats().missesMerged.value(), 2u);
     rig.eq.run();
     // One flash read, one arrival with all three waiters.
-    EXPECT_EQ(rig.flash->stats().reads.value(), 1u);
+    EXPECT_EQ(rig.flash->readsCompleted(), 1u);
     ASSERT_EQ(rig.ready.size(), 1u);
     EXPECT_EQ(rig.ready[0].second.size(), 3u);
 }
@@ -138,7 +139,7 @@ TEST(DramCache, WriteAllocateInstallsDirtyAndWritesBack)
     }
     EXPECT_FALSE(rig.dc->pageResident(rig.pa(9)));
     EXPECT_GE(rig.dc->bcStats().dirtyWritebacks.value(), 1u);
-    EXPECT_GE(rig.flash->stats().writes.value(), 1u);
+    EXPECT_GE(rig.flash->writesAccepted(), 1u);
 }
 
 namespace {
@@ -184,7 +185,7 @@ TEST_P(DramCacheInstall, DirtyVictimParksAndWritesBackOnce)
     rig.eq.run();
     EXPECT_TRUE(rig.dc->evictBuffer().empty());
     EXPECT_EQ(rig.dc->bcStats().dirtyWritebacks.value(), 1u);
-    EXPECT_EQ(rig.flash->stats().writes.value(), 1u);
+    EXPECT_EQ(rig.flash->writesAccepted(), 1u);
 
     // Refetch: footprint mode transfers only the victim's recorded
     // history (blocks 0 and 1); otherwise the whole page comes back.
@@ -231,7 +232,7 @@ TEST(DramCache, MsrSetConflictDefersFlashRead)
     // Both fills eventually complete.
     EXPECT_TRUE(rig.dc->pageResident(rig.pa(2)));
     EXPECT_TRUE(rig.dc->pageResident(rig.pa(3)));
-    EXPECT_EQ(rig.flash->stats().reads.value(), 2u);
+    EXPECT_EQ(rig.flash->readsCompleted(), 2u);
     EXPECT_EQ(rig.ready.size(), 2u);
 }
 
@@ -301,14 +302,16 @@ TEST(DramCache, DepthOneChannelsSerializeWithoutLoss)
 
 namespace {
 
-/** One backside controller over its own DRAM, tag array and flash
- *  device, driven directly so a test reads its BcReply ticks. */
+/** One backside controller over its own DRAM, tag array and
+ *  one-device flash fabric, driven directly so a test reads its
+ *  BcReply ticks. */
 struct BcRig {
     EventQueue eq;
     mem::AddressMap amap{64 << 20, 256 << 20};
     DramCacheConfig cfg;
-    flash::FlashDevice flash{"flash",
+    flash::FlashFabric flash{"flash",
                              flash::FlashConfig::forCapacity(512 << 20),
+                             flash::FlashFabricConfig{},
                              (256 << 20) / kPageSize};
     mem::Dram dram;
     mem::SetAssocCache tags;
@@ -369,7 +372,7 @@ TEST(BacksideController, EvictBufferHitIsReadyOneBcOpAfterAccept)
     EXPECT_EQ(rep.kind, BcReply::Kind::EvictBufferHit);
     EXPECT_EQ(rep.accepted, now);
     EXPECT_EQ(rep.ready, now + rig.bcOp());
-    EXPECT_EQ(rig.flash.stats().reads.value(), 1u);
+    EXPECT_EQ(rig.flash.readsCompleted(), 1u);
 }
 
 TEST(BacksideController, DepthOneFlashWindowSubmitsAtAccept)

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "flash/flash_device.hh"
+#include "sim/rng.hh"
+#include "sim/stats.hh"
 #include "sim/ticks.hh"
 
 using namespace astriflash::flash;
@@ -133,4 +137,48 @@ TEST(FlashDevice, ResetStatsKeepsFtlCounters)
     EXPECT_EQ(dev.stats().reads.value(), 0u);
     EXPECT_EQ(dev.stats().writes.value(), 0u);
     EXPECT_EQ(dev.ftl().stats().hostWrites.value(), 1u); // cumulative
+}
+
+TEST(FlashDevice, FtlAndZnsKindsTimeAlike)
+{
+    // One device model serves both kinds: the same seeded stream
+    // (two thirds writes over the full preload, so GC runs
+    // constantly) completes identically on each, and only the FTL's
+    // stat names differ.
+    FlashDevice ftl("ftl", fastCfg(), ~std::uint64_t{0},
+                    BackendKind::Ftl);
+    FlashDevice zns("zns", fastCfg(), ~std::uint64_t{0},
+                    BackendKind::Zns);
+    Rng rng(11);
+    Ticks now = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const FlashCommand cmd{rng.chance(2.0 / 3.0)
+                                   ? FlashCommand::Op::Write
+                                   : FlashCommand::Op::Read,
+                               Lpn(rng.uniformInt(ftl.userPages())),
+                               astriflash::mem::Bytes{0}};
+        const FlashCommandResult a = ftl.submit(cmd, now);
+        const FlashCommandResult b = zns.submit(cmd, now);
+        ASSERT_EQ(a.complete, b.complete) << "command " << i;
+        ASSERT_EQ(a.queueing, b.queueing) << "command " << i;
+        ASSERT_EQ(a.blockedByGc, b.blockedByGc) << "command " << i;
+        now += microseconds(rng.uniformInt(0, 40));
+    }
+    EXPECT_GT(ftl.ftl().stats().erases.value(), 0u);
+    EXPECT_EQ(ftl.hostWrites(), zns.hostWrites());
+    EXPECT_EQ(ftl.mediaWrites(), zns.mediaWrites());
+    EXPECT_EQ(ftl.wearSpread(), zns.wearSpread());
+    EXPECT_EQ(ftl.gcBlockedReadCount(), zns.gcBlockedReadCount());
+
+    StatRegistry ftl_reg;
+    StatRegistry zns_reg;
+    ftl.regStats(ftl_reg.subRegistry("flash"));
+    zns.regStats(zns_reg.subRegistry("flash"));
+    const std::string ftl_names = ftl_reg.describe();
+    const std::string zns_names = zns_reg.describe();
+    EXPECT_NE(ftl_names.find("flash.ftl.flash_programs:"),
+              std::string::npos);
+    EXPECT_NE(zns_names.find("flash.log.zone_appends:"),
+              std::string::npos);
+    EXPECT_EQ(zns_names.find("flash.ftl."), std::string::npos);
 }

@@ -9,6 +9,8 @@
 #include <set>
 
 #include "flash/ftl.hh"
+#include "sim/invariant.hh"
+#include "sim/rng.hh"
 
 using namespace astriflash::flash;
 
@@ -130,6 +132,39 @@ TEST(Ftl, WriteAmplificationReported)
     GcWork gc;
     ftl.write(Lpn(0), &gc);
     EXPECT_DOUBLE_EQ(ftl.stats().writeAmplification(), 1.0);
+}
+
+TEST(Ftl, FullPreloadOverwriteKeepsRunning)
+{
+    // The whole user capacity preloaded, at 7% overprovisioning: 238
+    // pages over four planes of 16 x 4-page blocks leave planes 2 and
+    // 3 with a partly filled preload block. Writes continue in that
+    // block's tail instead of stranding it, so seeded overwrites
+    // clean steadily instead of running a plane out of free blocks.
+    FlashConfig c = tinyCfg();
+    c.blocksPerPlane = 16;
+    c.overprovisionRatio = 0.07;
+    Ftl ftl("f", c);
+    ASSERT_EQ(ftl.preloadedPages(), 238u);
+    astriflash::sim::Rng rng(7);
+    GcWork gc;
+    for (int i = 0; i < 20000; ++i)
+        ftl.write(Lpn(rng.uniformInt(ftl.preloadedPages())), &gc);
+
+    const Ftl::Stats &st = ftl.stats();
+    EXPECT_EQ(st.hostWrites.value(), 20000u);
+    EXPECT_GT(st.erases.value(), 0u);
+    EXPECT_EQ(st.flashPrograms.value(),
+              st.hostWrites.value() + st.gcRelocations.value());
+    EXPECT_EQ(st.gcRelocations.value() + st.gcInvalidations.value(),
+              st.erases.value() * c.pagesPerBlock);
+
+    astriflash::sim::InvariantRegistry reg;
+    reg.setFailFast(false);
+    reg.add("ftl", [&ftl](astriflash::sim::InvariantChecker &chk) {
+        ftl.checkInvariants(chk);
+    });
+    EXPECT_EQ(reg.checkAll(0), 0u) << reg.report();
 }
 
 TEST(FtlDeath, ReadBeyondPreloadPanics)

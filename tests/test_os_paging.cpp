@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "flash/flash_device.hh"
+#include "flash/fabric.hh"
 #include "mem/address_map.hh"
 #include "os/os_paging.hh"
 
@@ -20,7 +20,8 @@ struct OsRig {
     mem::AddressMap amap{64 << 20, 128 << 20};
     flash::FlashConfig fcfg = flash::FlashConfig::forCapacity(
         256 << 20);
-    flash::FlashDevice flash{"flash", fcfg, (128 << 20) / kPageSize};
+    flash::FlashFabric flash{"flash", fcfg, flash::FlashFabricConfig{},
+                             (128 << 20) / kPageSize};
     OsCosts costs;
     OsPagingModel os{"os", 1 << 20, costs, 4, flash, amap};
 
@@ -101,7 +102,7 @@ TEST(OsPaging, DirtyEvictionWritesBackToFlash)
     rig.os.touch(rig.pa(0), true); // dirty it
     // Fault in new pages until page 0 is the LRU victim.
     Ticks t = 0;
-    std::uint64_t before = rig.flash.stats().writes.value();
+    std::uint64_t before = rig.flash.writesAccepted();
     for (std::uint64_t p = frames; p < 2 * frames; ++p) {
         rig.os.pageFault(rig.pa(p), false, t, 0);
         t += microseconds(100);
@@ -109,7 +110,7 @@ TEST(OsPaging, DirtyEvictionWritesBackToFlash)
             break;
     }
     EXPECT_FALSE(rig.os.pageResident(rig.pa(0)));
-    EXPECT_GT(rig.flash.stats().writes.value(), before);
+    EXPECT_GT(rig.flash.writesAccepted(), before);
     EXPECT_GE(rig.os.stats().dirtyWritebacks.value(), 1u);
 }
 

@@ -11,8 +11,9 @@
  *    slice is rejected when the facade is built, not mid-run.
  *  - FlashFabric stripes LPNs across devices by modulo and aggregates
  *    the per-device counters.
- *  - ZnsDevice reports write amplification > 1 under overwrite
- *    pressure and its log-conservation invariants hold.
+ *  - A zone-log (BackendKind::Zns) device reports write amplification
+ *    > 1 under overwrite pressure and its log-conservation invariants
+ *    hold; its cleaning path is pinned by value.
  *  - With the knobs explicitly pinned to shards=1 / devices=1 / ftl,
  *    the six golden torture configs stay byte-identical to
  *    tests/golden/ — the sharding rework is a pure generalisation.
@@ -31,7 +32,6 @@
 #include "core/system.hh"
 #include "flash/fabric.hh"
 #include "flash/flash_device.hh"
-#include "flash/zns_device.hh"
 #include "mem/address_map.hh"
 #include "sim/event_queue.hh"
 #include "sim/invariant.hh"
@@ -64,12 +64,13 @@ fastCfg()
     return c;
 }
 
-/** DramCache over an FTL device, with a configurable shard count. */
+/** DramCache over a one-device FTL fabric, with a configurable shard
+ *  count. */
 struct ShardRig {
     EventQueue eq;
     mem::AddressMap amap{64 << 20, 256 << 20};
     flash::FlashConfig fcfg;
-    std::unique_ptr<flash::FlashDevice> flash;
+    std::unique_ptr<flash::FlashFabric> flash;
     std::unique_ptr<DramCache> dc;
     std::vector<std::pair<mem::PageNum, std::vector<WaiterCookie>>>
         ready;
@@ -77,8 +78,9 @@ struct ShardRig {
     explicit ShardRig(std::uint32_t shards)
     {
         fcfg = flash::FlashConfig::forCapacity(512 << 20);
-        flash = std::make_unique<flash::FlashDevice>(
-            "flash", fcfg, (256 << 20) / kPageSize);
+        flash = std::make_unique<flash::FlashFabric>(
+            "flash", fcfg, flash::FlashFabricConfig{},
+            (256 << 20) / kPageSize);
         DramCacheConfig cfg;
         cfg.capacityBytes = 2 << 20; // 512 page frames
         cfg.bc.shards = shards;
@@ -168,7 +170,7 @@ TEST(ShardedDramCache, MissesRouteByPageInterleave)
     // Facade totals are exactly the per-shard sums.
     const auto totals = rig.dc->bcTotals();
     EXPECT_EQ(totals.fills, fills);
-    EXPECT_EQ(rig.flash->stats().reads.value(), 32u);
+    EXPECT_EQ(rig.flash->readsCompleted(), 32u);
 }
 
 TEST(ShardedDramCache, CapacitySlicesSumToConfiguredTotals)
@@ -234,13 +236,16 @@ TEST(FlashFabric, StripesLpnsByModuloAndAggregates)
 }
 
 // --------------------------------------------------------------------
-// ZnsDevice: write amplification + log conservation.
+// The zone log (BackendKind::Zns): write amplification + log
+// conservation.
 // --------------------------------------------------------------------
 
 TEST(ZnsDevice, OverwritePressureAmplifiesWritesAndConserves)
 {
     const flash::FlashConfig cfg = fastCfg();
-    flash::ZnsDevice dev("zns", cfg); // preload = full user dataset
+    // preload = full user dataset
+    flash::FlashDevice dev("zns", cfg, ~std::uint64_t{0},
+                           flash::BackendKind::Zns);
 
     // Overwrite the (full) dataset repeatedly: every host write
     // invalidates a live copy, so the planes run out of free zones
@@ -256,19 +261,19 @@ TEST(ZnsDevice, OverwritePressureAmplifiesWritesAndConserves)
         now = r.complete + microseconds(1);
     }
 
-    const auto &log = dev.logStats();
+    const auto &log = dev.ftl().stats();
     EXPECT_EQ(log.hostWrites.value(), 6 * user);
-    EXPECT_GT(log.zoneResets.value(), 0u);
+    EXPECT_GT(log.erases.value(), 0u);
     EXPECT_GT(log.gcInvalidations.value(), 0u);
     EXPECT_GT(dev.mediaWrites(), dev.hostWrites());
-    EXPECT_GT(dev.writeAmplification(), 1.0);
+    EXPECT_GT(log.writeAmplification(), 1.0);
 
     // Append conservation: media programs = host writes + GC moves.
-    EXPECT_EQ(log.zoneAppends.value(),
+    EXPECT_EQ(log.flashPrograms.value(),
               log.hostWrites.value() + log.gcRelocations.value());
     // Reclaim conservation: every reset page was moved or stale.
     EXPECT_EQ(log.gcRelocations.value() + log.gcInvalidations.value(),
-              log.zoneResets.value() * cfg.pagesPerBlock);
+              log.erases.value() * cfg.pagesPerBlock);
 
     // The device's own audit agrees.
     InvariantRegistry reg;
@@ -281,7 +286,8 @@ TEST(ZnsDevice, OverwritePressureAmplifiesWritesAndConserves)
 
 TEST(ZnsDevice, ReadsStayConsistentAcrossRelocation)
 {
-    flash::ZnsDevice dev("zns", fastCfg());
+    flash::FlashDevice dev("zns", fastCfg(), ~std::uint64_t{0},
+                           flash::BackendKind::Zns);
     const std::uint64_t user = dev.userPages();
     Ticks now = 0;
     // Churn half the dataset so GC relocates the untouched half too.

@@ -36,11 +36,9 @@
  *          frontside_controller.* / backside_controller.*. The
  *          DramCache facade is the one allowlisted composition point:
  *          it hands the FC's miss to the BC and the reply back.
- *   AF014  concrete flash device type (FlashDevice / ZnsDevice / Ftl)
- *          named from src/core: core code talks to storage only
- *          through the abstract flash::Backend interface; the model
- *          is selected by flash::BackendKind and instantiated inside
- *          the flash fabric.
+ *   AF014  flash device type (FlashDevice / Ftl) named from src/core:
+ *          core code reaches storage only through flash::FlashFabric,
+ *          which builds and owns the devices.
  *
  * v3 adds the nondeterminism rules backing the detshake determinism
  * contract (DESIGN.md §14): the simulation must produce byte-identical
@@ -832,14 +830,12 @@ checkChannelBypass(const std::vector<Token> &toks,
 }
 
 /**
- * AF014: src/core sees flash storage only through the abstract
- * flash::Backend interface. Naming a concrete device model
- * (FlashDevice, ZnsDevice, or the Ftl it wraps) from core re-couples
- * the cache/system layer to one back-end and defeats the pluggable
- * fabric: the model is chosen by flash::BackendKind and instantiated
- * inside FlashFabric (src/flash/fabric.cc). Matching is by exact
- * identifier token, so FlashFabricConfig or FlashCommand never trip
- * the rule.
+ * AF014: src/core sees flash storage only through flash::FlashFabric.
+ * Naming the device model (FlashDevice, or the Ftl it wraps) from
+ * core couples the cache/system layer to one device's placement and
+ * timing state, which only the fabric builds and routes to
+ * (src/flash/fabric.cc). Matching is by exact identifier token, so
+ * FlashFabric, FlashFabricConfig or FlashCommand never trip the rule.
  */
 void
 checkConcreteFlashTypes(const std::vector<Token> &toks,
@@ -854,7 +850,7 @@ checkConcreteFlashTypes(const std::vector<Token> &toks,
         (pos != 0 && rel[pos - 1] != '/'))
         return;
     static const std::set<std::string> kConcrete = {
-        "FlashDevice", "ZnsDevice", "Ftl"};
+        "FlashDevice", "Ftl"};
     for (const Token &t : toks) {
         if (t.kind != Token::Kind::Ident ||
             kConcrete.count(t.text) == 0)
@@ -863,10 +859,10 @@ checkConcreteFlashTypes(const std::vector<Token> &toks,
             continue;
         out.push_back(
             {rel, t.line, "AF014",
-             "concrete flash device type '" + t.text +
-                 "' named from src/core; core talks to storage only "
-                 "through flash::Backend (select the model with "
-                 "flash::BackendKind; the fabric instantiates it)"});
+             "flash device type '" + t.text +
+                 "' named from src/core; core reaches storage only "
+                 "through flash::FlashFabric (the fabric builds and "
+                 "owns the devices)"});
     }
 }
 

@@ -2,7 +2,7 @@
  * @file
  * AF013 seeds, backside direction: a backside controller that names
  * the flash device and the frontside directly instead of going
- * through bc_to_flash / flash::Backend and the facade's page-ready
+ * through bc_to_flash / flash::FlashFabric and the facade's page-ready
  * hook. Never compiled.
  */
 
@@ -16,7 +16,7 @@ class FrontsideController;
 
 struct BacksideController {
     // AF013: issuing flash reads by device pointer bypasses
-    // bc_to_flash and the abstract flash::Backend.
+    // bc_to_flash and the flash::FlashFabric.
     FlashDevice *flash = nullptr;
 
     // AF013: waking the frontside by direct call bypasses the

@@ -1,7 +1,7 @@
 /**
  * @file
- * AF014 seeds: core-layer code that names concrete flash device
- * models instead of going through the abstract flash::Backend.
+ * AF014 seeds: core-layer code that names the flash device model or
+ * its FTL instead of going through flash::FlashFabric.
  * Never compiled.
  */
 
@@ -11,16 +11,12 @@
 namespace fixture {
 
 class FlashDevice;
-class ZnsDevice;
 class Ftl;
 
 struct CacheFacade {
-    // AF014: holding the FTL device by concrete type pins the cache
-    // to one back-end; the facade must hold a flash::Backend &.
+    // AF014: holding one device pins the cache to it; the facade
+    // must hold a flash::FlashFabric &.
     FlashDevice *ftlDev = nullptr;
-
-    // AF014: same leak for the log-structured model.
-    ZnsDevice *znsDev = nullptr;
 
     // AF014: reaching past the device into its mapping layer.
     Ftl *mapping = nullptr;
